@@ -18,30 +18,25 @@ from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,
 from .matrices import (IntMatrix, ModMatrix, SmithForm, parse_matrix,
                        smith_normal_form)
 from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,
-                   generator_matrix, order_check_2m, pair_product_formula,
-                   pair_product_square_formula, pm_coefficients,
-                   twin_power_matrix)
-from .congruence import (BudgetExceededError, FiniteMatrixGroup, PairedImage,
+                   generator_matrix, generator_step, order_check_2m,
+                   pair_product_formula, pair_product_square_formula,
+                   pm_coefficients, twin_power_matrix)
+from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          QuotientCheck, alternating_quotient_check,
-                         check_quotient_alternating,
-                         check_quotient_even_vectors, check_quotient_product,
                          congruence_member, enumerate_image,
                          even_vector_quotient_check, format_group_dump,
                          general_linear_order, minimal_congruence_power,
-                         parse_group_dump, product_generation_check,
+                         orbit, parse_group_dump, product_generation_check,
                          product_quotient_check, reduction_kernel)
 from .rewriting import (AbelianInvariants, CosetTable, FiniteQuotientMap,
                         KernelRewriter, LatticeTorsionError, Presentation,
                         RelationCheckError, abelian_invariants,
                         coset_table, coxeter_presentation,
-                        format_presentation, kernel_conjugation_matrix,
-                        parse_presentation, quotient_map,
-                        reidemeister_schreier, tietze_simplify, trivial_map)
+                        format_presentation, parse_presentation,
+                        quotient_map, tietze_simplify, trivial_map)
 from .crystallo import (BasisSpanError, HolonomyReport, beta_word,
                         holonomy_via_conjugation, theta_cross_check,
                         theta_faithfulness, theta_generator_matrix)
-from .permutahedron import (FaceCensus, PermutahedronSkeleton, face_census,
-                            permutahedron_skeleton, pl_rank,
-                            vertex_face_counts)
+from .permutahedron import FaceCensus, face_census, pl_rank
 
 __version__ = "0.1.0"

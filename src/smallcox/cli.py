@@ -7,7 +7,8 @@ object with sorted keys; identical invocations produce byte-identical
 structured output.
 
 Exit status: 0 on success, 1 on a computation error (validation
-failure, exceeded budget, unreadable input file), 2 on usage errors.
+failure, exceeded budget, unreadable input file) or a failed ``verify``
+claim, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import congruence, crystallo, permutahedron, rewriting, tits, verify
 from .coxeter import (CoxeterError, CoxeterSystem, named_system,
@@ -125,8 +127,8 @@ def _cmd_subgroup(args) -> int:
     system = _system_from_args(args)
     qmap = _quotient_map_from_args(system, args)
     table = rewriting.coset_table(qmap, args.cap)
-    pres = rewriting.reidemeister_schreier(
-        rewriting.coxeter_presentation(system), table)
+    pres = rewriting.KernelRewriter(
+        rewriting.coxeter_presentation(system), table).presentation
     if args.simplify:
         pres = rewriting.tietze_simplify(pres)
     record = {"cosets": table.count, "generators": pres.generators,
@@ -141,8 +143,8 @@ def _cmd_abelianize(args) -> int:
     system = _system_from_args(args)
     qmap = _quotient_map_from_args(system, args)
     table = rewriting.coset_table(qmap, args.cap)
-    pres = rewriting.reidemeister_schreier(
-        rewriting.coxeter_presentation(system), table)
+    pres = rewriting.KernelRewriter(
+        rewriting.coxeter_presentation(system), table).presentation
     inv = rewriting.abelian_invariants(pres)
     _emit(args, {"rank": inv.rank, "torsion": list(inv.torsion)},
           [str(inv)])
@@ -207,7 +209,7 @@ def _cmd_verify(args) -> int:
               f"{sum(c.ok for c in report.claims)}/{len(report.claims)} claims")
     for claim in report.claims:
         print(f"  {claim.claim_id}: {claim.seconds:.2f}s", file=sys.stderr)
-    return 0
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-mod", type=int, help="modulus for --map modular")
     p.add_argument("--simplify", action="store_true",
                    help="run Tietze simplification on the result")
-    p.add_argument("--cap", type=int, default=rewriting.DEFAULT_COSET_CAP)
+    p.add_argument("--cap", type=int, default=congruence.DEFAULT_CAP)
     p.set_defaults(func=_cmd_subgroup)
 
     p = add_parser("abelianize",
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", choices=("symmetric", "mod2", "modular"),
                    required=True)
     p.add_argument("--map-mod", type=int)
-    p.add_argument("--cap", type=int, default=rewriting.DEFAULT_COSET_CAP)
+    p.add_argument("--cap", type=int, default=congruence.DEFAULT_CAP)
     p.set_defaults(func=_cmd_abelianize)
 
     p = add_parser("holonomy",
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: list[str]) -> int:
+def dispatch(argv: Optional[list[str]] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -301,8 +304,8 @@ def dispatch(argv: list[str]) -> int:
         return 1
 
 
-def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+def main(argv: Optional[list[str]] = None) -> None:
+    sys.exit(dispatch(argv))
 
 
 if __name__ == "__main__":

@@ -5,18 +5,23 @@ Coxeter group onto a finite matrix group; the kernel is the principal
 congruence subgroup of level m.  Everything here works with those
 finite images:
 
-* ``enumerate_image`` lists the image by breadth-first closure of the
-  generator matrices (deterministic shortlex discovery order);
+* ``orbit`` is the one breadth-first closure: the orbit of a start
+  element under "apply generator k", in shortlex discovery order, with
+  its action table.  Images, subquotient checks and the coset tables of
+  :mod:`smallcox.rewriting` all run through it;
+* ``enumerate_image`` lists the image as the orbit of the identity under
+  right multiplication by the generator matrices;
 * ``congruence_member`` decides level-m membership of a word;
-* the ``check_quotient_*`` operations identify the subquotients
+* the ``*_quotient_check`` functions identify the subquotients
   "level m over level 3m / 4m / 12m" with the alternating group, the
-  even-weight mod-2 vectors, and their direct product, by carrying a
-  second coordinate (a permutation or a bit vector) along the closure;
+  even-weight mod-2 vectors, and their direct product; their orbit
+  carries a second coordinate (a permutation, a bit vector, or a matrix
+  mod m) along the matrix and returns a ``QuotientCheck`` record;
 * ``product_generation_check`` confirms at image level that two coprime
   levels together generate the full even part.
 
-Enumeration keys matrices by the byte string of their canonical
-residues.  The default element budget is 10**7; exceeding it raises
+Matrices are keyed by their tuples of canonical residue rows.  The
+default element budget is 10**7; exceeding it raises
 ``BudgetExceededError`` rather than truncating silently, since images of
 infinite Coxeter groups can be arbitrarily large.
 """
@@ -26,12 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 from . import perms
 from .coxeter import CoxeterSystem, Word, require_small, twin
-from .matrices import ModMatrix, det_rows, identity_rows, mul_rows, parse_matrix
-from .tits import evaluate_mod, generator_matrix, twin_power_matrix
+from .matrices import ModMatrix, identity_rows, mul_rows, parse_matrix
+from .tits import (evaluate_mod, generator_matrix, generator_step,
+                   twin_power_matrix)
 
 DEFAULT_CAP = 10_000_000
 
@@ -44,19 +50,13 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _encode(rows, m: int) -> Hashable:
-    if m <= 0xFF:
-        return bytes(e for row in rows for e in row)
-    return tuple(e for row in rows for e in row)
-
-
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     """A finite group of matrices mod m, closed under multiplication.
 
     ``elements`` are in discovery order (identity first, then by
-    shortlex word in the generators); ``element_keys`` holds the
-    canonical byte encodings for O(1) membership.
+    shortlex word in the generators); ``element_keys`` holds their row
+    tuples for O(1) membership.
     """
 
     modulus: int
@@ -70,29 +70,35 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def __contains__(self, mat: ModMatrix) -> bool:
-        return _encode(mat.rows, self.modulus) in self.element_keys
+        return mat.rows in self.element_keys
 
 
-def close_under_multiplication(gen_rows: list, m: int,
-                               cap: int = DEFAULT_CAP) -> list:
-    """BFS closure of generator matrices (as row tuples) mod m."""
-    d = len(gen_rows[0]) if gen_rows else 0
-    ident = identity_rows(d)
-    seen = {_encode(ident, m)}
-    out = [ident]
-    qi = 0
-    while qi < len(out):
-        g = out[qi]
-        qi += 1
-        for x in gen_rows:
-            h = mul_rows(g, x, m)
-            key = _encode(h, m)
-            if key not in seen:
-                if len(out) >= cap:
+def orbit(start: Hashable, step: Callable, ngens: int,
+          cap: int = DEFAULT_CAP) -> tuple[list, list[tuple[int, ...]]]:
+    """Breadth-first orbit of ``start`` under ``ngens`` generators.
+
+    ``step(x, k)`` applies generator k (0-based) to the hashable
+    element x.  Returns the elements in discovery order (start first,
+    then by shortlex word in the generators) and the action table:
+    ``action[i][k]`` is the index of step(elements[i], k).  Raises
+    ``BudgetExceededError`` rather than grow past ``cap`` elements.
+    """
+    index = {start: 0}
+    elements = [start]
+    action = []
+    for x in elements:  # the list grows while it is scanned
+        row = []
+        for k in range(ngens):
+            y = step(x, k)
+            at = index.get(y)
+            if at is None:
+                if len(elements) >= cap:
                     raise BudgetExceededError(cap)
-                seen.add(key)
-                out.append(h)
-    return out
+                at = index[y] = len(elements)
+                elements.append(y)
+            row.append(at)
+        action.append(tuple(row))
+    return elements, action
 
 
 def enumerate_image(system: CoxeterSystem, m: int,
@@ -104,9 +110,10 @@ def enumerate_image(system: CoxeterSystem, m: int,
     if cap < 1:
         raise ValueError("cap must be positive")
     gens = [generator_matrix(system, k).mod(m) for k in range(1, system.rank + 1)]
-    rows = close_under_multiplication([g.rows for g in gens], m, cap)
+    rows, _ = orbit(identity_rows(system.rank), generator_step(system, m),
+                    system.rank, cap)
     elements = tuple(ModMatrix(r, m) for r in rows)
-    keys = frozenset(_encode(r, m) for r in rows)
+    keys = frozenset(el.rows for el in elements)
     return FiniteMatrixGroup(m, system.rank, elements, tuple(gens), keys)
 
 
@@ -129,62 +136,13 @@ def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
     for el in group.elements:
         if m < 2 or el.reduce(m) == ident:
             kept.append(el)
-    keys = frozenset(_encode(e.rows, group.modulus) for e in kept)
+    keys = frozenset(e.rows for e in kept)
     return FiniteMatrixGroup(group.modulus, group.dimension,
                              tuple(kept), (), keys)
 
 
 # ---------------------------------------------------------------------------
-# paired enumeration: matrices carrying a second coordinate
-
-
-@dataclass(frozen=True)
-class PairedImage:
-    """Closure of (matrix mod m, auxiliary) generator pairs.
-
-    The auxiliary coordinate is any hashable with a componentwise
-    product: a permutation tuple, a mod-2 vector, or the row tuple of a
-    matrix to another modulus (the CRT representation of a composite
-    level keeps each component in machine-size residues).
-    """
-
-    modulus: int
-    pairs: tuple[tuple[ModMatrix, Hashable], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.pairs)
-
-
-def paired_image(system: CoxeterSystem, m: int,
-                 aux_gens: list, aux_mul: Callable, aux_identity,
-                 cap: int = DEFAULT_CAP) -> PairedImage:
-    require_small(system)
-    gen_rows = [generator_matrix(system, k).mod(m).rows
-                for k in range(1, system.rank + 1)]
-    d = system.rank
-    start = (identity_rows(d), aux_identity)
-    seen = {(_encode(start[0], m), start[1])}
-    out = [start]
-    gens = list(zip(gen_rows, aux_gens))
-    qi = 0
-    while qi < len(out):
-        g, s = out[qi]
-        qi += 1
-        for x, t in gens:
-            h = (mul_rows(g, x, m), aux_mul(s, t))
-            key = (_encode(h[0], m), h[1])
-            if key not in seen:
-                if len(out) >= cap:
-                    raise BudgetExceededError(cap)
-                seen.add(key)
-                out.append(h)
-    return PairedImage(m, tuple((ModMatrix(g, m), s) for g, s in out))
-
-
-def _reduces_to_identity(mat: ModMatrix, m: int) -> bool:
-    return all(mat.rows[i][j] % m == (1 if i == j else 0) % m
-               for i in range(mat.dimension) for j in range(mat.dimension))
+# subquotients: the closure carries a second coordinate along the matrix
 
 
 @dataclass(frozen=True)
@@ -201,7 +159,19 @@ class QuotientCheck:
     detail: str = ""
 
 
-def _kernel_map(pairs, m: int):
+def _twin_pairs(n: int, modulus: int, aux_step: Callable, aux_identity,
+                cap: int) -> list:
+    """Orbit of (identity mod ``modulus``, ``aux_identity``) in the twin
+    group on n strands; generator k acts on the second coordinate by
+    ``aux_step(aux, k)``."""
+    step = generator_step(twin(n), modulus)
+    pairs, _ = orbit((identity_rows(n - 1), aux_identity),
+                     lambda x, k: (step(x[0], k), aux_step(x[1], k)),
+                     n - 1, cap)
+    return pairs
+
+
+def _kernel_map(pairs, modulus: int, m: int):
     """Pairs whose matrix part is trivial mod m, as a matrix -> aux map.
 
     Returns (mapping, well_defined, injective): well-defined means no
@@ -211,10 +181,10 @@ def _kernel_map(pairs, m: int):
     mapping: dict = {}
     well_defined = True
     for g, s in pairs:
-        if _reduces_to_identity(g, m):
-            if g.rows in mapping and mapping[g.rows] != s:
+        if ModMatrix(g, modulus).reduce(m).is_identity():
+            if g in mapping and mapping[g] != s:
                 well_defined = False
-            mapping[g.rows] = s
+            mapping[g] = s
     values = set(mapping.values())
     injective = len(values) == len(mapping)
     return mapping, well_defined, injective
@@ -235,22 +205,17 @@ def alternating_quotient_check(n: int, m: int,
         raise ValueError(f"need 3 not dividing m, got {m}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    system = twin(n)
     aux = [perms.adjacent_transposition(n, i) for i in range(1, n)]
-    image = paired_image(system, 3 * m, aux, perms.multiply,
-                         perms.identity(n), cap)
-    mapping, well_defined, injective = _kernel_map(image.pairs, m)
+    pairs = _twin_pairs(n, 3 * m, lambda p, k: perms.multiply(p, aux[k]),
+                        perms.identity(n), cap)
+    mapping, well_defined, injective = _kernel_map(pairs, 3 * m, m)
     all_even = all(perms.is_even(s) for s in mapping.values())
     onto = set(mapping.values()) == set(perms.alternating(n))
     ok = well_defined and injective and all_even and onto
     detail = (f"well_defined={well_defined} injective={injective} "
               f"even={all_even} onto={onto}")
-    return QuotientCheck("alternating", n, m, image.order, len(mapping),
+    return QuotientCheck("alternating", n, m, len(pairs), len(mapping),
                          math.factorial(n) // 2, ok, detail)
-
-
-def check_quotient_alternating(n: int, m: int, cap: int = DEFAULT_CAP) -> bool:
-    return alternating_quotient_check(n, m, cap).ok
 
 
 def even_vector_quotient_check(n: int, m: int,
@@ -265,26 +230,20 @@ def even_vector_quotient_check(n: int, m: int,
         raise ValueError(f"need n >= 3, got {n}")
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
-    system = twin(n)
     r = n - 1
-    aux = [tuple(1 if i == k else 0 for i in range(r)) for k in range(r)]
 
-    def xor(a, b):
-        return tuple((x + y) & 1 for x, y in zip(a, b))
+    def flip(v, k):
+        return v[:k] + (1 - v[k],) + v[k + 1:]
 
-    image = paired_image(system, 4 * m, aux, xor, tuple([0] * r), cap)
-    mapping, well_defined, injective = _kernel_map(image.pairs, m)
+    pairs = _twin_pairs(n, 4 * m, flip, (0,) * r, cap)
+    mapping, well_defined, injective = _kernel_map(pairs, 4 * m, m)
     even_vectors = {v for v in itertools.product((0, 1), repeat=r)
                     if sum(v) % 2 == 0}
     onto = set(mapping.values()) == even_vectors
     ok = well_defined and injective and onto
     detail = f"well_defined={well_defined} injective={injective} onto={onto}"
-    return QuotientCheck("even-vectors", n, m, image.order, len(mapping),
+    return QuotientCheck("even-vectors", n, m, len(pairs), len(mapping),
                          2 ** (n - 2), ok, detail)
-
-
-def check_quotient_even_vectors(n: int, m: int, cap: int = DEFAULT_CAP) -> bool:
-    return even_vector_quotient_check(n, m, cap).ok
 
 
 def product_quotient_check(n: int, m: int,
@@ -303,27 +262,15 @@ def product_quotient_check(n: int, m: int,
         raise ValueError(f"need m odd and prime to 3, got {m}")
     alt = alternating_quotient_check(n, m, cap)
     vec = even_vector_quotient_check(n, m, cap)
-    system = twin(n)
-    aux = [generator_matrix(system, k).mod(m).rows
-           for k in range(1, system.rank + 1)]
-
-    def matmul_aux(a, b):
-        return mul_rows(a, b, m)
-
-    image = paired_image(system, 12, aux, matmul_aux,
-                         identity_rows(n - 1), cap)
     ident = identity_rows(n - 1)
-    kernel_order = sum(1 for _, s in image.pairs if s == ident)
+    pairs = _twin_pairs(n, 12, generator_step(twin(n), m), ident, cap)
+    kernel_order = sum(1 for _, s in pairs if s == ident)
     expected = alt.expected_kernel_order * vec.expected_kernel_order
     ok = alt.ok and vec.ok and kernel_order == alt.kernel_order * vec.kernel_order
     detail = (f"alt={alt.kernel_order} vec={vec.kernel_order} "
               f"combined={kernel_order}")
-    return QuotientCheck("product", n, m, image.order, kernel_order,
+    return QuotientCheck("product", n, m, len(pairs), kernel_order,
                          expected, ok, detail)
-
-
-def check_quotient_product(n: int, m: int, cap: int = DEFAULT_CAP) -> bool:
-    return product_quotient_check(n, m, cap).ok
 
 
 def product_generation_check(n: int, m: int, k: int,
@@ -339,14 +286,15 @@ def product_generation_check(n: int, m: int, k: int,
         raise ValueError(f"need m, k >= 3, got {m}, {k}")
     if math.gcd(m, k) != 1:
         raise ValueError(f"need gcd(m, k) = 1, got {m}, {k}")
-    system = twin(n)
-    group = enumerate_image(system, m * k, cap)
+    mk = m * k
+    group = enumerate_image(twin(n), mk, cap)
     seeds = [el.rows for el in group.elements
-             if _reduces_to_identity(el, m) or _reduces_to_identity(el, k)]
-    generated = close_under_multiplication(seeds, m * k, cap)
-    even_part = {_encode(el.rows, m * k) for el in group.elements
-                 if el.det() == 1 % (m * k)}
-    return {_encode(r, m * k) for r in generated} == even_part
+             if el.reduce(m).is_identity() or el.reduce(k).is_identity()]
+    generated, _ = orbit(identity_rows(n - 1),
+                         lambda g, i: mul_rows(g, seeds[i], mk),
+                         len(seeds), cap)
+    even_part = {el.rows for el in group.elements if el.det() == 1 % mk}
+    return set(generated) == even_part
 
 
 def minimal_congruence_power(m: int) -> int:
@@ -400,5 +348,5 @@ def parse_group_dump(text: str) -> FiniteMatrixGroup:
         block = "\n".join(body[i * d:(i + 1) * d])
         mat = parse_matrix(f"mod {m}\n{block}")
         elements.append(mat)
-    keys = frozenset(_encode(e.rows, m) for e in elements)
+    keys = frozenset(e.rows for e in elements)
     return FiniteMatrixGroup(m, d, tuple(elements), (), keys)

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .congruence import DEFAULT_CAP
 from .coxeter import CoxeterSystem, Word, twin
 from .matrices import IntMatrix
-from .rewriting import (DEFAULT_COSET_CAP, FiniteQuotientMap, KernelRewriter,
-                        LatticeTorsionError, coset_table,
-                        coxeter_presentation, quotient_map)
+from .rewriting import (FiniteQuotientMap, KernelRewriter, LatticeTorsionError,
+                        coset_table, coxeter_presentation, quotient_map)
 
 
 class BasisSpanError(ValueError):
@@ -166,7 +166,7 @@ def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
 
 
 def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
-                             cap: int = DEFAULT_COSET_CAP,
+                             cap: int = DEFAULT_CAP,
                              require_torsion_free: bool = True) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
     abelianization, computed element by element.
@@ -212,7 +212,7 @@ def beta_word(n: int, j: int, p: int) -> Word:
     return wrap + core + tuple(reversed(wrap))
 
 
-def theta_cross_check(n: int, cap: int = DEFAULT_COSET_CAP) -> bool:
+def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
     """Do the closed-form matrices match the conjugation computation?
 
     Runs the Schreier route over the mod-2 abelianization of the twin

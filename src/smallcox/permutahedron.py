@@ -25,24 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-Vertex = tuple[int, ...]
-
 MAX_STRANDS = 8  # 8! = 40320 vertices
-
-
-@dataclass(frozen=True)
-class PermutahedronSkeleton:
-    n: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int], ...]  # index pairs i < j
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -74,80 +57,27 @@ class FaceCensus:
         }
 
 
-def _swap(v: Vertex, k: int) -> Vertex:
-    return v[:k] + (v[k + 1], v[k]) + v[k + 2:]
+def face_census(n: int) -> FaceCensus:
+    """Count vertices, edges, hexagons and squares by direct enumeration.
 
-
-def permutahedron_skeleton(n: int) -> PermutahedronSkeleton:
+    Each edge {v, v.(k k+1)} is counted once, at its endpoint with
+    v[k] < v[k+1], the same way the 2-cells are counted.
+    """
     if not 3 <= n <= MAX_STRANDS:
         raise ValueError(f"need 3 <= n <= {MAX_STRANDS}, got {n}")
-    vertices = tuple(permutations(range(1, n + 1)))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for k in range(n - 1):
-            j = index[_swap(v, k)]
-            if i < j:
-                edges.append((i, j))
-    return PermutahedronSkeleton(n, vertices, tuple(edges))
-
-
-def face_census(n: int) -> FaceCensus:
-    """Count vertices, edges, hexagons and squares by direct enumeration."""
-    skeleton = permutahedron_skeleton(n)
-    hexagons = 0
-    squares = 0
-    for v in skeleton.vertices:
+    vertices = edges = hexagons = squares = 0
+    for v in permutations(range(1, n + 1)):
+        vertices += 1
         for k in range(n - 2):
             if v[k] < v[k + 1] < v[k + 2]:
                 hexagons += 1
         for i in range(n - 1):
             if v[i] < v[i + 1]:
+                edges += 1
                 for j in range(i + 2, n - 1):
                     if v[j] < v[j + 1]:
                         squares += 1
-    return FaceCensus(n, skeleton.vertex_count, skeleton.edge_count,
-                      hexagons, squares)
-
-
-def hexagon_orbit(v: Vertex, k: int) -> tuple[Vertex, ...]:
-    """The six vertices reached from v by alternating moves k, k+1."""
-    out = []
-    w = v
-    for step in range(6):
-        out.append(w)
-        w = _swap(w, k if step % 2 == 0 else k + 1)
-    return tuple(out)
-
-
-def vertex_face_counts(n: int) -> tuple[int, int]:
-    """(hexagons, squares) through each vertex; the counts are the same
-    at every vertex, and that uniformity is asserted."""
-    census_hex = None
-    census_sq = None
-    skeleton = permutahedron_skeleton(n)
-    hex_ids: dict[Vertex, set] = {v: set() for v in skeleton.vertices}
-    sq_ids: dict[Vertex, set] = {v: set() for v in skeleton.vertices}
-    for v in skeleton.vertices:
-        for k in range(n - 2):
-            least = v[:k] + tuple(sorted(v[k:k + 3])) + v[k + 3:]
-            for w in hexagon_orbit(least, k):
-                hex_ids[w].add((least, k))
-        for i in range(n - 1):
-            for j in range(i + 2, n - 1):
-                least = list(v)
-                if least[i] > least[i + 1]:
-                    least[i], least[i + 1] = least[i + 1], least[i]
-                if least[j] > least[j + 1]:
-                    least[j], least[j + 1] = least[j + 1], least[j]
-                sq_ids[v].add((tuple(least), i, j))
-    for v in skeleton.vertices:
-        h, s = len(hex_ids[v]), len(sq_ids[v])
-        if census_hex is None:
-            census_hex, census_sq = h, s
-        elif (census_hex, census_sq) != (h, s):
-            raise AssertionError("face membership is not vertex-transitive")
-    return census_hex, census_sq
+    return FaceCensus(n, vertices, edges, hexagons, squares)
 
 
 def pl_rank(n: int) -> int:

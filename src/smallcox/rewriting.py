@@ -5,13 +5,13 @@ finite group (a permutation group, a mod-m matrix group, or a mod-2
 vector group), so cosets biject with image elements and no Todd-Coxeter
 style enumeration is ever needed:
 
-* ``coset_table`` lists the cosets by breadth-first closure, recording
-  the shortlex-least coset representative word and the action of each
-  generator (all generator images are involutions, so the action table
-  is its own inverse);
-* ``reidemeister_schreier`` presents the kernel on the nontrivial
-  Schreier generators u y (rep of uy)^-1, with one rewritten relator
-  per (coset, defining relator) pair;
+* ``coset_table`` lists the cosets as the orbit of the identity image
+  (``congruence.orbit``), recording the shortlex-least coset
+  representative word and the action of each generator (all generator
+  images are involutions, so the action table is its own inverse);
+* ``KernelRewriter(pres, table).presentation`` presents the kernel on
+  the nontrivial Schreier generators u y (rep of uy)^-1, with one
+  rewritten relator per (coset, defining relator) pair;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about;
@@ -34,12 +34,10 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from . import perms
+from .congruence import DEFAULT_CAP, BudgetExceededError, orbit
 from .coxeter import INF, CoxeterSystem, Word, require_small
-from .matrices import (IntMatrix, ModMatrix, SmithForm, identity_rows,
-                       mul_rows, smith_normal_form)
+from .matrices import IntMatrix, ModMatrix, SmithForm, mul_rows, smith_normal_form
 from .tits import generator_matrix
-
-DEFAULT_COSET_CAP = 10_000_000
 
 SignedWord = tuple[int, ...]
 
@@ -57,10 +55,8 @@ class LatticeTorsionError(ValueError):
         self.torsion = torsion
 
 
-class CosetBudgetError(RuntimeError):
-    def __init__(self, budget: int):
-        super().__init__(f"coset count exceeds budget {budget}")
-        self.budget = budget
+# coset tables share the one orbit budget and its error
+CosetBudgetError = BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -264,31 +260,18 @@ class CosetTable:
         return len(self.transversal)
 
 
-def coset_table(qmap: FiniteQuotientMap,
-                cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    index = {qmap.identity_image: 0}
-    elements = [qmap.identity_image]
-    words: list[Word] = [()]
-    action: list[list[int]] = []
-    qi = 0
+def coset_table(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP) -> CosetTable:
     r = len(qmap.images)
-    while qi < len(elements):
-        g = elements[qi]
-        row = []
-        for y in range(r):
-            h = qmap.compose(g, qmap.images[y])
-            at = index.get(h)
-            if at is None:
-                if len(elements) >= cap:
-                    raise CosetBudgetError(cap)
-                at = len(elements)
-                index[h] = at
-                elements.append(h)
-                words.append(words[qi] + (y + 1,))
-            row.append(at)
-        action.append(row)
-        qi += 1
-    table = CosetTable(tuple(words), tuple(tuple(row) for row in action))
+    _, action = orbit(qmap.identity_image,
+                      lambda g, y: qmap.compose(g, qmap.images[y]), r, cap)
+    # coset t is discovered at the first table entry that names it, and
+    # its representative extends that entry's coset by one letter
+    words: list[Word] = [()]
+    for c, row in enumerate(action):
+        for y, t in enumerate(row):
+            if t == len(words):
+                words.append(words[c] + (y + 1,))
+    table = CosetTable(tuple(words), tuple(action))
     for c in range(table.count):
         for y in range(r):
             if table.action[table.action[c][y]][y] != c:
@@ -334,6 +317,11 @@ class KernelRewriter:
     representative (the breadth-first tree edges) are trivial and get no
     index.  Rewriting scans a word letter by letter, emitting the index
     of each pair it crosses.
+
+    ``presentation`` is the Reidemeister-Schreier presentation of the
+    kernel: a kernel of index N under g ambient generators gets exactly
+    N*g - (N-1) generators and one freely reduced relator per (coset,
+    ambient relator) pair, empty rewrites dropped.
     """
 
     def __init__(self, pres: Presentation, table: CosetTable):
@@ -512,27 +500,6 @@ def _restricted_basis_change(c_rows: list[list[int]], sm: SmithForm,
         out.append([sum(vrow[t] * p[t][j] for t in support)
                     for j in range(len(free))])
     return out
-
-
-def reidemeister_schreier(pres: Presentation, table: CosetTable) -> Presentation:
-    """Presentation of the kernel on its nontrivial Schreier generators.
-
-    A kernel of index N under g ambient generators gets exactly
-    N*g - (N-1) generators (all pairs minus the spanning-tree edges) and
-    one freely reduced relator per (coset, ambient relator) pair, empty
-    rewrites dropped.
-    """
-    return KernelRewriter(pres, table).presentation
-
-
-def kernel_conjugation_matrix(pres: Presentation, table: CosetTable,
-                              word: Sequence[int]) -> IntMatrix:
-    """Action of an ambient word on the abelianized kernel.
-
-    Raises LatticeTorsionError when the abelianization is not free; the
-    torsion is reported on the error.
-    """
-    return KernelRewriter(pres, table).conjugation_matrix(word)
 
 
 # ---------------------------------------------------------------------------

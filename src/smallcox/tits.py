@@ -115,6 +115,41 @@ def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> ModMatrix:
     return ModMatrix(tuple(map(tuple, rows)), m)
 
 
+class _RowTimesGenerator(dict):
+    """row -> row * s_(k+1) with entries mod m, each distinct row once.
+
+    Row i of rows * s only depends on row i, and a row with a zero in
+    column k is left as it is; congruence images repeat a few distinct
+    rows over many elements, so the rows are computed once and shared.
+    """
+
+    def __init__(self, alpha_row: list[int], k0: int, m: int):
+        super().__init__()
+        self.alpha_row, self.k0, self.m = alpha_row, k0, m
+
+    def __missing__(self, row):
+        k0, m, v = self.k0, self.m, row[self.k0]
+        out = row if not v else tuple(
+            -v % m if j == k0 else (e + v * a) % m
+            for j, (e, a) in enumerate(zip(row, self.alpha_row)))
+        self[row] = out
+        return out
+
+
+def generator_step(system: CoxeterSystem, m: int):
+    """``step(rows, k)``: the row tuples of rows * s_(k+1), entries mod m.
+
+    This is the closure step of the congruence images.  Long single
+    words go through the in-place loop of ``evaluate_mod`` instead.
+    """
+    require_small(system)
+    if m < 2:
+        raise ValueError(f"modulus {m} < 2")
+    maps = [_RowTimesGenerator(_alpha_row(system, k0), k0, m).__getitem__
+            for k0 in range(system.rank)]
+    return lambda rows, k0: tuple(map(maps[k0], rows))
+
+
 def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> IntMatrix:
     """Entries of s_k s_l written directly from the alpha table.
 

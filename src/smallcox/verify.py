@@ -173,12 +173,17 @@ def _suite_congruence() -> list[Claim]:
            lambda: str([congruence.enumerate_image(triplet(n), 2).order
                         for n in range(3, 7)]))
 
-    for (n, m), kernel in (((4, 2), 12), ((5, 2), 60), ((4, 4), 12),
-                           ((4, 5), 12)):
+    # every twin generator matrix is trivial mod 2 (its row entries are
+    # -1, 0 or 2), so level 2 is the whole group and level 2 over level 6
+    # is the mod-6 image S_n: there the A_n check must fail with kernel n!
+    for (n, m), ok, kernel in (((4, 2), False, 24), ((5, 2), False, 120),
+                               ((4, 4), True, 12), ((4, 5), True, 12),
+                               ((5, 4), True, 60)):
+        group = f"A_{n}" if ok else f"S_{n}, not A_{n}"
         _claim(claims, f"quotient-alternating-{n}-{m}",
                f"level {m} over level {3 * m} in the {n}-strand twin group "
-               f"is A_{n}",
-               f"ok=True kernel={kernel}",
+               f"is {group}",
+               f"ok={ok} kernel={kernel}",
                lambda n=n, m=m: (lambda r: f"ok={r.ok} kernel={r.kernel_order}")(
                    congruence.alternating_quotient_check(n, m)))
     for (n, m), kernel in (((4, 3), 4), ((5, 3), 8), ((4, 5), 4)):
@@ -236,8 +241,8 @@ def _suite_congruence() -> list[Claim]:
 def _kernel_invariants(system: CoxeterSystem, kind: str, m=None):
     qmap = rewriting.quotient_map(system, kind, m)
     table = rewriting.coset_table(qmap)
-    pres = rewriting.reidemeister_schreier(
-        rewriting.coxeter_presentation(system), table)
+    pres = rewriting.KernelRewriter(
+        rewriting.coxeter_presentation(system), table).presentation
     return rewriting.abelian_invariants(pres)
 
 
@@ -263,8 +268,8 @@ def _suite_rewriting() -> list[Claim]:
     def pl4_free():
         qmap = rewriting.quotient_map(triplet(4), "symmetric")
         table = rewriting.coset_table(qmap)
-        pres = rewriting.reidemeister_schreier(
-            rewriting.coxeter_presentation(triplet(4)), table)
+        pres = rewriting.KernelRewriter(
+            rewriting.coxeter_presentation(triplet(4)), table).presentation
         simp = rewriting.tietze_simplify(pres)
         return f"gens={simp.generators} relators={len(simp.relators)}"
 

@@ -9,10 +9,8 @@ from smallcox.rewriting import (AbelianInvariants, CosetBudgetError,
                                 Presentation, RelationCheckError,
                                 abelian_invariants,
                                 coset_table, coxeter_presentation,
-                                format_presentation,
-                                kernel_conjugation_matrix, parse_presentation,
-                                quotient_map, reidemeister_schreier,
-                                tietze_simplify, trivial_map)
+                                format_presentation, parse_presentation,
+                                quotient_map, tietze_simplify, trivial_map)
 from smallcox.tits import evaluate
 
 
@@ -131,7 +129,7 @@ class TestReidemeisterSchreier:
         for system, kind, m in fixtures:
             qmap = quotient_map(system, kind, m)
             table = coset_table(qmap)
-            pres = reidemeister_schreier(coxeter_presentation(system), table)
+            pres = KernelRewriter(coxeter_presentation(system), table).presentation
             n, g = table.count, system.rank
             assert pres.generators == n * g - (n - 1)
 
@@ -196,8 +194,8 @@ class TestTietze:
                              (triplet(4), "mod2_abelian"),
                              (triplet(4), "symmetric")):
             qmap = quotient_map(system, kind)
-            pres = reidemeister_schreier(coxeter_presentation(system),
-                                         coset_table(qmap))
+            pres = KernelRewriter(coxeter_presentation(system),
+                                  coset_table(qmap)).presentation
             assert abelian_invariants(tietze_simplify(pres)) == \
                 abelian_invariants(pres)
         for _ in range(25):
@@ -273,7 +271,7 @@ class TestConjugation:
         qmap = quotient_map(system, "symmetric")
         table = coset_table(qmap)
         pres = coxeter_presentation(system)
-        mat = kernel_conjugation_matrix(pres, table, (1,))
+        mat = KernelRewriter(pres, table).conjugation_matrix((1,))
         assert mat.rows == ((-1,),)
 
     def test_identity_word_gives_identity(self):
@@ -303,7 +301,7 @@ class TestConjugation:
         table = coset_table(qmap)
         pres = coxeter_presentation(system)
         with pytest.raises(LatticeTorsionError) as exc:
-            kernel_conjugation_matrix(pres, table, (1,))
+            KernelRewriter(pres, table).conjugation_matrix((1,))
         assert exc.value.torsion == (3, 3)
 
     def test_trivial_map_gives_empty_identity(self):

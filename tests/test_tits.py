@@ -8,7 +8,7 @@ from smallcox.coxeter import (INF, NonSmallSystemError, build_system,
                               symmetric, triplet, twin, universal)
 from smallcox.matrices import IntMatrix
 from smallcox.tits import (alpha, evaluate, evaluate_mod, generator_matrix,
-                           order_check_2m, pair_product_formula,
+                           generator_step, order_check_2m, pair_product_formula,
                            pair_product_square_formula, pm_coefficients,
                            twin_power_matrix)
 
@@ -178,6 +178,26 @@ class TestEvaluateMod:
         # the image of s_1 s_2 is a nonidentity matrix mod every m >= 3
         for m in range(3, 31):
             assert not evaluate_mod(twin(n), (1, 2), m).is_identity()
+
+
+class TestGeneratorStep:
+    @pytest.mark.parametrize("family", SMALL_FAMILIES)
+    @pytest.mark.parametrize("m", (2, 3, 12))
+    def test_matches_product_oracle(self, family, m):
+        # the memoized row map against plain products, on random words
+        system = family(5)
+        step = generator_step(system, m)
+        rng = random.Random(m)
+        for _ in range(30):
+            word = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(12)))
+            rows = evaluate_mod(system, word, m).rows
+            for k in range(1, 5):
+                expected = product_of_generators(system, word + (k,)).mod(m)
+                assert step(rows, k - 1) == expected.rows
+
+    def test_bad_modulus(self):
+        with pytest.raises(ValueError):
+            generator_step(twin(4), 1)
 
 
 class TestPairProductFormulas:
