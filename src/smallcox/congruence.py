@@ -70,7 +70,7 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def __contains__(self, mat: ModMatrix) -> bool:
-        return mat.rows in self.element_keys
+        return mat.modulus == self.modulus and mat.rows in self.element_keys
 
 
 def orbit(start: Hashable, step: Callable, ngens: int,

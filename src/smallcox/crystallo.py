@@ -13,9 +13,11 @@ quotient of the twin group (lattice of rank 2n-5):
   class down in closed form on the standard lattice basis
   b0(1), b0(2), b1(2), ..., b0(n-2), b1(n-2), where b0(j) is the class
   of s_{j+1} s_j s_{j+1} s_j and b1(j) its conjugate by s_{j-1};
-* ``holonomy_via_conjugation`` computes the action of every coset
-  representative through the Schreier rewriting machinery, with no
-  closed form anywhere.
+* ``holonomy_via_conjugation`` computes the action of each ambient
+  generator through Schreier rewriting, with no closed form anywhere,
+  and the action of every coset as a product of generator matrices
+  along the breadth-first transversal tree (the action is a
+  homomorphism, M(uv) = M(u) M(v)).
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -26,14 +28,13 @@ holonomy group, never from a single witness element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
 
 from .congruence import DEFAULT_CAP
 from .coxeter import CoxeterSystem, Word, twin
 from .matrices import IntMatrix
 from .rewriting import (FiniteQuotientMap, KernelRewriter, LatticeTorsionError,
-                        coset_table, coxeter_presentation, quotient_map)
+                        _family_pattern, coset_table, coxeter_presentation,
+                        quotient_map)
 
 
 class BasisSpanError(ValueError):
@@ -149,8 +150,6 @@ def theta_faithfulness(n: int) -> HolonomyReport:
 
 
 def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
-    from .rewriting import _family_pattern
-
     family = _family_pattern(system)
     n = system.rank + 1
     stem = {"twin": f"T{n}", "triplet": f"L{n}", "symmetric": f"S{n}"}.get(
@@ -169,7 +168,12 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
                              cap: int = DEFAULT_CAP,
                              require_torsion_free: bool = True) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
-    abelianization, computed element by element.
+    abelianization, over every coset.
+
+    Only the generator matrices come from Schreier rewriting.  Coset c's
+    representative is its tree parent's word plus one letter y, so its
+    matrix is M(parent) * M(s_y); the parent is c.y, since generator
+    actions are involutions.
 
     The lattice is the free part of the abelianized kernel.  When the
     abelianization has torsion the quotient cannot be certified
@@ -184,10 +188,15 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
         raise LatticeTorsionError(torsion)
     dim = rewriter.rank
     ident = IntMatrix.identity(dim)
+    gens = [rewriter.conjugation_matrix((y,), allow_torsion=True)
+            for y in range(1, system.rank + 1)]
+    mats = [ident]
     witnesses = []
     for c in range(1, table.count):
         word = table.transversal[c]
-        if rewriter.conjugation_matrix(word, allow_torsion=True) == ident:
+        y = word[-1]
+        mats.append(mats[table.action[c][y - 1]] * gens[y - 1])
+        if mats[c] == ident:
             witnesses.append(word)
     return HolonomyReport(
         quotient=_quotient_label(system, qmap),
@@ -216,10 +225,10 @@ def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
     """Do the closed-form matrices match the conjugation computation?
 
     Runs the Schreier route over the mod-2 abelianization of the twin
-    group, expresses the b-class dictionary in the Schreier basis, and
-    compares the conjugated action of every generator with
-    ``theta_generator_matrix`` in that common basis.  Raises
-    BasisSpanError when the dictionary fails to be a lattice basis.
+    group and expresses the b-class dictionary in the Schreier basis as
+    the columns of B.  B must be unimodular (determinant +-1), else
+    BasisSpanError; then each generator's conjugation matrix C matches
+    Theta_k in the b-basis exactly when C B = B Theta_k.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -239,42 +248,13 @@ def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
         if j >= 2:
             betas.append(beta_word(n, j, 1))
     coords = [rewriter.free_coordinates(w) for w in betas]
-    basis = tuple(tuple(coords[j][i] for j in range(dim)) for i in range(dim))
-    basis_inv = _unimodular_inverse(basis)
-    if basis_inv is None:
+    b_mat = IntMatrix(tuple(tuple(coords[j][i] for j in range(dim))
+                            for i in range(dim)))
+    if b_mat.det() not in (1, -1):
         raise BasisSpanError("b-class dictionary is not a lattice basis")
-    b_mat = IntMatrix(basis)
-    b_inv = IntMatrix(basis_inv)
     for k in range(1, n):
         conj = rewriter.conjugation_matrix((k,))
-        if b_inv * conj * b_mat != theta_generator_matrix(n, k):
+        if conj * b_mat != b_mat * theta_generator_matrix(n, k):
             return False
     return True
 
-
-def _unimodular_inverse(rows) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Exact inverse of an integer matrix, or None if not unimodular."""
-    d = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(d)] +
-           [Fraction(1 if j == i else 0) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((i for i in range(col, d) if aug[i][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            x = aug[i][d + j]
-            if x.denominator != 1:
-                return None
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)

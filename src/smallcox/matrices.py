@@ -11,6 +11,7 @@ A modular matrix carries an extra first line ``mod m``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 Rows = tuple[tuple[int, ...], ...]
@@ -25,12 +26,25 @@ def identity_rows(d: int) -> Rows:
 
 
 def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
-    d = len(a)
+    cols = tuple(zip(*b))
     if mod is None:
-        return tuple(tuple(sum(a[i][p] * b[p][j] for p in range(d))
-                           for j in range(d)) for i in range(d))
-    return tuple(tuple(sum(a[i][p] * b[p][j] for p in range(d)) % mod
-                       for j in range(d)) for i in range(d))
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                     for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols)
+                 for row in a)
+
+
+def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
+    """a**k by square-and-multiply over ``mul_rows(..., mod)``."""
+    if k < 0:
+        raise ValueError("negative matrix power")
+    out = identity_rows(len(a))
+    while k:
+        if k & 1:
+            out = mul_rows(out, a, mod)
+        a = mul_rows(a, a, mod)
+        k >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,16 +69,7 @@ class IntMatrix:
         return IntMatrix(mul_rows(self.rows, other.rows))
 
     def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative power of an integer matrix")
-        out = identity_rows(self.dimension)
-        base = self.rows
-        while k:
-            if k & 1:
-                out = mul_rows(out, base)
-            base = mul_rows(base, base)
-            k >>= 1
-        return IntMatrix(out)
+        return IntMatrix(pow_rows(self.rows, k))
 
     def det(self) -> int:
         return det_rows(self.rows)
@@ -109,16 +114,7 @@ class ModMatrix:
         return ModMatrix(mul_rows(self.rows, other.rows, self.modulus), self.modulus)
 
     def __pow__(self, k: int) -> "ModMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        out = identity_rows(self.dimension)
-        base = self.rows
-        while k:
-            if k & 1:
-                out = mul_rows(out, base, self.modulus)
-            base = mul_rows(base, base, self.modulus)
-            k >>= 1
-        return ModMatrix(out, self.modulus)
+        return ModMatrix(pow_rows(self.rows, k, self.modulus), self.modulus)
 
     def reduce(self, m: int) -> "ModMatrix":
         if self.modulus % m:

@@ -27,11 +27,8 @@ line as signed generator indices (``1 2 -1 -2``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
-
-import numpy as np
 
 from . import perms
 from .congruence import DEFAULT_CAP, BudgetExceededError, orbit
@@ -391,37 +388,14 @@ class KernelRewriter:
 
     def exponent_vector(self, word: Sequence[int]) -> list[int]:
         """Schreier-generator exponent sums of a kernel word."""
-        v = [0] * self.num_schreier
-        action = self.table.action
-        index = self.pair_index
-        c = 0
-        for letter in word:
-            y = abs(letter)
-            if letter > 0:
-                k = index.get((c, y))
-                if k is not None:
-                    v[k] += 1
-                c = action[c][y - 1]
-            else:
-                c = action[c][y - 1]
-                k = index.get((c, y))
-                if k is not None:
-                    v[k] -= 1
-        if c != 0:
-            raise ValueError("word is not in the kernel")
-        return v
+        return _exponent_row(self.rewrite(word), self.num_schreier)
 
     @property
     def smith(self) -> SmithForm:
         if self._smith is None:
-            rows = []
-            for rel in self.presentation.relators:
-                v = [0] * self.num_schreier
-                for letter in rel:
-                    v[abs(letter) - 1] += 1 if letter > 0 else -1
-                rows.append(v)
-            self._smith = smith_normal_form(rows, self.num_schreier,
-                                            want_transform=True)
+            self._smith = smith_normal_form(
+                _relator_rows(self.presentation), self.num_schreier,
+                want_transform=True)
         return self._smith
 
     @property
@@ -472,23 +446,9 @@ class KernelRewriter:
 
 def _restricted_basis_change(c_rows: list[list[int]], sm: SmithForm,
                              free: tuple[int, ...]) -> list[list[int]]:
-    """Rows of (V^-1 C V) restricted to the free block.
-
-    Uses int64 numpy products when the worst-case accumulation fits,
-    otherwise exact Python integers over the sparse rows of C.
-    """
-    g = len(c_rows)
-    max_c = max((abs(e) for row in c_rows for e in row), default=0)
-    max_v = max((abs(e) for row in sm.v for e in row), default=0)
-    max_vinv = max((abs(e) for row in sm.v_inv for e in row), default=0)
-    bound = g * g * max(1, max_c) * max(1, max_v) * max(1, max_vinv)
-    if bound < 2 ** 62:
-        c_arr = np.array(c_rows, dtype=np.int64)
-        v_free = np.array([[row[j] for j in free] for row in sm.v], dtype=np.int64)
-        vinv_free = np.array([sm.v_inv[i] for i in free], dtype=np.int64)
-        m = vinv_free @ (c_arr @ v_free)
-        return m.tolist()
-    # exact fallback, exploiting sparse rows of C
+    """Rows of (V^-1 C V) restricted to the free block, in exact
+    integers, summing over the nonzero entries of each row of C and of
+    V^-1 only."""
     p = []
     for row in c_rows:
         support = [t for t, x in enumerate(row) if x]
@@ -500,6 +460,19 @@ def _restricted_basis_change(c_rows: list[list[int]], sm: SmithForm,
         out.append([sum(vrow[t] * p[t][j] for t in support)
                     for j in range(len(free))])
     return out
+
+
+def _exponent_row(word: Sequence[int], generators: int) -> list[int]:
+    """Exponent sum of each generator in a signed word."""
+    v = [0] * generators
+    for letter in word:
+        v[abs(letter) - 1] += 1 if letter > 0 else -1
+    return v
+
+
+def _relator_rows(pres: Presentation) -> list[list[int]]:
+    """The relator exponent matrix, one row per relator."""
+    return [_exponent_row(rel, pres.generators) for rel in pres.relators]
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +550,7 @@ class AbelianInvariants:
 
 
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
-    rows = []
-    for rel in pres.relators:
-        v = [0] * pres.generators
-        for letter in rel:
-            v[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(v)
+    rows = _relator_rows(pres)
     if not rows:
         return AbelianInvariants(pres.generators, ())
     sm = smith_normal_form(rows, pres.generators)

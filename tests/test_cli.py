@@ -55,13 +55,26 @@ def test_json_is_byte_identical(capsys):
     assert json.loads(outputs[0])["kernel_order"] == 12
 
 
-def test_module_entry_point():
+def _source_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "smallcox", "image", "--family", "twin",
          "-n", "4", "-m", "3"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "order 24\n"
+
+
+def test_cli_import_needs_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smallcox.cli; print('numpy' in sys.modules)"],
+        env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

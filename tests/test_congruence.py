@@ -42,6 +42,10 @@ class TestEnumerateImage:
         assert evaluate_mod(twin(4), (1, 2, 3, 2), 3) in group
         assert ModMatrix.identity(3, 3) in group
 
+    def test_contains_checks_modulus(self):
+        # identity rows are canonical mod 3 and mod 5 alike
+        assert ModMatrix.identity(3, 5) not in enumerate_image(twin(4), 3)
+
     def test_closure_spot_check(self):
         group = enumerate_image(twin(4), 5)
         rng = random.Random(1)

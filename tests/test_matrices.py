@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smallcox.matrices import (IntMatrix, ModMatrix, det_rows, format_matrix,
-                               parse_matrix, smith_normal_form)
+                               mul_rows, parse_matrix, pow_rows,
+                               smith_normal_form)
 
 
 class TestIntMatrix:
@@ -32,6 +33,24 @@ class TestIntMatrix:
     def test_det_matches_fraction_elimination(self, rows):
         expected = _det_fraction(rows)
         assert det_rows(tuple(map(tuple, rows))) == expected
+
+    @given(st.data(), st.integers(1, 4), st.integers(2, 12))
+    def test_product_matches_index_sums(self, data, d, m):
+        square = st.lists(st.lists(st.integers(-9, 9), min_size=d,
+                                   max_size=d), min_size=d, max_size=d)
+        a, b = data.draw(square), data.draw(square)
+        expected = tuple(tuple(sum(a[i][p] * b[p][j] for p in range(d))
+                               for j in range(d)) for i in range(d))
+        a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+        assert mul_rows(a, b) == expected
+        assert mul_rows(a, b, m) == tuple(tuple(e % m for e in row)
+                                          for row in expected)
+        repeated = tuple(tuple(1 if i == j else 0 for j in range(d))
+                         for i in range(d))
+        for k in range(4):
+            assert pow_rows(a, k, m) == tuple(
+                tuple(e % m for e in row) for row in repeated)
+            repeated = mul_rows(repeated, a)
 
     def test_text_round_trip(self):
         a = IntMatrix(((7, -6, 24), (6, -5, 18), (0, 0, 1)))

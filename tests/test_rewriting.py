@@ -295,6 +295,17 @@ class TestConjugation:
             assert rewriter.conjugation_matrix(u + v) == \
                 rewriter.conjugation_matrix(u) * rewriter.conjugation_matrix(v)
 
+    def test_tree_products_match_direct_route(self):
+        # each coset word is its tree parent's word plus one letter, so
+        # the generator-matrix products along it are the tree products
+        table, rewriter = kernel_rewriter(twin(4), "symmetric")
+        gens = [rewriter.conjugation_matrix((y,)) for y in (1, 2, 3)]
+        for word in table.transversal:
+            product = IntMatrix.identity(rewriter.rank)
+            for y in word:
+                product = product * gens[y - 1]
+            assert rewriter.conjugation_matrix(word) == product
+
     def test_torsion_reported(self):
         system = triplet(4)
         qmap = quotient_map(system, "mod2_abelian")
