@@ -200,130 +200,180 @@ def smith_normal_form(rows: Iterable[Iterable[int]], ncols: int,
                       want_transform: bool = False) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column moves.
 
-    Pivots are chosen with minimal absolute value (stopping early at 1)
-    to keep intermediate entries small on the sparse relator matrices
-    this is used for.
+    The matrix is held sparse: ``{col: value}`` rows plus, for each
+    column, the set of rows that use it.  The caller's rows are only
+    read.
+
+    Pivot rule: the next pivot is a +-1 entry in a shortest live row,
+    taking among that row's unit entries the column with the fewest
+    rows (the Markowitz cost, which keeps fill low).  Rows wait in
+    buckets by length; a row without a unit entry leaves its bucket
+    until a row operation changes it.  Row operations clear the pivot
+    column, then column operations clear the pivot row.  When no unit
+    entry is left, the pivot is an entry of least absolute value and
+    Euclid steps run: a remainder in the pivot column or row becomes
+    the new, smaller pivot.  Only for a pivot p with |p| > 1, a live
+    row with an entry that p does not divide is added to the pivot row
+    and the steps resume, so each divisor divides all later ones.
+
+    Transform: with ``want_transform`` every column operation is also
+    applied to the sparse columns of V and, inverted, to the sparse
+    rows of V^-1.  Row operations never touch V.  On return the columns
+    of V (and the rows of V^-1) are ordered pivots first, so A V is zero
+    on ``free_columns``, and both come back as dense tuples.
     """
-    a = [list(r) for r in rows]
-    nrows = len(a)
+    a: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        entries = {j: e for j, e in enumerate(row) if e}
+        if entries:
+            a[i] = entries
+    col_rows: list[set[int]] = [set() for _ in range(ncols)]
+    for i, entries in a.items():
+        for j in entries:
+            col_rows[j].add(i)
     if want_transform:
-        v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        v_inv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    else:
-        v = v_inv = None
+        v_cols = [{j: 1} for j in range(ncols)]
+        v_inv_rows = [{j: 1} for j in range(ncols)]
 
-    def col_swap(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        if v is not None:
-            for row in v:
-                row[j1], row[j2] = row[j2], row[j1]
-            v_inv[j1], v_inv[j2] = v_inv[j2], v_inv[j1]
+    buckets: list[set[int]] = [set() for _ in range(ncols + 1)]
+    bucket_of = dict.fromkeys(a, 0)  # 0: waiting for a change
+    shortest = 0
 
-    def col_addmul(jdst, jsrc, q):
-        # column jdst += q * column jsrc; inverse records the row move
-        if q == 0:
+    def touch(i):
+        # re-bucket row i after it changed; drop it when it is empty
+        nonlocal shortest
+        if bucket_of[i]:
+            buckets[bucket_of[i]].discard(i)
+        n = len(a[i])
+        if n == 0:
+            del a[i], bucket_of[i]
             return
-        for row in a:
-            if row[jsrc]:
-                row[jdst] += q * row[jsrc]
-        if v is not None:
-            for row in v:
-                if row[jsrc]:
-                    row[jdst] += q * row[jsrc]
-            src, dst = v_inv[jsrc], v_inv[jdst]
-            for t in range(ncols):
-                if dst[t]:
-                    src[t] -= q * dst[t]
+        buckets[n].add(i)
+        bucket_of[i] = n
+        shortest = min(shortest, n)
 
-    def col_negate(j):
-        for row in a:
-            row[j] = -row[j]
-        if v is not None:
-            for row in v:
-                row[j] = -row[j]
-            v_inv[j] = [-x for x in v_inv[j]]
+    for i in a:
+        touch(i)
 
-    divisors = []
-    r0 = 0
-    c0 = 0
-    while r0 < nrows and c0 < ncols:
-        piv = None
-        best = 0
-        for i in range(r0, nrows):
-            row = a[i]
-            for j in range(c0, ncols):
-                e = row[j]
-                if e and (piv is None or abs(e) < best):
-                    piv = (i, j)
-                    best = abs(e)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
+    def unit_pivot():
+        nonlocal shortest
+        while shortest <= ncols:
+            bucket = buckets[shortest]
+            while bucket:
+                i = bucket.pop()
+                bucket_of[i] = 0
+                units = [j for j, e in a[i].items() if e == 1 or e == -1]
+                if units:
+                    return i, min(units, key=lambda j: (len(col_rows[j]), j))
+            shortest += 1
+        return None
+
+    def row_addmul(i, r, q):
+        # row i += q * row r
+        row = a[i]
+        for j, e in a[r].items():
+            x = row.get(j, 0) + q * e
+            if x:
+                if j not in row:
+                    col_rows[j].add(i)
+                row[j] = x
+            else:
+                del row[j]
+                col_rows[j].discard(i)
+
+    pivots: list[int] = []
+    divisors: list[int] = []
+    while a:
+        piv = unit_pivot()
         if piv is None:
-            break
-        i, j = piv
-        a[r0], a[i] = a[i], a[r0]
-        if j != c0:
-            col_swap(c0, j)
+            piv = min(((i, j) for i, row in a.items() for j in row),
+                      key=lambda ij: abs(a[ij[0]][ij[1]]))
+        r, c = piv
         while True:
-            clean = True
-            for i in range(r0 + 1, nrows):
-                if a[i][c0]:
-                    q = a[i][c0] // a[r0][c0]
-                    if q:
-                        prow, irow = a[r0], a[i]
-                        for jj in range(c0, ncols):
-                            if prow[jj]:
-                                irow[jj] -= q * prow[jj]
-                    if a[i][c0]:
-                        a[r0], a[i] = a[i], a[r0]
-                        clean = False
-            for jj in range(c0 + 1, ncols):
-                if a[r0][jj]:
-                    q = a[r0][jj] // a[r0][c0]
-                    col_addmul(jj, c0, -q)
-                    if a[r0][jj]:
-                        col_swap(c0, jj)
-                        clean = False
-            if clean:
-                p = a[r0][c0]
-                stubborn = None
-                for i in range(r0 + 1, nrows):
-                    if any(a[i][jj] % p for jj in range(c0 + 1, ncols)):
-                        stubborn = i
-                        break
-                if stubborn is None:
+            # clear column c by row moves; a remainder is the new pivot
+            p = a[r][c]
+            moved = False
+            for i in list(col_rows[c]):
+                if i == r:
+                    continue
+                q = a[i][c] // p
+                if q:
+                    row_addmul(i, r, -q)
+                    touch(i)
+                if c in a.get(i, ()):
+                    r, p, moved = i, a[i][c], True
+            if moved:
+                continue
+            # column c is now {r}, so a column move only touches row r
+            pivot_row = a[r]
+            for j in [j for j in pivot_row if j != c]:
+                q = pivot_row[j] // p
+                if q and want_transform:
+                    # column j -= q * column c; V^-1 takes the inverse
+                    # row move
+                    _axpy(v_cols[j], v_cols[c], -q)
+                    _axpy(v_inv_rows[c], v_inv_rows[j], q)
+                rest = pivot_row[j] - q * p
+                if rest:
+                    pivot_row[j] = rest
+                    c, moved = j, True
                     break
-                # fold the offending row in so the pivot divides everything
-                row = a[stubborn]
-                prow = a[r0]
-                for jj in range(c0, ncols):
-                    prow[jj] += row[jj]
-        if a[r0][c0] < 0:
-            col_negate(c0)
-        divisors.append(a[r0][c0])
-        r0 += 1
-        c0 += 1
+                del pivot_row[j]
+                col_rows[j].discard(r)
+            touch(r)
+            if moved:
+                continue
+            if abs(p) > 1:
+                stubborn = next((i for i, row in a.items() if i != r and
+                                 any(e % p for e in row.values())), None)
+                if stubborn is not None:
+                    row_addmul(r, stubborn, 1)
+                    continue
+            break
+        col_rows[c].discard(r)
+        buckets[bucket_of[r]].discard(r)
+        del a[r], bucket_of[r]
+        pivots.append(c)
+        divisors.append(abs(p))
 
-    # enforce the divisibility chain d_1 | d_2 | ...
     divisors = _divisor_chain(divisors)
-    return SmithForm(tuple(divisors), ncols,
-                     None if v is None else tuple(tuple(r) for r in v),
-                     None if v_inv is None else tuple(tuple(r) for r in v_inv))
+    if not want_transform:
+        return SmithForm(tuple(divisors), ncols)
+    done = set(pivots)
+    order = pivots + [j for j in range(ncols) if j not in done]
+    v = tuple(zip(*(_dense(v_cols[j], ncols) for j in order)))
+    v_inv = tuple(_dense(v_inv_rows[j], ncols) for j in order)
+    return SmithForm(tuple(divisors), ncols, v, v_inv)
+
+
+def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
+    row = [0] * n
+    for t, e in vec.items():
+        row[t] = e
+    return tuple(row)
+
+
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse vectors."""
+    for t, e in src.items():
+        x = dst.get(t, 0) + q * e
+        if x:
+            dst[t] = x
+        else:
+            del dst[t]
 
 
 def _divisor_chain(ds: list[int]) -> list[int]:
     """Sort elementary divisors into a divisibility chain.
 
-    The pivoting above already produces a chain in practice; this
-    repairs the rare exception by redistributing gcd/lcm between
+    The elimination above already yields a chain: unit pivots come
+    first, and the rescan makes each non-unit pivot divide everything
+    left.  This pass only guards that by redistributing gcd/lcm between
     offending pairs, which preserves the group Z/d1 x Z/d2.
 
-    Note: the column transform, when tracked, is only used to split the
-    free part from the torsion part, and that split is insensitive to
-    this final reshuffle of the (nonzero) torsion divisors.
+    Note: V's pivot columns come first and ``free_columns`` depends only
+    on how many divisors there are, so the free/torsion split of the
+    transform is insensitive to this reshuffle of the nonzero divisors.
     """
     import math
 

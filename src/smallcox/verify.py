@@ -276,7 +276,24 @@ def _suite_rewriting() -> list[Claim]:
     _claim(claims, "pl4-free-rank-5",
            "pure triplet group on 4 strands simplifies to a free presentation",
            "gens=5 relators=0", pl4_free)
+    _claim(claims, "rank-pure-twin-6",
+           "abelianized pure twin group on 6 strands is free of the "
+           "Bjorner-Welker rank sum_{j=3..n} C(n,j) C(j-1,2)",
+           f"Z^{_pure_twin_betti(6)}",
+           lambda: str(_kernel_invariants(twin(6), "symmetric")))
+    _claim(claims, "rank-pure-triplet",
+           "abelianized pure triplet group is Z^(1 + n!(2n-7)/6), n = 4..6",
+           str([f"Z^{1 + math.factorial(n) * (2 * n - 7) // 6}"
+                for n in range(4, 7)]),
+           lambda: str([str(_kernel_invariants(triplet(n), "symmetric"))
+                        for n in range(4, 7)]))
     return claims
+
+
+def _pure_twin_betti(n: int) -> int:
+    """First Betti number of the no-3-equal arrangement (Bjorner-Welker),
+    which PT_n abelianizes to: 7, 31, 111 for n = 4, 5, 6."""
+    return sum(math.comb(n, j) * math.comb(j - 1, 2) for j in range(3, n + 1))
 
 
 def _suite_crystallo() -> list[Claim]:

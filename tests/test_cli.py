@@ -13,7 +13,8 @@ from smallcox.verify import Claim, verify
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("suite", ["tits", "congruence", "complexes"])
+@pytest.mark.parametrize("suite", ["tits", "congruence", "rewriting",
+                                   "crystallo", "complexes"])
 def test_suite_passes(suite):
     report = verify(suite)
     assert report.passed, [c for c in report.claims if not c.ok]

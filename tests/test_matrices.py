@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +149,55 @@ class TestSmithNormalForm:
                     for _ in range(rng.randrange(1, 5))]
             sm = smith_normal_form(rows, nc, want_transform=True)
             assert det_rows(sm.v) in (1, -1)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_divisors_match_determinantal_divisors(self, nr, nc, data):
+        rows = [[data.draw(st.integers(-6, 6)) for _ in range(nc)]
+                for _ in range(nr)]
+        assert smith_normal_form(rows, nc).divisors == \
+            _determinantal_divisors(rows)
+
+    def test_sparse_transform_with_non_unit_steps(self):
+        # entries from {0, 0, 0, +-1, +-2, 3}: unit pivots first, then
+        # Euclid steps and divisibility folds on what is left; the 6-row
+        # matrices leave at least four free columns
+        rng = random.Random(5)
+        entries = (0, 0, 0, 1, -1, 2, -2, 3)
+        for nr in [12] * 40 + [6] * 20:
+            rows = [[rng.choice(entries) for _ in range(10)]
+                    for _ in range(nr)]
+            sm = smith_normal_form(rows, 10, want_transform=True)
+            assert _mat_mul(sm.v, sm.v_inv) == _identity(10)
+            assert det_rows(sm.v) in (1, -1)
+            for row in _mat_mul(rows, sm.v):
+                assert all(row[j] == 0 for j in sm.free_columns)
+            assert sm.divisors == smith_normal_form(rows, 10).divisors
+
+    def test_rows_left_unchanged(self):
+        rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16], [0, 1, -1]]
+        before = [list(row) for row in rows]
+        smith_normal_form(rows, 3, want_transform=True)
+        smith_normal_form(rows, 3)
+        assert rows == before
+
+
+def _determinantal_divisors(rows):
+    """d_k = g_k / g_(k-1), g_k the gcd of all k x k minors, for each k
+    up to the rank."""
+    nr, nc = len(rows), len(rows[0])
+    out, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for ri in combinations(range(nr), k):
+            for ci in combinations(range(nc), k):
+                g = math.gcd(g, det_rows(tuple(tuple(rows[i][j] for j in ci)
+                                               for i in ri)))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
 
 
 def _mat_mul(a, b):

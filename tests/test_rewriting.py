@@ -306,6 +306,23 @@ class TestConjugation:
                 product = product * gens[y - 1]
             assert rewriter.conjugation_matrix(word) == product
 
+    def test_pure_twin_five_transform(self):
+        # the 840 x 361 relator matrix of PT_5: Z^31, and every relator
+        # row times V vanishes on the free columns
+        table, rewriter = kernel_rewriter(twin(5), "symmetric")
+        relators = rewriter.presentation.relators
+        assert (len(relators), rewriter.num_schreier) == (840, 361)
+        sm = rewriter.smith
+        assert len(sm.free_columns) == 31 and sm.torsion == ()
+        free = sm.free_columns
+        for rel in relators:
+            row = [0] * rewriter.num_schreier
+            for letter in rel:
+                row[abs(letter) - 1] += 1 if letter > 0 else -1
+            support = [t for t, x in enumerate(row) if x]
+            assert all(sum(row[t] * sm.v[t][j] for t in support) == 0
+                       for j in free)
+
     def test_torsion_reported(self):
         system = triplet(4)
         qmap = quotient_map(system, "mod2_abelian")
