@@ -22,18 +22,19 @@ from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,
                    pair_product_formula, pair_product_square_formula,
                    pm_coefficients, twin_power_matrix)
 from .congruence import (BudgetExceededError, FiniteMatrixGroup,
-                         QuotientCheck, alternating_quotient_check,
+                         FiniteQuotientMap, QuotientCheck,
+                         RelationCheckError, alternating_quotient_check,
                          congruence_member, enumerate_image,
                          even_vector_quotient_check, format_group_dump,
                          general_linear_order, minimal_congruence_power,
                          orbit, parse_group_dump, product_generation_check,
-                         product_quotient_check, reduction_kernel)
-from .rewriting import (AbelianInvariants, CosetTable, FiniteQuotientMap,
-                        KernelRewriter, LatticeTorsionError, Presentation,
-                        RelationCheckError, abelian_invariants,
-                        coset_table, coxeter_presentation,
-                        format_presentation, parse_presentation,
-                        quotient_map, tietze_simplify, trivial_map)
+                         product_quotient_check, quotient_map,
+                         reduction_kernel, trivial_map)
+from .rewriting import (AbelianInvariants, CosetTable, KernelRewriter,
+                        LatticeTorsionError, Presentation,
+                        abelian_invariants, coset_table,
+                        coxeter_presentation, format_presentation,
+                        parse_presentation, tietze_simplify)
 from .crystallo import (BasisSpanError, HolonomyReport, beta_word,
                         holonomy_via_conjugation, theta_cross_check,
                         theta_faithfulness, theta_generator_matrix)

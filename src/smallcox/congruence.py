@@ -1,22 +1,29 @@
-"""Finite congruence images and level-m membership.
+"""Finite images of small Coxeter groups and level-m membership.
 
 Reducing the integral reflection representation mod m sends a small
 Coxeter group onto a finite matrix group; the kernel is the principal
-congruence subgroup of level m.  Everything here works with those
-finite images:
+congruence subgroup of level m.  Everything here works with finite
+images:
 
 * ``orbit`` is the one breadth-first closure: the orbit of a start
   element under "apply generator k", in shortlex discovery order, with
   its action table.  Images, subquotient checks and the coset tables of
   :mod:`smallcox.rewriting` all run through it;
+* ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
+  an identity image and ``step(x, k)`` = x times generator k+1, checked
+  against every Coxeter relation.  ``quotient_map`` builds adjacent
+  transpositions in S_n (``symmetric``), the reflection matrices mod m
+  as row tuples (``modular``), bit vectors indexed by odd-bond classes
+  (``mod2_abelian``, the mod-2 abelianization) and ``trivial``;
 * ``enumerate_image`` lists the image as the orbit of the identity under
   right multiplication by the generator matrices;
 * ``congruence_member`` decides level-m membership of a word;
 * the ``*_quotient_check`` functions identify the subquotients
   "level m over level 3m / 4m / 12m" with the alternating group, the
   even-weight mod-2 vectors, and their direct product; their orbit
-  carries a second coordinate (a permutation, a bit vector, or a matrix
-  mod m) along the matrix and returns a ``QuotientCheck`` record;
+  carries the image under a second quotient map (``symmetric``,
+  ``mod2_abelian`` or ``modular`` mod m) along the matrix and returns a
+  ``QuotientCheck`` record;
 * ``product_generation_check`` confirms at image level that two coprime
   levels together generate the full even part.
 
@@ -31,10 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from operator import xor
+from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
-from .coxeter import CoxeterSystem, Word, require_small, twin
+from .coxeter import INF, CoxeterSystem, Word, require_small, twin
 from .matrices import ModMatrix, identity_rows, mul_rows, parse_matrix
 from .tits import (evaluate_mod, generator_matrix, generator_step,
                    twin_power_matrix)
@@ -112,7 +120,7 @@ def enumerate_image(system: CoxeterSystem, m: int,
     gens = [generator_matrix(system, k).mod(m) for k in range(1, system.rank + 1)]
     rows, _ = orbit(identity_rows(system.rank), generator_step(system, m),
                     system.rank, cap)
-    elements = tuple(ModMatrix(r, m) for r in rows)
+    elements = tuple(ModMatrix.canonical(r, m) for r in rows)
     keys = frozenset(el.rows for el in elements)
     return FiniteMatrixGroup(m, system.rank, elements, tuple(gens), keys)
 
@@ -131,18 +139,137 @@ def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
     """
     if group.modulus % m:
         raise ValueError(f"{m} does not divide modulus {group.modulus}")
-    ident = ModMatrix.identity(group.dimension, m) if m >= 2 else None
-    kept = []
-    for el in group.elements:
-        if m < 2 or el.reduce(m) == ident:
-            kept.append(el)
+    kept = [el for el in group.elements
+            if m < 2 or el.reduce(m).is_identity()]
     keys = frozenset(e.rows for e in kept)
     return FiniteMatrixGroup(group.modulus, group.dimension,
                              tuple(kept), (), keys)
 
 
 # ---------------------------------------------------------------------------
-# subquotients: the closure carries a second coordinate along the matrix
+# finite quotient maps: an identity image and a generator step
+
+
+class RelationCheckError(ValueError):
+    """Proposed generator images violate a defining relation."""
+
+
+@dataclass(frozen=True)
+class FiniteQuotientMap:
+    """A map of a Coxeter system onto a finite group.
+
+    ``step(x, k)`` is the image x times the image of generator k+1
+    (k 0-based); images are hashable, so ``orbit`` runs on them as they
+    are.  Construction checks every relation (s_i s_j)^m_ij = 1, the
+    squares s_i^2 included, and raises ``RelationCheckError`` on the
+    first that fails.  ``modulus`` is m for the ``modular`` kind.
+    """
+
+    system: CoxeterSystem
+    kind: str
+    identity_image: Hashable
+    step: Callable[[Hashable, int], Hashable]
+    modulus: Optional[int] = None
+
+    def __post_init__(self):
+        ident, r = self.identity_image, self.system.rank
+        for i in range(1, r + 1):
+            if self.image_of_word((i, i)) != ident:
+                raise RelationCheckError(
+                    f"image of generator {i} is not an involution")
+            for j in range(i + 1, r + 1):
+                m = self.system.exponent(i, j)
+                if m is not INF and self.image_of_word((i, j) * m) != ident:
+                    raise RelationCheckError(
+                        f"bond relation ({i},{j})^{m} fails in the image")
+
+    def image_of_word(self, word: Sequence[int]):
+        """Image of a word; a signed letter -y maps like y, since every
+        generator image is an involution."""
+        out = self.identity_image
+        for letter in word:
+            out = self.step(out, abs(letter) - 1)
+        return out
+
+
+def _family_pattern(system: CoxeterSystem) -> Optional[str]:
+    """Which of twin/triplet/symmetric this system is, if any."""
+    r = system.rank
+    for name, near, far in (("twin", INF, 2), ("triplet", 3, INF),
+                            ("symmetric", 3, 2)):
+        ok = all(system.exponent(i, j) == (near if abs(i - j) == 1 else far)
+                 for i in range(1, r + 1) for j in range(1, r + 1) if i != j)
+        if ok:
+            return name
+    return None
+
+
+def odd_bond_classes(system: CoxeterSystem) -> list[int]:
+    """Class index (0-based) of each generator under odd-bond merging.
+
+    Generators joined by an odd exponent map to the same coordinate of
+    the mod-2 abelianization; classes are numbered by smallest member.
+    """
+    least = list(range(system.rank))  # smallest member of each class
+    for i in range(system.rank):
+        for j in range(i + 1, system.rank):
+            m = system.exponents[i][j]
+            if m is not INF and m % 2 == 1 and least[i] != least[j]:
+                lo, hi = sorted((least[i], least[j]))
+                least = [lo if x == hi else x for x in least]
+    roots = sorted(set(least))
+    return [roots.index(x) for x in least]
+
+
+def _symmetric_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
+    if _family_pattern(system) is None:
+        raise RelationCheckError(
+            "symmetric quotient needs a twin, triplet or symmetric system")
+    n = system.rank + 1
+    swaps = [perms.adjacent_transposition(n, i) for i in range(1, n)]
+    return FiniteQuotientMap(system, "symmetric", perms.identity(n),
+                             lambda p, k: perms.multiply(p, swaps[k]))
+
+
+def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
+    if m is None or m < 2:
+        raise ValueError(f"modular quotient needs m >= 2, got {m}")
+    return FiniteQuotientMap(system, "modular", identity_rows(system.rank),
+                             generator_step(system, m), m)
+
+
+def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
+    classes = odd_bond_classes(system)
+    t = max(classes) + 1
+    units = [tuple(int(c == own) for c in range(t)) for own in classes]
+    return FiniteQuotientMap(system, "mod2_abelian", (0,) * t,
+                             lambda v, k: tuple(map(xor, v, units[k])))
+
+
+def _trivial_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
+    return FiniteQuotientMap(system, "trivial", (0,), lambda x, k: x)
+
+
+_QUOTIENT_BUILDERS = {"symmetric": _symmetric_map, "modular": _modular_map,
+                      "mod2_abelian": _mod2_abelian_map,
+                      "trivial": _trivial_map}
+
+
+def quotient_map(system: CoxeterSystem, kind: str,
+                 m: Optional[int] = None) -> FiniteQuotientMap:
+    """Build one of the standard finite quotients; ``m`` is the modulus
+    of the ``modular`` kind and is ignored by the others."""
+    if kind not in _QUOTIENT_BUILDERS:
+        raise ValueError(f"unknown quotient kind {kind!r}")
+    return _QUOTIENT_BUILDERS[kind](system, m)
+
+
+def trivial_map(system: CoxeterSystem) -> FiniteQuotientMap:
+    return quotient_map(system, "trivial")
+
+
+# ---------------------------------------------------------------------------
+# subquotients: the closure carries a second image along the matrix
 
 
 @dataclass(frozen=True)
@@ -159,14 +286,15 @@ class QuotientCheck:
     detail: str = ""
 
 
-def _twin_pairs(n: int, modulus: int, aux_step: Callable, aux_identity,
+def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
                 cap: int) -> list:
-    """Orbit of (identity mod ``modulus``, ``aux_identity``) in the twin
-    group on n strands; generator k acts on the second coordinate by
-    ``aux_step(aux, k)``."""
-    step = generator_step(twin(n), modulus)
-    pairs, _ = orbit((identity_rows(n - 1), aux_identity),
-                     lambda x, k: (step(x[0], k), aux_step(x[1], k)),
+    """Image of the twin group on n strands in the product of its
+    matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``: the
+    orbit of the pair of identities, in discovery order."""
+    first = quotient_map(twin(n), "modular", modulus)
+    second = quotient_map(twin(n), kind, m)
+    pairs, _ = orbit((first.identity_image, second.identity_image),
+                     lambda x, k: (first.step(x[0], k), second.step(x[1], k)),
                      n - 1, cap)
     return pairs
 
@@ -181,7 +309,7 @@ def _kernel_map(pairs, modulus: int, m: int):
     mapping: dict = {}
     well_defined = True
     for g, s in pairs:
-        if ModMatrix(g, modulus).reduce(m).is_identity():
+        if ModMatrix.canonical(g, modulus).reduce(m).is_identity():
             if g in mapping and mapping[g] != s:
                 well_defined = False
             mapping[g] = s
@@ -195,7 +323,8 @@ def alternating_quotient_check(n: int, m: int,
     """Compare level m over level 3m with the alternating group A_n.
 
     Builds the closure of (X_i mod 3m, transposition (i, i+1)) pairs in
-    the twin group on n strands, restricts to pairs whose matrix is
+    the twin group on n strands (the second coordinate is the
+    ``symmetric`` quotient map), restricts to pairs whose matrix is
     trivial mod m, and tests that the induced matrix -> permutation map
     is well-defined, injective, lands in A_n, and hits all of A_n.
     """
@@ -205,9 +334,7 @@ def alternating_quotient_check(n: int, m: int,
         raise ValueError(f"need 3 not dividing m, got {m}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    aux = [perms.adjacent_transposition(n, i) for i in range(1, n)]
-    pairs = _twin_pairs(n, 3 * m, lambda p, k: perms.multiply(p, aux[k]),
-                        perms.identity(n), cap)
+    pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
     mapping, well_defined, injective = _kernel_map(pairs, 3 * m, m)
     all_even = all(perms.is_even(s) for s in mapping.values())
     onto = set(mapping.values()) == set(perms.alternating(n))
@@ -223,21 +350,17 @@ def even_vector_quotient_check(n: int, m: int,
     """Compare level m over level 4m with the even-weight mod-2 vectors.
 
     Same construction with the second coordinate the mod-2 exponent
-    vector of the word; the kernel of reduction mod odd m must biject
-    onto the 2^(n-2) vectors of even weight in Z_2^(n-1).
+    vector of the word (the ``mod2_abelian`` quotient map: the twin
+    group has no odd bonds); the kernel of reduction mod odd m must
+    biject onto the 2^(n-2) vectors of even weight in Z_2^(n-1).
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
-    r = n - 1
-
-    def flip(v, k):
-        return v[:k] + (1 - v[k],) + v[k + 1:]
-
-    pairs = _twin_pairs(n, 4 * m, flip, (0,) * r, cap)
+    pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
     mapping, well_defined, injective = _kernel_map(pairs, 4 * m, m)
-    even_vectors = {v for v in itertools.product((0, 1), repeat=r)
+    even_vectors = {v for v in itertools.product((0, 1), repeat=n - 1)
                     if sum(v) % 2 == 0}
     onto = set(mapping.values()) == even_vectors
     ok = well_defined and injective and onto
@@ -263,7 +386,7 @@ def product_quotient_check(n: int, m: int,
     alt = alternating_quotient_check(n, m, cap)
     vec = even_vector_quotient_check(n, m, cap)
     ident = identity_rows(n - 1)
-    pairs = _twin_pairs(n, 12, generator_step(twin(n), m), ident, cap)
+    pairs = _twin_pairs(n, 12, "modular", m, cap)
     kernel_order = sum(1 for _, s in pairs if s == ident)
     expected = alt.expected_kernel_order * vec.expected_kernel_order
     ok = alt.ok and vec.ok and kernel_order == alt.kernel_order * vec.kernel_order

@@ -27,14 +27,14 @@ holonomy group, never from a single witness element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .congruence import DEFAULT_CAP
+from .congruence import (DEFAULT_CAP, FiniteQuotientMap, _family_pattern,
+                         quotient_map)
 from .coxeter import CoxeterSystem, Word, twin
 from .matrices import IntMatrix
-from .rewriting import (FiniteQuotientMap, KernelRewriter, LatticeTorsionError,
-                        _family_pattern, coset_table, coxeter_presentation,
-                        quotient_map)
+from .rewriting import (KernelRewriter, LatticeTorsionError, coset_table,
+                        coxeter_presentation)
 
 
 class BasisSpanError(ValueError):
@@ -159,8 +159,7 @@ def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
     if qmap.kind == "mod2_abelian":
         return f"{stem}/{stem}''"
     if qmap.kind == "modular":
-        m = qmap.images[0].modulus if qmap.images else 0
-        return f"{stem}/{stem}[{m}]'"
+        return f"{stem}/{stem}[{qmap.modulus}]'"
     return f"{stem}/{stem}'"
 
 

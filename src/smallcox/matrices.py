@@ -2,7 +2,9 @@
 
 IntMatrix entries are arbitrary-precision Python integers; ModMatrix
 entries are canonical residues 0..m-1.  Both are immutable and hashable
-so they can live in sets during group enumeration.
+so they can live in sets during group enumeration.  ``ModMatrix(rows,
+m)`` reduces its entries; ``ModMatrix.canonical(rows, m)`` takes rows
+that are already residues, as products mod m are, and reduces nothing.
 
 Text formats: one row per line, whitespace-separated decimal integers.
 A modular matrix carries an extra first line ``mod m``.
@@ -10,6 +12,7 @@ A modular matrix carries an extra first line ``mod m``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional
@@ -77,7 +80,8 @@ class IntMatrix:
     def mod(self, m: int) -> "ModMatrix":
         if m < 2:
             raise ValueError(f"modulus {m} < 2")
-        return ModMatrix(tuple(tuple(e % m for e in row) for row in self.rows), m)
+        return ModMatrix.canonical(
+            tuple(tuple(e % m for e in row) for row in self.rows), m)
 
     def __str__(self) -> str:
         return format_matrix(self.rows)
@@ -100,26 +104,37 @@ class ModMatrix:
         return len(self.rows)
 
     @classmethod
+    def canonical(cls, rows: Rows, m: int) -> "ModMatrix":
+        """Wrap row tuples whose entries are already residues mod m."""
+        if m < 2:
+            raise ValueError(f"modulus {m} < 2")
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "modulus", m)
+        return mat
+
+    @classmethod
     def identity(cls, d: int, m: int) -> "ModMatrix":
-        return cls(identity_rows(d), m)
+        return cls.canonical(identity_rows(d), m)
 
     def is_identity(self) -> bool:
-        return self.rows == tuple(
-            tuple(1 % self.modulus if i == j else 0 for j in range(self.dimension))
-            for i in range(self.dimension))
+        return self.rows == identity_rows(self.dimension)
 
     def __mul__(self, other: "ModMatrix") -> "ModMatrix":
         if other.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        return ModMatrix(mul_rows(self.rows, other.rows, self.modulus), self.modulus)
+        return ModMatrix.canonical(
+            mul_rows(self.rows, other.rows, self.modulus), self.modulus)
 
     def __pow__(self, k: int) -> "ModMatrix":
-        return ModMatrix(pow_rows(self.rows, k, self.modulus), self.modulus)
+        return ModMatrix.canonical(pow_rows(self.rows, k, self.modulus),
+                                   self.modulus)
 
     def reduce(self, m: int) -> "ModMatrix":
         if self.modulus % m:
             raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        return ModMatrix(tuple(tuple(e % m for e in row) for row in self.rows), m)
+        return ModMatrix.canonical(
+            tuple(tuple(e % m for e in row) for row in self.rows), m)
 
     def det(self) -> int:
         return det_rows(self.rows) % self.modulus
@@ -212,9 +227,9 @@ def smith_normal_form(rows: Iterable[Iterable[int]], ncols: int,
     column, then column operations clear the pivot row.  When no unit
     entry is left, the pivot is an entry of least absolute value and
     Euclid steps run: a remainder in the pivot column or row becomes
-    the new, smaller pivot.  Only for a pivot p with |p| > 1, a live
-    row with an entry that p does not divide is added to the pivot row
-    and the steps resume, so each divisor divides all later ones.
+    the new, smaller pivot.  The pivots found this way give a diagonal
+    form but need not divide one another; ``_divisor_chain`` turns them
+    into the divisor chain.
 
     Transform: with ``want_transform`` every column operation is also
     applied to the sparse columns of V and, inverted, to the sparse
@@ -321,15 +336,8 @@ def smith_normal_form(rows: Iterable[Iterable[int]], ncols: int,
                 del pivot_row[j]
                 col_rows[j].discard(r)
             touch(r)
-            if moved:
-                continue
-            if abs(p) > 1:
-                stubborn = next((i for i, row in a.items() if i != r and
-                                 any(e % p for e in row.values())), None)
-                if stubborn is not None:
-                    row_addmul(r, stubborn, 1)
-                    continue
-            break
+            if not moved:
+                break
         col_rows[c].discard(r)
         buckets[bucket_of[r]].discard(r)
         del a[r], bucket_of[r]
@@ -364,19 +372,18 @@ def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
 
 
 def _divisor_chain(ds: list[int]) -> list[int]:
-    """Sort elementary divisors into a divisibility chain.
+    """Turn the diagonal of the elimination into a divisibility chain.
 
-    The elimination above already yields a chain: unit pivots come
-    first, and the rescan makes each non-unit pivot divide everything
-    left.  This pass only guards that by redistributing gcd/lcm between
-    offending pairs, which preserves the group Z/d1 x Z/d2.
+    The elimination pivots units first, but its non-unit pivots come
+    in any order and need not divide one another (2 and 3 for
+    Z/2 x Z/3).  Replacing each offending neighbour pair (d1, d2) by
+    (gcd, lcm) preserves the group Z/d1 x Z/d2; repeated until every
+    divisor divides the next, it gives the invariant factors.
 
     Note: V's pivot columns come first and ``free_columns`` depends only
     on how many divisors there are, so the free/torsion split of the
     transform is insensitive to this reshuffle of the nonzero divisors.
     """
-    import math
-
     ds = list(ds)
     changed = True
     while changed:

@@ -1,9 +1,9 @@
 """Subgroup presentations by Schreier rewriting, and abelianization.
 
-Every subgroup handled here is the kernel of an explicit map onto a
-finite group (a permutation group, a mod-m matrix group, or a mod-2
-vector group), so cosets biject with image elements and no Todd-Coxeter
-style enumeration is ever needed:
+Every subgroup handled here is the kernel of a finite quotient map
+(``congruence.FiniteQuotientMap``, built by ``congruence.quotient_map``),
+so cosets biject with image elements and no Todd-Coxeter style
+enumeration is ever needed:
 
 * ``coset_table`` lists the cosets as the orbit of the identity image
   (``congruence.orbit``), recording the shortlex-least coset
@@ -28,19 +28,15 @@ line as signed generator indices (``1 2 -1 -2``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import perms
-from .congruence import DEFAULT_CAP, BudgetExceededError, orbit
-from .coxeter import INF, CoxeterSystem, Word, require_small
-from .matrices import IntMatrix, ModMatrix, SmithForm, mul_rows, smith_normal_form
-from .tits import generator_matrix
+# quotient_map and trivial_map are re-exported for existing imports
+from .congruence import (DEFAULT_CAP, BudgetExceededError, FiniteQuotientMap,
+                         RelationCheckError, orbit, quotient_map, trivial_map)
+from .coxeter import INF, CoxeterSystem, Word
+from .matrices import IntMatrix, SmithForm, smith_normal_form
 
 SignedWord = tuple[int, ...]
-
-
-class RelationCheckError(ValueError):
-    """Proposed generator images violate a defining relation."""
 
 
 class LatticeTorsionError(ValueError):
@@ -98,143 +94,6 @@ def coxeter_presentation(system: CoxeterSystem) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# finite quotient maps
-
-
-@dataclass(frozen=True)
-class FiniteQuotientMap:
-    """Generator images in a finite group, checked against the relations.
-
-    Supported targets: adjacent transpositions in S_n (``symmetric``),
-    the reflection matrices mod m (``modular``), the mod-2 abelianization
-    onto bit vectors indexed by odd-bond classes (``mod2_abelian``), and
-    the map onto the trivial group (``trivial``).
-    """
-
-    system: CoxeterSystem
-    kind: str
-    images: tuple[Hashable, ...]
-    identity_image: Hashable
-
-    def compose(self, a, b):
-        if self.kind == "modular":
-            return ModMatrix(mul_rows(a.rows, b.rows, a.modulus), a.modulus)
-        if self.kind == "mod2_abelian":
-            return tuple((x + y) & 1 for x, y in zip(a, b))
-        return perms.multiply(a, b)
-
-    def image_of_word(self, word: Sequence[int]):
-        out = self.identity_image
-        for letter in word:
-            out = self.compose(out, self.images[abs(letter) - 1])
-        return out
-
-
-def _power(qmap: FiniteQuotientMap, x, k: int):
-    out = qmap.identity_image
-    for _ in range(k):
-        out = qmap.compose(out, x)
-    return out
-
-
-def _check_relations(qmap: FiniteQuotientMap) -> None:
-    system = qmap.system
-    for i in range(1, system.rank + 1):
-        sq = qmap.compose(qmap.images[i - 1], qmap.images[i - 1])
-        if sq != qmap.identity_image:
-            raise RelationCheckError(f"image of generator {i} is not an involution")
-        for j in range(i + 1, system.rank + 1):
-            m = system.exponent(i, j)
-            if m is INF:
-                continue
-            prod = qmap.compose(qmap.images[i - 1], qmap.images[j - 1])
-            if _power(qmap, prod, m) != qmap.identity_image:
-                raise RelationCheckError(
-                    f"bond relation ({i},{j})^{m} fails in the image")
-
-
-def _family_pattern(system: CoxeterSystem) -> Optional[str]:
-    """Which of twin/triplet/symmetric this system is, if any."""
-    r = system.rank
-    for name, near, far in (("twin", INF, 2), ("triplet", 3, INF),
-                            ("symmetric", 3, 2)):
-        ok = all(system.exponent(i, j) == (near if abs(i - j) == 1 else far)
-                 for i in range(1, r + 1) for j in range(1, r + 1) if i != j)
-        if ok:
-            return name
-    return None
-
-
-def odd_bond_classes(system: CoxeterSystem) -> list[int]:
-    """Class index (0-based) of each generator under odd-bond merging.
-
-    Generators joined by an odd exponent map to the same coordinate of
-    the mod-2 abelianization; classes are numbered by smallest member.
-    """
-    r = system.rank
-    parent = list(range(r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            m = system.exponents[i][j]
-            if m is not INF and m % 2 == 1:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    roots: dict[int, int] = {}
-    out = []
-    for i in range(r):
-        root = find(i)
-        if root not in roots:
-            roots[root] = len(roots)
-        out.append(roots[root])
-    return out
-
-
-def quotient_map(system: CoxeterSystem, kind: str,
-                 m: Optional[int] = None) -> FiniteQuotientMap:
-    """Build one of the standard finite quotients and verify it."""
-    r = system.rank
-    if kind == "symmetric":
-        if _family_pattern(system) is None:
-            raise RelationCheckError(
-                "symmetric quotient needs a twin, triplet or symmetric system")
-        n = r + 1
-        images = tuple(perms.adjacent_transposition(n, i) for i in range(1, n))
-        qmap = FiniteQuotientMap(system, kind, images, perms.identity(n))
-    elif kind == "modular":
-        if m is None or m < 2:
-            raise ValueError(f"modular quotient needs m >= 2, got {m}")
-        require_small(system)
-        images = tuple(generator_matrix(system, k).mod(m) for k in range(1, r + 1))
-        qmap = FiniteQuotientMap(system, kind, images,
-                                 ModMatrix.identity(r, m))
-    elif kind == "mod2_abelian":
-        classes = odd_bond_classes(system)
-        t = max(classes) + 1
-        images = tuple(tuple(1 if c == classes[k] else 0 for c in range(t))
-                       for k in range(r))
-        qmap = FiniteQuotientMap(system, kind, images, tuple([0] * t))
-    elif kind == "trivial":
-        images = tuple((0,) for _ in range(r))
-        qmap = FiniteQuotientMap(system, kind, images, (0,))
-    else:
-        raise ValueError(f"unknown quotient kind {kind!r}")
-    _check_relations(qmap)
-    return qmap
-
-
-def trivial_map(system: CoxeterSystem) -> FiniteQuotientMap:
-    return quotient_map(system, "trivial")
-
-
-# ---------------------------------------------------------------------------
 # coset tables
 
 
@@ -258,9 +117,8 @@ class CosetTable:
 
 
 def coset_table(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP) -> CosetTable:
-    r = len(qmap.images)
-    _, action = orbit(qmap.identity_image,
-                      lambda g, y: qmap.compose(g, qmap.images[y]), r, cap)
+    r = qmap.system.rank
+    _, action = orbit(qmap.identity_image, qmap.step, r, cap)
     # coset t is discovered at the first table entry that names it, and
     # its representative extends that entry's coset by one letter
     words: list[Word] = [()]

@@ -25,7 +25,7 @@ multiplication in the test suite:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .coxeter import INF, CoxeterSystem, Word, require_small, twin
 from .matrices import IntMatrix, ModMatrix, identity_rows
@@ -112,7 +112,7 @@ def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> ModMatrix:
                         row[j] = -v % m
                     elif arow[j]:
                         row[j] = (row[j] + v * arow[j]) % m
-    return ModMatrix(tuple(map(tuple, rows)), m)
+    return ModMatrix.canonical(tuple(map(tuple, rows)), m)
 
 
 class _RowTimesGenerator(dict):

@@ -235,6 +235,25 @@ def _suite_congruence() -> list[Claim]:
            "level-mk membership equals joint level-m and level-k membership, "
            "500 random words",
            "membership multiplicative over coprime levels", crt_membership)
+
+    # a kernel is determined by its coset table, so equal tables of the
+    # modular and symmetric maps mean level m is the pure subgroup
+    def same_kernel(system, m):
+        modular = rewriting.coset_table(
+            congruence.quotient_map(system, "modular", m))
+        return modular == rewriting.coset_table(
+            congruence.quotient_map(system, "symmetric"))
+
+    _claim(claims, "pure-twin-is-gamma-3",
+           "the pure twin group is the level-3 congruence subgroup: equal "
+           "coset tables mod 3 and onto S_n, n = 3..7",
+           str([True] * 5),
+           lambda: str([same_kernel(twin(n), 3) for n in range(3, 8)]))
+    _claim(claims, "pure-triplet-is-gamma-2",
+           "the pure triplet group is the level-2 congruence subgroup: equal "
+           "coset tables mod 2 and onto S_n, n = 3..7",
+           str([True] * 5),
+           lambda: str([same_kernel(triplet(n), 2) for n in range(3, 8)]))
     return claims
 
 

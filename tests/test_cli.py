@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,50 @@ def test_json_is_byte_identical(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["kernel_order"] == 12
+
+
+# sha256 of stdout for command lines that cover every quotient kind and
+# the Schreier, Tietze, Smith normal form, holonomy and subquotient
+# layers; a refactor must leave these bytes as they are
+PINNED_STDOUT = {
+    "subgroup --family triplet -n 5 --map symmetric --simplify":
+        "f174bd9882749531b45ac76ee809cb3435ce6dc98c5cda3bd1ed3f373986a349",
+    "subgroup --family twin -n 4 --map modular --map-mod 3":
+        "6cbb00f05800077e21439b52d29aed984ca8eb600dc5938c2c3592b1678e4a5f",
+    "subgroup --family twin -n 5 --map mod2 --json":
+        "1a105557b6043905c229a5873285b62765f2b5d47554f32daa124ca769555adf",
+    "abelianize --family twin -n 5 --map symmetric":
+        "17c3650afa3601fec90ff7913021bf51917251a164cf88fa4a5886abfd3ed268",
+    "abelianize --family triplet -n 6 --map mod2":
+        "b932e5b232f035a38673737ff877583462b3744fe355a1c4875bff2535280a6e",
+    "abelianize --family twin -n 5 --map modular --map-mod 3":
+        "17c3650afa3601fec90ff7913021bf51917251a164cf88fa4a5886abfd3ed268",
+    "abelianize --family triplet -n 4 --map modular --map-mod 4":
+        "18b3507055dbe3dff4797182b960b5c2fffa237f730dc8b67e17f8311d7c5cf5",
+    "holonomy --quotient pure-twin -n 5 --json":
+        "369a404778dcf9b534763e98a7a62a341e8a292bb5065c1065ed3f869fb2f9de",
+    "holonomy --quotient pure-triplet -n 4":
+        "74cc661544758837b784290895c27497219af94b23d8ef421344b2fff2a8b46a",
+    "holonomy --quotient pure-triplet -n 5":
+        "503105080f26eaef81d2dec11f6fc3ebc1d3afd157cb39d37d649d205a227194",
+    "holonomy --quotient second-commutator -n 10":
+        "58ded8dd8add463bd04de403f0732a0a7cfa8e0742a9c4140ee54631dc10ff20",
+    "quotient --check product -n 4 -m 5":
+        "1f605bae39f30b14af3816fb725cb7ab64b520d31f4c04125e4a73929c6107fb",
+    "quotient --check alternating -n 5 -m 4":
+        "27c72f06b6cad6fe49308c87bb6ebb2bc9d1633d49b6722610132848d5c1d0dd",
+    "quotient --check alternating -n 4 -m 7":
+        "1d92fadeb45c0cf84e1f52fb68e837ace9dc4c15b1f2e8408e058c7d8f4ab188",
+    "quotient --check even-vectors -n 6 -m 3":
+        "3a614bf04a9528ca632c1843288a434fa5f44220e7db3e304274a9787ff9617c",
+}
+
+
+@pytest.mark.parametrize("line", PINNED_STDOUT)
+def test_stdout_is_pinned(line, capsys):
+    assert dispatch(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[line]
 
 
 def _source_env() -> dict:

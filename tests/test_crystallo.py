@@ -82,6 +82,14 @@ class TestHolonomyViaConjugation:
         assert report.holonomy_order == 24
         assert report.quotient == "L4/PL4'"
 
+    def test_modular_map_labels_its_modulus(self):
+        # the mod-3 kernel is PT_4, so only the label differs from the
+        # symmetric route
+        report = holonomy_via_conjugation(
+            twin(4), quotient_map(twin(4), "modular", 3))
+        assert report.faithful and report.dimension == 7
+        assert report.quotient == "T4/T4[3]'"
+
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_theta_cross_check(n):

@@ -101,6 +101,17 @@ class TestModMatrix:
         with pytest.raises(ValueError):
             ModMatrix.identity(2, 1)
 
+    def test_reduce_to_modulus_one_rejected(self):
+        with pytest.raises(ValueError):
+            ModMatrix(((4,),), 4).reduce(1)
+
+    def test_canonical_skips_only_the_reduction(self):
+        # the constructor still reduces; canonical takes residues as given
+        assert ModMatrix(((7,),), 5).rows == ((2,),)
+        assert ModMatrix.canonical(((2,),), 5) == ModMatrix(((7,),), 5)
+        with pytest.raises(ValueError):
+            ModMatrix.canonical(((0,),), 1)
+
 
 class TestSmithNormalForm:
     def test_textbook_example(self):

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
+from smallcox.congruence import FiniteQuotientMap
 from smallcox.coxeter import symmetric, triplet, twin, universal
 from smallcox.matrices import IntMatrix
+from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, CosetBudgetError,
                                 KernelRewriter, LatticeTorsionError,
                                 Presentation, RelationCheckError,
@@ -44,21 +47,23 @@ class TestCoxeterPresentation:
 class TestQuotientMap:
     def test_symmetric_on_triplet(self):
         qmap = quotient_map(triplet(4), "symmetric")
-        assert qmap.images[0] == (1, 0, 2, 3)
+        assert qmap.image_of_word((1,)) == (1, 0, 2, 3)
         assert coset_table(qmap).count == 24
 
     def test_mod2_abelian_on_twin(self):
         qmap = quotient_map(twin(4), "mod2_abelian")
-        assert qmap.images == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert tuple(qmap.image_of_word((k,)) for k in (1, 2, 3)) == \
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_mod2_abelian_on_triplet_is_parity(self):
         # consecutive odd bonds merge every generator class
         qmap = quotient_map(triplet(4), "mod2_abelian")
-        assert qmap.images == ((1,), (1,), (1,))
+        assert tuple(qmap.image_of_word((k,)) for k in (1, 2, 3)) == \
+            ((1,), (1,), (1,))
 
     def test_modular_on_twin(self):
         qmap = quotient_map(twin(4), "modular", 6)
-        assert qmap.images[0].rows == ((5, 2, 0), (0, 1, 0), (0, 0, 1))
+        assert qmap.image_of_word((1,)) == ((5, 2, 0), (0, 1, 0), (0, 0, 1))
 
     def test_symmetric_needs_chain_family(self):
         with pytest.raises(RelationCheckError):
@@ -71,6 +76,19 @@ class TestQuotientMap:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             quotient_map(twin(4), "nonsense")
+
+    def test_step_breaking_a_bond_is_rejected(self):
+        # s_1 and s_3 commute in the twin group, but (0 1) and (1 2) do not
+        swaps = [adjacent_transposition(4, i) for i in (1, 2, 2)]
+        with pytest.raises(RelationCheckError, match="bond relation"):
+            FiniteQuotientMap(twin(4), "symmetric", identity(4),
+                              lambda p, k: multiply(p, swaps[k]))
+
+    def test_step_breaking_a_square_is_rejected(self):
+        cycle = (1, 2, 0)
+        with pytest.raises(RelationCheckError, match="not an involution"):
+            FiniteQuotientMap(twin(3), "symmetric", identity(3),
+                              lambda p, k: multiply(p, cycle))
 
 
 class TestCosetTable:
@@ -89,6 +107,17 @@ class TestCosetTable:
         modular = coset_table(quotient_map(twin(4), "modular", 3))
         permutation = coset_table(quotient_map(twin(4), "symmetric"))
         assert modular.count == permutation.count == 24
+        assert modular.transversal == permutation.transversal
+        assert modular.action == permutation.action
+
+    @pytest.mark.parametrize("family,m", [(twin, 3), (twin, 6), (triplet, 2)])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_modular_kernel_matches_symmetric_map(self, family, m, n):
+        # PT_n is the level-3 (and level-6) congruence subgroup of T_n,
+        # PL_n the level-2 one of L_n
+        modular = coset_table(quotient_map(family(n), "modular", m))
+        permutation = coset_table(quotient_map(family(n), "symmetric"))
+        assert modular.count == permutation.count == math.factorial(n)
         assert modular.transversal == permutation.transversal
         assert modular.action == permutation.action
 
