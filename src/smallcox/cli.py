@@ -152,16 +152,11 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
-    from .coxeter import triplet, twin
     if args.quotient == "second-commutator":
         report = crystallo.theta_faithfulness(args.n)
-    elif args.quotient == "pure-twin":
-        system = twin(args.n)
-        qmap = rewriting.quotient_map(system, "symmetric")
-        report = crystallo.holonomy_via_conjugation(
-            system, qmap, require_torsion_free=False)
     else:
-        system = triplet(args.n)
+        # pure-twin and pure-triplet: the kernel onto S_n
+        system = named_system(args.quotient.removeprefix("pure-"), args.n)
         qmap = rewriting.quotient_map(system, "symmetric")
         report = crystallo.holonomy_via_conjugation(
             system, qmap, require_torsion_free=False)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Optional
 
 Rows = tuple[tuple[int, ...], ...]
@@ -29,12 +28,18 @@ def identity_rows(d: int) -> Rows:
 
 
 def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
-    cols = tuple(zip(*b))
-    if mod is None:
-        return tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                     for row in a)
-    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols)
-                 for row in a)
+    """a * b (entries reduced mod ``mod`` when given): each row of the
+    product sums the rows of b over the nonzero entries of that row of
+    a, so sparse factors cost only their nonzeros."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc) if mod is None else tuple(s % mod for s in acc))
+    return tuple(out)
 
 
 def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
@@ -68,11 +73,19 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self.rows == identity_rows(self.dimension)
 
+    @classmethod
+    def _frozen(cls, rows: Rows) -> "IntMatrix":
+        """Wrap row tuples of ints, as products of frozen rows are,
+        without freezing them again."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        return mat
+
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(mul_rows(self.rows, other.rows))
+        return IntMatrix._frozen(mul_rows(self.rows, other.rows))
 
     def __pow__(self, k: int) -> "IntMatrix":
-        return IntMatrix(pow_rows(self.rows, k))
+        return IntMatrix._frozen(pow_rows(self.rows, k))
 
     def det(self) -> int:
         return det_rows(self.rows)
@@ -211,13 +224,15 @@ class SmithForm:
         return tuple(d for d in self.divisors if d > 1)
 
 
-def smith_normal_form(rows: Iterable[Iterable[int]], ncols: int,
+def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
                       want_transform: bool = False) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column moves.
 
-    The matrix is held sparse: ``{col: value}`` rows plus, for each
-    column, the set of rows that use it.  The caller's rows are only
-    read.
+    Each row is given as its ``(column, value)`` pairs, zero values
+    allowed and skipped: ``d.items()`` of a sparse ``{col: value}`` row,
+    or ``enumerate(row)`` of a dense one.  The matrix is held sparse:
+    ``{col: value}`` rows plus, for each column, the set of rows that
+    use it.  The caller's rows are only read.
 
     Pivot rule: the next pivot is a +-1 entry in a shortest live row,
     taking among that row's unit entries the column with the fewest
@@ -239,7 +254,7 @@ def smith_normal_form(rows: Iterable[Iterable[int]], ncols: int,
     """
     a: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
-        entries = {j: e for j, e in enumerate(row) if e}
+        entries = {j: e for j, e in row if e}
         if entries:
             a[i] = entries
     col_rows: list[set[int]] = [set() for _ in range(ncols)]

@@ -14,9 +14,11 @@ enumeration is ever needed:
   rewritten relator per (coset, defining relator) pair;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
-  this package cares about;
+  this package cares about; an index from generators to relators keeps
+  each elimination to the relators it changes;
 * ``abelian_invariants`` reads free rank and torsion off the Smith
-  normal form of the relator exponent matrix;
+  normal form of the relator exponent matrix, whose rows go in sparse,
+  as ``(generator, exponent)`` pairs with zero sums left out;
 * ``KernelRewriter.conjugation_matrix`` computes the action that an
   ambient word induces on the abelianized kernel, which is what the
   crystallographic checks consume.
@@ -27,6 +29,8 @@ line as signed generator indices (``1 2 -1 -2``).
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -244,9 +248,10 @@ class KernelRewriter:
 
     # -- abelianized kernel ---------------------------------------------
 
-    def exponent_vector(self, word: Sequence[int]) -> list[int]:
-        """Schreier-generator exponent sums of a kernel word."""
-        return _exponent_row(self.rewrite(word), self.num_schreier)
+    def exponent_vector(self, word: Sequence[int]) -> dict[int, int]:
+        """Schreier-generator exponent sums of a kernel word, as
+        ``{k: exponent of generator k+1}`` with zero sums left out."""
+        return _exponent_row(self.rewrite(word))
 
     @property
     def smith(self) -> SmithForm:
@@ -267,10 +272,9 @@ class KernelRewriter:
     def free_coordinates(self, word: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a kernel word in the free part of the
         abelianized kernel (the basis the Smith column transform picks)."""
-        v = self.exponent_vector(word)
+        v = self.exponent_vector(word).items()
         sm = self.smith
-        support = [t for t, x in enumerate(v) if x]
-        return tuple(sum(v[t] * sm.v[t][j] for t in support)
+        return tuple(sum(x * sm.v[t][j] for t, x in v)
                      for j in sm.free_columns)
 
     def conjugation_matrix(self, word: Sequence[int],
@@ -285,52 +289,40 @@ class KernelRewriter:
         sm = self.smith
         if sm.torsion and not allow_torsion:
             raise LatticeTorsionError(sm.torsion)
-        g = self.num_schreier
         word = tuple(word)
         word_inv = invert_signed(word)
-        rows = []
-        for k in range(g):
-            conj = word + self.schreier_word(k) + word_inv
-            rows.append(self.exponent_vector(conj))
-        free = sm.free_columns
-        r = len(free)
-        if r == 0:
-            return IntMatrix(())
-        m_rows = _restricted_basis_change(rows, sm, free)
-        # transpose: columns = images of basis vectors
-        return IntMatrix(tuple(tuple(m_rows[j][i] for j in range(r))
-                               for i in range(r)))
+        # basis vector i is row i of V^-1 in Schreier generators, so its
+        # image is the same combination of the images of the generators
+        cols = []
+        for i in sm.free_columns:
+            col = [0] * len(sm.free_columns)
+            for t, x in enumerate(sm.v_inv[i]):
+                if x:
+                    image = self.free_coordinates(
+                        word + self.schreier_word(t) + word_inv)
+                    col = [c + x * y for c, y in zip(col, image)]
+            cols.append(col)
+        return IntMatrix(tuple(zip(*cols)))
 
 
-def _restricted_basis_change(c_rows: list[list[int]], sm: SmithForm,
-                             free: tuple[int, ...]) -> list[list[int]]:
-    """Rows of (V^-1 C V) restricted to the free block, in exact
-    integers, summing over the nonzero entries of each row of C and of
-    V^-1 only."""
-    p = []
-    for row in c_rows:
-        support = [t for t, x in enumerate(row) if x]
-        p.append([sum(row[t] * sm.v[t][j] for t in support) for j in free])
-    out = []
-    for i in free:
-        vrow = sm.v_inv[i]
-        support = [t for t, x in enumerate(vrow) if x]
-        out.append([sum(vrow[t] * p[t][j] for t in support)
-                    for j in range(len(free))])
-    return out
-
-
-def _exponent_row(word: Sequence[int], generators: int) -> list[int]:
-    """Exponent sum of each generator in a signed word."""
-    v = [0] * generators
+def _exponent_row(word: Sequence[int]) -> dict[int, int]:
+    """Exponent sum of each generator in a signed word, as ``{k: sum}``
+    for generator k+1, zero sums left out."""
+    v: dict[int, int] = {}
     for letter in word:
-        v[abs(letter) - 1] += 1 if letter > 0 else -1
+        k = abs(letter) - 1
+        x = v.get(k, 0) + (1 if letter > 0 else -1)
+        if x:
+            v[k] = x
+        else:
+            del v[k]
     return v
 
 
-def _relator_rows(pres: Presentation) -> list[list[int]]:
-    """The relator exponent matrix, one row per relator."""
-    return [_exponent_row(rel, pres.generators) for rel in pres.relators]
+def _relator_rows(pres: Presentation) -> list:
+    """The relator exponent matrix, one row of ``(column, exponent)``
+    pairs per relator, as ``smith_normal_form`` reads it."""
+    return [_exponent_row(rel).items() for rel in pres.relators]
 
 
 # ---------------------------------------------------------------------------
@@ -340,51 +332,60 @@ def _relator_rows(pres: Presentation) -> list[list[int]]:
 def tietze_simplify(pres: Presentation) -> Presentation:
     """Eliminate generators that occur exactly once in some relator.
 
-    Each round: freely and cyclically reduce all relators, drop empty
-    ones, then pick the shortest relator containing a generator exactly
-    once, solve for that generator and substitute through.  Terminates
-    because each elimination removes a generator.  This is deliberately
-    modest; it suffices to expose freeness for the kernels this package
-    computes, and it preserves abelian invariants exactly.
+    Each round picks the shortest relator containing a generator exactly
+    once (the earliest on ties, and its first such generator), solves
+    for that generator and substitutes through; relators are kept freely
+    and cyclically reduced, empty ones dropped.  An index from each
+    generator to the relators that contain it limits the substitution
+    to those relators, and a heap keyed by (length, position) finds the
+    next relator.  Terminates because each elimination removes a
+    generator.  This is deliberately modest; it suffices to expose
+    freeness for the kernels this package computes, and it preserves
+    abelian invariants exactly.
     """
-    relators = [cyclically_reduce(r) for r in pres.relators]
-    relators = [r for r in relators if r]
-    alive = sorted(range(1, pres.generators + 1))
-    while True:
-        target = None
-        for ri, rel in enumerate(relators):
-            counts: dict[int, int] = {}
-            for letter in rel:
-                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-            lone = [g for g, cnt in counts.items() if cnt == 1]
-            if lone and (target is None or len(rel) < len(relators[target[0]])):
-                target = (ri, lone[0])
-        if target is None:
-            break
-        ri, g = target
+    relators: dict[int, SignedWord] = {}  # by position, gaps for the dropped
+    holders = {g: set() for g in range(1, pres.generators + 1)}
+    heap: list = []  # (length, position, lone generator, relator)
+
+    def put(ri, rel):
+        relators[ri] = rel
+        counts = Counter(abs(letter) for letter in rel)
+        for g in counts:
+            holders[g].add(ri)
+        lone = next((g for g, cnt in counts.items() if cnt == 1), None)
+        if lone is not None:
+            heapq.heappush(heap, (len(rel), ri, lone, rel))
+
+    def take(ri):
         rel = relators.pop(ri)
-        at = next(i for i, letter in enumerate(rel) if abs(letter) == g)
+        for letter in rel:
+            holders[abs(letter)].discard(ri)
+        return rel
+
+    for ri, rel in enumerate(pres.relators):
+        rel = cyclically_reduce(rel)
+        if rel:
+            put(ri, rel)
+    alive = list(range(1, pres.generators + 1))
+    while heap:
+        _, ri, g, rel = heapq.heappop(heap)
+        if relators.get(ri) != rel:
+            continue  # stale: the relator changed or went since the push
+        take(ri)
+        at = rel.index(g) if g in rel else rel.index(-g)
         spun = rel[at:] + rel[:at]
         # spun = g^e * w, so g = w^-1 when e = +1 and g = w when e = -1
         replacement = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
-        new_relators = []
-        for other in relators:
-            out: list[int] = []
-            for letter in other:
-                if letter == g:
-                    out.extend(replacement)
-                elif letter == -g:
-                    out.extend(invert_signed(replacement))
-                else:
-                    out.append(letter)
-            reduced = cyclically_reduce(out)
+        sub = {g: replacement, -g: invert_signed(replacement)}
+        for other in sorted(holders[g]):
+            reduced = cyclically_reduce([x for letter in take(other)
+                                         for x in sub.get(letter, (letter,))])
             if reduced:
-                new_relators.append(reduced)
-        relators = new_relators
+                put(other, reduced)
         alive.remove(g)
     renumber = {g: i + 1 for i, g in enumerate(alive)}
     final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
-                        for letter in rel) for rel in relators)
+                        for letter in relators[ri]) for ri in sorted(relators))
     return Presentation(len(alive), final)
 
 

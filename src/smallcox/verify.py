@@ -306,6 +306,16 @@ def _suite_rewriting() -> list[Claim]:
                 for n in range(4, 7)]),
            lambda: str([str(_kernel_invariants(triplet(n), "symmetric"))
                         for n in range(4, 7)]))
+    _claim(claims, "rank-pure-twin-7",
+           "abelianized pure twin group on 7 strands is free of the "
+           "Bjorner-Welker rank sum_{j=3..n} C(n,j) C(j-1,2)",
+           f"Z^{_pure_twin_betti(7)}",
+           lambda: str(_kernel_invariants(twin(7), "symmetric")))
+    _claim(claims, "rank-pure-triplet-7",
+           "abelianized pure triplet group on 7 strands is Z^(1 + n!(2n-7)/6) "
+           "by Schreier rewriting",
+           f"Z^{1 + math.factorial(7) * 7 // 6}",
+           lambda: str(_kernel_invariants(triplet(7), "symmetric")))
     return claims
 
 
@@ -329,6 +339,10 @@ def _suite_crystallo() -> list[Claim]:
     _claim(claims, "holonomy-pure-twin-5",
            "S_5 acts faithfully on the rank-31 lattice of the pure twin group",
            "faithful=True dim=31", lambda: via_conj(twin(5), "symmetric"))
+    _claim(claims, "holonomy-pure-twin-6",
+           "S_6 acts faithfully on the rank-111 lattice of the pure twin "
+           "group, so T_6/PT_6' is crystallographic of dimension 111",
+           "faithful=True dim=111", lambda: via_conj(twin(6), "symmetric"))
     _claim(claims, "holonomy-pure-triplet-4",
            "S_4 acts faithfully on the rank-5 lattice of the pure triplet group",
            "faithful=True dim=5", lambda: via_conj(triplet(4), "symmetric"))

@@ -91,6 +91,14 @@ PINNED_STDOUT = {
         "1d92fadeb45c0cf84e1f52fb68e837ace9dc4c15b1f2e8408e058c7d8f4ab188",
     "quotient --check even-vectors -n 6 -m 3":
         "3a614bf04a9528ca632c1843288a434fa5f44220e7db3e304274a9787ff9617c",
+    "abelianize --family twin -n 6 --map symmetric":
+        "745fa7c1b7d60c47d6345916a8d716a40f046f3be686754c5f720d2ac9775af2",
+    "abelianize --family triplet -n 6 --map symmetric":
+        "a1f16ed3adced2ca81ac895eb1a4c36da4cb9c2242031ad0ab22156ac8290198",
+    "subgroup --family twin -n 5 --map symmetric --simplify":
+        "8ddc92b53070405bdd4ff5cbc43efc3e9a54bf4260ef178fff52c5575949aaee",
+    "subgroup --family twin -n 6 --map mod2 --simplify":
+        "ee92162ddded1b0cd00a95671ad98e54d0c3e710726f06da233d6e41de918711",
 }
 
 

@@ -36,9 +36,12 @@ class TestIntMatrix:
         expected = _det_fraction(rows)
         assert det_rows(tuple(map(tuple, rows))) == expected
 
-    @given(st.data(), st.integers(1, 4), st.integers(2, 12))
-    def test_product_matches_index_sums(self, data, d, m):
-        square = st.lists(st.lists(st.integers(-9, 9), min_size=d,
+    @given(st.data(), st.integers(1, 4), st.integers(2, 12), st.booleans())
+    def test_product_matches_index_sums(self, data, d, m, sparse):
+        # sparse: mostly zero entries, as in the holonomy tree products
+        entry = st.sampled_from((0,) * 6 + (1, -1, 2, -7)) if sparse \
+            else st.integers(-9, 9)
+        square = st.lists(st.lists(entry, min_size=d,
                                    max_size=d), min_size=d, max_size=d)
         a, b = data.draw(square), data.draw(square)
         expected = tuple(tuple(sum(a[i][p] * b[p][j] for p in range(d))
@@ -115,7 +118,7 @@ class TestModMatrix:
 
 class TestSmithNormalForm:
     def test_textbook_example(self):
-        sm = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 3)
+        sm = smith_normal_form(_pairs([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]), 3)
         assert sm.divisors == (2, 6, 12)
 
     def test_divisibility_chain(self):
@@ -125,7 +128,7 @@ class TestSmithNormalForm:
             nc = rng.randrange(1, 5)
             rows = [[rng.randrange(-6, 7) for _ in range(nc)]
                     for _ in range(nr)]
-            sm = smith_normal_form(rows, nc)
+            sm = smith_normal_form(_pairs(rows), nc)
             for a, b in zip(sm.divisors, sm.divisors[1:]):
                 assert b % a == 0
 
@@ -134,7 +137,7 @@ class TestSmithNormalForm:
     def test_transform_diagonalizes(self, nr, nc, data):
         rows = [[data.draw(st.integers(-5, 5)) for _ in range(nc)]
                 for _ in range(nr)]
-        sm = smith_normal_form(rows, nc, want_transform=True)
+        sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
         # V * V^-1 = identity
         prod = _mat_mul(sm.v, sm.v_inv)
         assert prod == _identity(nc)
@@ -148,7 +151,7 @@ class TestSmithNormalForm:
 
     def test_rank_and_torsion_of_known_quotient(self):
         # Z^3 / <(2,0,0), (0,3,0)> is Z_6 + Z after the chain repair
-        sm = smith_normal_form([[2, 0, 0], [0, 3, 0]], 3)
+        sm = smith_normal_form(_pairs([[2, 0, 0], [0, 3, 0]]), 3)
         assert sm.torsion == (6,)
         assert len(sm.free_columns) == 1
 
@@ -158,7 +161,7 @@ class TestSmithNormalForm:
             nc = rng.randrange(1, 5)
             rows = [[rng.randrange(-4, 5) for _ in range(nc)]
                     for _ in range(rng.randrange(1, 5))]
-            sm = smith_normal_form(rows, nc, want_transform=True)
+            sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
             assert det_rows(sm.v) in (1, -1)
 
     @settings(max_examples=150)
@@ -166,7 +169,7 @@ class TestSmithNormalForm:
     def test_divisors_match_determinantal_divisors(self, nr, nc, data):
         rows = [[data.draw(st.integers(-6, 6)) for _ in range(nc)]
                 for _ in range(nr)]
-        assert smith_normal_form(rows, nc).divisors == \
+        assert smith_normal_form(_pairs(rows), nc).divisors == \
             _determinantal_divisors(rows)
 
     def test_sparse_transform_with_non_unit_steps(self):
@@ -178,19 +181,36 @@ class TestSmithNormalForm:
         for nr in [12] * 40 + [6] * 20:
             rows = [[rng.choice(entries) for _ in range(10)]
                     for _ in range(nr)]
-            sm = smith_normal_form(rows, 10, want_transform=True)
+            sm = smith_normal_form(_pairs(rows), 10, want_transform=True)
             assert _mat_mul(sm.v, sm.v_inv) == _identity(10)
             assert det_rows(sm.v) in (1, -1)
             for row in _mat_mul(rows, sm.v):
                 assert all(row[j] == 0 for j in sm.free_columns)
-            assert sm.divisors == smith_normal_form(rows, 10).divisors
+            assert sm.divisors == smith_normal_form(_pairs(rows), 10).divisors
 
     def test_rows_left_unchanged(self):
-        rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16], [0, 1, -1]]
+        rows = _pairs([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [0, 1, -1]])
         before = [list(row) for row in rows]
         smith_normal_form(rows, 3, want_transform=True)
         smith_normal_form(rows, 3)
         assert rows == before
+
+    def test_sparse_rows_match_dense_rows(self):
+        # dict rows without their zeros give the same form, transform
+        # included, as the dense rows with their zeros as pairs
+        rng = random.Random(13)
+        for _ in range(30):
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(8)]
+                    for _ in range(rng.randrange(1, 10))]
+            sparse = [{j: e for j, e in enumerate(row) if e}.items()
+                      for row in rows]
+            assert smith_normal_form(sparse, 8, want_transform=True) == \
+                smith_normal_form(_pairs(rows), 8, want_transform=True)
+
+
+def _pairs(rows):
+    """Dense rows as the (column, value) pairs the Smith form reads."""
+    return [list(enumerate(row)) for row in rows]
 
 
 def _determinantal_divisors(rows):

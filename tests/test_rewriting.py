@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from smallcox.congruence import FiniteQuotientMap
 from smallcox.coxeter import symmetric, triplet, twin, universal
@@ -10,9 +11,10 @@ from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, CosetBudgetError,
                                 KernelRewriter, LatticeTorsionError,
                                 Presentation, RelationCheckError,
-                                abelian_invariants,
+                                _exponent_row, abelian_invariants,
                                 coset_table, coxeter_presentation,
-                                format_presentation, parse_presentation,
+                                cyclically_reduce, format_presentation,
+                                invert_signed, parse_presentation,
                                 quotient_map, tietze_simplify, trivial_map)
 from smallcox.tits import evaluate
 
@@ -197,6 +199,16 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError):
             rewriter.exponent_vector((1,))
 
+    @given(st.lists(st.integers(1, 6).flatmap(
+        lambda g: st.sampled_from((g, -g))), max_size=30))
+    def test_exponent_row_is_sparse_dense_count(self, word):
+        dense = [0] * 6
+        for letter in word:
+            dense[abs(letter) - 1] += 1 if letter > 0 else -1
+        row = _exponent_row(word)
+        assert 0 not in row.values()
+        assert row == {k: x for k, x in enumerate(dense) if x}
+
 
 def invert(system, word):
     return evaluate(system, tuple(reversed(word)))
@@ -211,6 +223,23 @@ class TestTietze:
     def test_torsion_relator_untouched(self):
         pres = Presentation(1, ((1, 1),))
         assert tietze_simplify(pres) == pres
+
+    def test_matches_full_rescan(self):
+        # the indexed elimination makes the choices of a full rescan of
+        # every relator in every round, so the output is the same
+        rng = random.Random(23)
+        for _ in range(200):
+            g = rng.randrange(1, 7)
+            rels = tuple(tuple(rng.choice((1, -1)) * rng.randrange(1, g + 1)
+                               for _ in range(rng.randrange(0, 9)))
+                         for _ in range(rng.randrange(0, 8)))
+            pres = Presentation(g, rels)
+            assert tietze_simplify(pres) == _tietze_full_rescan(pres)
+        for system, kind in ((twin(4), "symmetric"), (triplet(4), "symmetric"),
+                             (twin(5), "mod2_abelian")):
+            table, rewriter = kernel_rewriter(system, kind)
+            assert tietze_simplify(rewriter.presentation) == \
+                _tietze_full_rescan(rewriter.presentation)
 
     def test_pure_triplet_is_free_of_rank_five(self):
         table, rewriter = kernel_rewriter(triplet(4), "symmetric")
@@ -235,6 +264,41 @@ class TestTietze:
             pres = Presentation(g, rels)
             assert abelian_invariants(tietze_simplify(pres)) == \
                 abelian_invariants(pres)
+
+
+def _tietze_full_rescan(pres):
+    """Tietze elimination that recounts and rewrites every relator in
+    every round: the shortest relator with a lone generator, earliest
+    on ties, and its first lone generator."""
+    relators = [r for r in map(cyclically_reduce, pres.relators) if r]
+    alive = list(range(1, pres.generators + 1))
+    while True:
+        target = None
+        for ri, rel in enumerate(relators):
+            counts = {}
+            for letter in rel:
+                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
+            lone = [g for g, cnt in counts.items() if cnt == 1]
+            if lone and (target is None or
+                         len(rel) < len(relators[target[0]])):
+                target = (ri, lone[0])
+        if target is None:
+            break
+        ri, g = target
+        rel = relators.pop(ri)
+        at = next(i for i, letter in enumerate(rel) if abs(letter) == g)
+        spun = rel[at:] + rel[:at]
+        sub = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
+        relators = [r for r in (cyclically_reduce(
+            [x for letter in other
+             for x in (sub if letter == g else invert_signed(sub)
+                       if letter == -g else (letter,))])
+            for other in relators) if r]
+        alive.remove(g)
+    renumber = {g: i + 1 for i, g in enumerate(alive)}
+    return Presentation(len(alive), tuple(
+        tuple((1 if x > 0 else -1) * renumber[abs(x)] for x in rel)
+        for rel in relators))
 
 
 class TestAbelianInvariants:
@@ -351,6 +415,28 @@ class TestConjugation:
             support = [t for t, x in enumerate(row) if x]
             assert all(sum(row[t] * sm.v[t][j] for t in support) == 0
                        for j in free)
+
+    def test_rewrites_only_the_free_rows_of_v_inverse(self, monkeypatch):
+        # each generator's matrix rewrites the conjugates of the Schreier
+        # generators in the support of V^-1's free rows: 31 of the 361
+        # for PT_5, every free row being a unit vector
+        table, rewriter = kernel_rewriter(twin(5), "symmetric")
+        sm = rewriter.smith
+        support = sorted(t for i in sm.free_columns
+                         for t, x in enumerate(sm.v_inv[i]) if x)
+        assert len(support) == 31
+        calls = []
+        original = rewriter.schreier_word
+
+        def counted(k):
+            calls.append(k)
+            return original(k)
+
+        monkeypatch.setattr(rewriter, "schreier_word", counted)
+        for y in range(1, 5):
+            calls.clear()
+            rewriter.conjugation_matrix((y,))
+            assert sorted(calls) == support
 
     def test_torsion_reported(self):
         system = triplet(4)
