@@ -11,12 +11,12 @@ the pure triplet group.
 """
 
 from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,
-                      all_graphs, build_system, complete_graph, free_reduce,
-                      is_small, named_system, parse_coxeter_matrix,
-                      parse_word, racg_join_decomposition, racg_system,
-                      simple_graph, symmetric, triplet, twin, universal)
-from .matrices import (IntMatrix, ModMatrix, SmithForm, parse_matrix,
-                       smith_normal_form)
+                      all_graphs, build_system, complete_graph, family_of,
+                      free_reduce, is_small, named_system,
+                      parse_coxeter_matrix, parse_word,
+                      racg_join_decomposition, racg_system, simple_graph,
+                      symmetric, triplet, twin, universal)
+from .matrices import Matrix, SmithForm, parse_matrix, smith_normal_form
 from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,
                    generator_matrix, generator_step, order_check_2m,
                    pair_product_formula, pair_product_square_formula,

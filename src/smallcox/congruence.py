@@ -27,7 +27,9 @@ images:
 * ``product_generation_check`` confirms at image level that two coprime
   levels together generate the full even part.
 
-Matrices are keyed by their tuples of canonical residue rows.  The
+Matrices mod m are ``Matrix`` values with modulus m.  The closure runs
+on their tuples of canonical residue rows (0..m-1), and a group keys its
+elements by those tuples, so membership never rebuilds a matrix.  The
 default element budget is 10**7; exceeding it raises
 ``BudgetExceededError`` rather than truncating silently, since images of
 infinite Coxeter groups can be arbitrarily large.
@@ -42,10 +44,10 @@ from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
-from .coxeter import INF, CoxeterSystem, Word, require_small, twin
-from .matrices import ModMatrix, identity_rows, mul_rows, parse_matrix
-from .tits import (evaluate_mod, generator_matrix, generator_step,
-                   twin_power_matrix)
+from .coxeter import (INF, CoxeterSystem, Word, family_of, require_small,
+                      twin)
+from .matrices import Matrix, identity_rows, mul_rows, parse_matrix
+from .tits import evaluate_mod, generator_step, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
 
@@ -69,15 +71,14 @@ class FiniteMatrixGroup:
 
     modulus: int
     dimension: int
-    elements: tuple[ModMatrix, ...]
-    generators: tuple[ModMatrix, ...]
+    elements: tuple[Matrix, ...]
     element_keys: frozenset
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, mat: ModMatrix) -> bool:
+    def __contains__(self, mat: Matrix) -> bool:
         return mat.modulus == self.modulus and mat.rows in self.element_keys
 
 
@@ -117,12 +118,10 @@ def enumerate_image(system: CoxeterSystem, m: int,
         raise ValueError(f"modulus {m} < 2")
     if cap < 1:
         raise ValueError("cap must be positive")
-    gens = [generator_matrix(system, k).mod(m) for k in range(1, system.rank + 1)]
     rows, _ = orbit(identity_rows(system.rank), generator_step(system, m),
                     system.rank, cap)
-    elements = tuple(ModMatrix.canonical(r, m) for r in rows)
-    keys = frozenset(el.rows for el in elements)
-    return FiniteMatrixGroup(m, system.rank, elements, tuple(gens), keys)
+    elements = tuple(Matrix.canonical(r, m) for r in rows)
+    return FiniteMatrixGroup(m, system.rank, elements, frozenset(rows))
 
 
 def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:
@@ -135,7 +134,6 @@ def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
 
     This is the image of the level-m congruence subgroup inside the
     mod-km image, so its order is the index of level km inside level m.
-    The result carries no distinguished generating set.
     """
     if group.modulus % m:
         raise ValueError(f"{m} does not divide modulus {group.modulus}")
@@ -143,7 +141,7 @@ def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
             if m < 2 or el.reduce(m).is_identity()]
     keys = frozenset(e.rows for e in kept)
     return FiniteMatrixGroup(group.modulus, group.dimension,
-                             tuple(kept), (), keys)
+                             tuple(kept), keys)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +190,6 @@ class FiniteQuotientMap:
         return out
 
 
-def _family_pattern(system: CoxeterSystem) -> Optional[str]:
-    """Which of twin/triplet/symmetric this system is, if any."""
-    r = system.rank
-    for name, near, far in (("twin", INF, 2), ("triplet", 3, INF),
-                            ("symmetric", 3, 2)):
-        ok = all(system.exponent(i, j) == (near if abs(i - j) == 1 else far)
-                 for i in range(1, r + 1) for j in range(1, r + 1) if i != j)
-        if ok:
-            return name
-    return None
-
-
 def odd_bond_classes(system: CoxeterSystem) -> list[int]:
     """Class index (0-based) of each generator under odd-bond merging.
 
@@ -222,7 +208,7 @@ def odd_bond_classes(system: CoxeterSystem) -> list[int]:
 
 
 def _symmetric_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
-    if _family_pattern(system) is None:
+    if family_of(system) in (None, "universal"):
         raise RelationCheckError(
             "symmetric quotient needs a twin, triplet or symmetric system")
     n = system.rank + 1
@@ -309,7 +295,7 @@ def _kernel_map(pairs, modulus: int, m: int):
     mapping: dict = {}
     well_defined = True
     for g, s in pairs:
-        if ModMatrix.canonical(g, modulus).reduce(m).is_identity():
+        if Matrix.canonical(g, modulus).reduce(m).is_identity():
             if g in mapping and mapping[g] != s:
                 well_defined = False
             mapping[g] = s
@@ -428,7 +414,7 @@ def minimal_congruence_power(m: int) -> int:
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     for k in range(1, 2 * m + 1):
-        if twin_power_matrix(k).mod(m).is_identity():
+        if twin_power_matrix(k).reduce(m).is_identity():
             return k
     raise AssertionError("unreachable: k = m always works")
 
@@ -472,4 +458,4 @@ def parse_group_dump(text: str) -> FiniteMatrixGroup:
         mat = parse_matrix(f"mod {m}\n{block}")
         elements.append(mat)
     keys = frozenset(e.rows for e in elements)
-    return FiniteMatrixGroup(m, d, tuple(elements), (), keys)
+    return FiniteMatrixGroup(m, d, tuple(elements), keys)

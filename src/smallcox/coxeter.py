@@ -105,6 +105,11 @@ def _canonical_exponent(e):
 
 FAMILIES = ("twin", "triplet", "symmetric", "universal", "w_nm", "racg")
 
+# (near, far) exponents of the chain families: near between consecutive
+# generators, far between all others; in the order ``family_of`` tries
+_CHAIN_BONDS = {"twin": (INF, 2), "triplet": (3, INF), "symmetric": (3, 2),
+                "universal": (INF, INF)}
+
 
 def named_system(family: str, n: int = 0, m: Optional[int] = None,
                  graph: "Optional[SimpleGraph]" = None) -> CoxeterSystem:
@@ -128,20 +133,25 @@ def named_system(family: str, n: int = 0, m: Optional[int] = None,
         if m is None or m < 2:
             raise CoxeterError(f"w_nm family needs m >= 2, got {m}")
         near, far = m, 2
-    elif family == "twin":
-        near, far = INF, 2
-    elif family == "triplet":
-        near, far = 3, INF
-    elif family == "symmetric":
-        near, far = 3, 2
-    elif family == "universal":
-        near, far = INF, INF
+    elif family in _CHAIN_BONDS:
+        near, far = _CHAIN_BONDS[family]
     else:
         raise CoxeterError(f"unknown family {family!r}")
     r = n - 1
     rows = [[1 if i == j else (near if abs(i - j) == 1 else far)
              for j in range(r)] for i in range(r)]
     return build_system(rows)
+
+
+def family_of(system: CoxeterSystem) -> Optional[str]:
+    """The first of twin, triplet, symmetric and universal whose bond
+    pattern this system has (so a rank-1 system is twin), or None."""
+    r = system.rank
+    for name, (near, far) in _CHAIN_BONDS.items():
+        if all(system.exponents[i][j] == (near if abs(i - j) == 1 else far)
+               for i in range(r) for j in range(r) if i != j):
+            return name
+    return None
 
 
 def twin(n: int) -> CoxeterSystem:

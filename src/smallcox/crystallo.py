@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import (DEFAULT_CAP, FiniteQuotientMap, _family_pattern,
-                         quotient_map)
-from .coxeter import CoxeterSystem, Word, twin
-from .matrices import IntMatrix
+from .congruence import DEFAULT_CAP, FiniteQuotientMap, quotient_map
+from .coxeter import CoxeterSystem, Word, family_of, twin
+from .matrices import Matrix
 from .rewriting import (KernelRewriter, LatticeTorsionError, coset_table,
                         coxeter_presentation)
 
@@ -77,7 +76,7 @@ def _b1_index(n: int, j: int) -> int:
     return 2 * j - 2
 
 
-def theta_generator_matrix(n: int, k: int) -> IntMatrix:
+def theta_generator_matrix(n: int, k: int) -> Matrix:
     """Action of the k-th generator class on the rank-(2n-5) lattice.
 
     On the basis classes the action is: fix b(j) for j outside
@@ -108,8 +107,8 @@ def theta_generator_matrix(n: int, k: int) -> IntMatrix:
             else:
                 col[own] = 1
             cols.append(col)
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(dim))
-                           for i in range(dim)))
+    return Matrix(tuple(tuple(cols[j][i] for j in range(dim))
+                        for i in range(dim)))
 
 
 def theta_faithfulness(n: int) -> HolonomyReport:
@@ -123,7 +122,7 @@ def theta_faithfulness(n: int) -> HolonomyReport:
     if not 3 <= n <= 12:
         raise ValueError(f"need 3 <= n <= 12, got {n}")
     dim = _basis_size(n)
-    ident = IntMatrix.identity(dim)
+    ident = Matrix.identity(dim)
     mats = [theta_generator_matrix(n, k) for k in range(1, n)]
     for i, a in enumerate(mats):
         if a * a != ident:
@@ -150,7 +149,7 @@ def theta_faithfulness(n: int) -> HolonomyReport:
 
 
 def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
-    family = _family_pattern(system)
+    family = family_of(system)
     n = system.rank + 1
     stem = {"twin": f"T{n}", "triplet": f"L{n}", "symmetric": f"S{n}"}.get(
         family, f"W(rank {system.rank})")
@@ -186,7 +185,7 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
     if torsion and require_torsion_free:
         raise LatticeTorsionError(torsion)
     dim = rewriter.rank
-    ident = IntMatrix.identity(dim)
+    ident = Matrix.identity(dim)
     gens = [rewriter.conjugation_matrix((y,), allow_torsion=True)
             for y in range(1, system.rank + 1)]
     mats = [ident]
@@ -247,8 +246,8 @@ def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
         if j >= 2:
             betas.append(beta_word(n, j, 1))
     coords = [rewriter.free_coordinates(w) for w in betas]
-    b_mat = IntMatrix(tuple(tuple(coords[j][i] for j in range(dim))
-                            for i in range(dim)))
+    b_mat = Matrix(tuple(tuple(coords[j][i] for j in range(dim))
+                         for i in range(dim)))
     if b_mat.det() not in (1, -1):
         raise BasisSpanError("b-class dictionary is not a lattice basis")
     for k in range(1, n):

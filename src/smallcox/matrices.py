@@ -1,10 +1,12 @@
 """Exact integer and modular matrices, plus Smith normal form.
 
-IntMatrix entries are arbitrary-precision Python integers; ModMatrix
-entries are canonical residues 0..m-1.  Both are immutable and hashable
-so they can live in sets during group enumeration.  ``ModMatrix(rows,
-m)`` reduces its entries; ``ModMatrix.canonical(rows, m)`` takes rows
-that are already residues, as products mod m are, and reduces nothing.
+One type, ``Matrix(rows, modulus=None)``, holds both: without a modulus
+the entries are arbitrary-precision Python integers, with a modulus m
+they are canonical residues 0..m-1 (the paper's reduction of the
+integral reflection representation mod m).  The constructor freezes or
+reduces its entries; ``Matrix.canonical(rows, m)`` takes rows that are
+already in that form, as products are, and renormalises nothing.
+``reduce(m)`` passes to Z/m.
 
 Text formats: one row per line, whitespace-separated decimal integers.
 A modular matrix carries an extra first line ``mod m``.
@@ -56,70 +58,37 @@ def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
+class Matrix:
+    """A square matrix over Z, or over Z/m when ``modulus`` is m.
+
+    The matrix is immutable and hashable, so it can live in sets during
+    group enumeration; two matrices are equal when their rows and their
+    moduli are.  Only matrices with the same modulus multiply.
+    """
+
     rows: Rows
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _freeze(self.rows))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, d: int) -> "IntMatrix":
-        return cls(identity_rows(d))
-
-    def is_identity(self) -> bool:
-        return self.rows == identity_rows(self.dimension)
-
-    @classmethod
-    def _frozen(cls, rows: Rows) -> "IntMatrix":
-        """Wrap row tuples of ints, as products of frozen rows are,
-        without freezing them again."""
-        mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        return mat
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix._frozen(mul_rows(self.rows, other.rows))
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        return IntMatrix._frozen(pow_rows(self.rows, k))
-
-    def det(self) -> int:
-        return det_rows(self.rows)
-
-    def mod(self, m: int) -> "ModMatrix":
-        if m < 2:
-            raise ValueError(f"modulus {m} < 2")
-        return ModMatrix.canonical(
-            tuple(tuple(e % m for e in row) for row in self.rows), m)
-
-    def __str__(self) -> str:
-        return format_matrix(self.rows)
-
-
-@dataclass(frozen=True)
-class ModMatrix:
-    rows: Rows
-    modulus: int
+    modulus: Optional[int] = None
 
     def __post_init__(self):
         m = self.modulus
-        if m < 2:
+        if m is None:
+            rows = _freeze(self.rows)
+        elif m < 2:
             raise ValueError(f"modulus {m} < 2")
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(e) % m for e in row) for row in self.rows))
+        else:
+            rows = tuple(tuple(int(e) % m for e in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
     @classmethod
-    def canonical(cls, rows: Rows, m: int) -> "ModMatrix":
-        """Wrap row tuples whose entries are already residues mod m."""
-        if m < 2:
+    def canonical(cls, rows: Rows, m: Optional[int] = None) -> "Matrix":
+        """Wrap row tuples of ints that are already canonical (residues
+        0..m-1 when m is given), as products are, without renormalising
+        them."""
+        if m is not None and m < 2:
             raise ValueError(f"modulus {m} < 2")
         mat = object.__new__(cls)
         object.__setattr__(mat, "rows", rows)
@@ -127,40 +96,45 @@ class ModMatrix:
         return mat
 
     @classmethod
-    def identity(cls, d: int, m: int) -> "ModMatrix":
+    def identity(cls, d: int, m: Optional[int] = None) -> "Matrix":
         return cls.canonical(identity_rows(d), m)
 
     def is_identity(self) -> bool:
         return self.rows == identity_rows(self.dimension)
 
-    def __mul__(self, other: "ModMatrix") -> "ModMatrix":
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if other.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        return ModMatrix.canonical(
-            mul_rows(self.rows, other.rows, self.modulus), self.modulus)
+        return Matrix.canonical(mul_rows(self.rows, other.rows, self.modulus),
+                                self.modulus)
 
-    def __pow__(self, k: int) -> "ModMatrix":
-        return ModMatrix.canonical(pow_rows(self.rows, k, self.modulus),
-                                   self.modulus)
+    def __pow__(self, k: int) -> "Matrix":
+        return Matrix.canonical(pow_rows(self.rows, k, self.modulus),
+                                self.modulus)
 
-    def reduce(self, m: int) -> "ModMatrix":
-        if self.modulus % m:
+    def reduce(self, m: int) -> "Matrix":
+        """The matrix mod m; with a modulus, m must divide it."""
+        if m < 2:
+            raise ValueError(f"modulus {m} < 2")
+        if self.modulus is not None and self.modulus % m:
             raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        return ModMatrix.canonical(
+        return Matrix.canonical(
             tuple(tuple(e % m for e in row) for row in self.rows), m)
 
     def det(self) -> int:
-        return det_rows(self.rows) % self.modulus
+        d = det_rows(self.rows)
+        return d if self.modulus is None else d % self.modulus
 
     def __str__(self) -> str:
-        return f"mod {self.modulus}\n" + format_matrix(self.rows)
+        head = "" if self.modulus is None else f"mod {self.modulus}\n"
+        return head + format_matrix(self.rows)
 
 
 def format_matrix(rows: Rows) -> str:
     return "\n".join(" ".join(str(e) for e in row) for row in rows) + "\n"
 
 
-def parse_matrix(text: str) -> "IntMatrix | ModMatrix":
+def parse_matrix(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     mod = None
     if lines and lines[0].startswith("mod "):
@@ -169,7 +143,7 @@ def parse_matrix(text: str) -> "IntMatrix | ModMatrix":
     rows = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
-    return IntMatrix(rows) if mod is None else ModMatrix(rows, mod)
+    return Matrix(rows, mod)
 
 
 def det_rows(rows: Rows) -> int:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from .congruence import (DEFAULT_CAP, BudgetExceededError, FiniteQuotientMap,
                          RelationCheckError, orbit, quotient_map, trivial_map)
 from .coxeter import INF, CoxeterSystem, Word
-from .matrices import IntMatrix, SmithForm, smith_normal_form
+from .matrices import Matrix, SmithForm, smith_normal_form
 
 SignedWord = tuple[int, ...]
 
@@ -278,7 +278,7 @@ class KernelRewriter:
                      for j in sm.free_columns)
 
     def conjugation_matrix(self, word: Sequence[int],
-                           allow_torsion: bool = False) -> IntMatrix:
+                           allow_torsion: bool = False) -> Matrix:
         """Matrix of x -> w x w^-1 on the free abelianized kernel.
 
         Columns are the images of the free basis vectors, so the map is
@@ -302,7 +302,7 @@ class KernelRewriter:
                         word + self.schreier_word(t) + word_inv)
                     col = [c + x * y for c, y in zip(col, image)]
             cols.append(col)
-        return IntMatrix(tuple(zip(*cols)))
+        return Matrix(tuple(zip(*cols)))
 
 
 def _exponent_row(word: Sequence[int]) -> dict[int, int]:

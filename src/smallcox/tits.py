@@ -12,6 +12,15 @@ matrices represent group elements faithfully, so word problems reduce to
 exact integer linear algebra; reducing entries mod m gives the finite
 congruence images studied in :mod:`smallcox.congruence`.
 
+Right-multiplying by s_k is one rule: column k is negated and each
+column j bonded to k (alpha(k, j) != 0) gains alpha(k, j) times it.
+``_bonds`` lists those (j, alpha) pairs per generator, and every
+product by a generator runs on that list: ``_word_rows`` for the words
+of ``evaluate`` and ``evaluate_mod``, and the closure step
+``generator_step``.  A word of length L costs O(L * rank * (1 + b))
+operations for b bonds per generator: at most 2 for twin and symmetric
+systems, rank - 1 for triplet and universal ones.
+
 Closed forms implemented here and cross-checked against plain matrix
 multiplication in the test suite:
 
@@ -25,10 +34,10 @@ multiplication in the test suite:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .coxeter import INF, CoxeterSystem, Word, require_small, twin
-from .matrices import IntMatrix, ModMatrix, identity_rows
+from .matrices import Matrix, Rows, identity_rows
 
 
 def alpha(system: CoxeterSystem, k: int, j: int) -> int:
@@ -56,7 +65,16 @@ def _alpha_row(system: CoxeterSystem, k0: int) -> list[int]:
     return [_alpha(system.exponents, k0, j0) for j0 in range(system.rank)]
 
 
-def generator_matrix(system: CoxeterSystem, k: int) -> IntMatrix:
+def _bonds(system: CoxeterSystem) -> list[tuple[tuple[int, int], ...]]:
+    """For each generator k (0-based), the nonzero off-diagonal entries
+    (j, alpha(k, j)) of its row: the columns that s_(k+1) adds to."""
+    exps, r = system.exponents, system.rank
+    return [tuple((j0, a) for j0 in range(r)
+                  if j0 != k0 and (a := _alpha(exps, k0, j0)))
+            for k0 in range(r)]
+
+
+def generator_matrix(system: CoxeterSystem, k: int) -> Matrix:
     """Matrix of the k-th generator: identity except row k."""
     require_small(system)
     if not 1 <= k <= system.rank:
@@ -64,55 +82,52 @@ def generator_matrix(system: CoxeterSystem, k: int) -> IntMatrix:
     r = system.rank
     rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     rows[k - 1] = _alpha_row(system, k - 1)
-    return IntMatrix(tuple(map(tuple, rows)))
+    return Matrix(tuple(map(tuple, rows)))
 
 
-def evaluate(system: CoxeterSystem, word: Word) -> IntMatrix:
-    """Exact image of a word, the product of its generator matrices.
+def _word_rows(system: CoxeterSystem, word: Word,
+               m: Optional[int] = None) -> Rows:
+    """Rows of the product of a checked word's generator matrices,
+    entries reduced mod m after every letter when m is given.
 
-    Right-multiplying by a generator matrix is a column update, so a
-    word of length L costs O(L * rank^2) integer operations.
+    Right-multiplying by s_k is a column update: a row with entry v in
+    column k gets -v there and v * alpha(k, j) added in each bonded
+    column j, and rows with v = 0 are left as they are.
     """
-    require_small(system)
-    word = system.check_word(word)
-    r = system.rank
-    rows = [list(row) for row in identity_rows(r)]
-    alpha_rows = [_alpha_row(system, k0) for k0 in range(r)]
+    rows = [list(row) for row in identity_rows(system.rank)]
+    bonds = _bonds(system)
     for letter in word:
         k0 = letter - 1
-        arow = alpha_rows[k0]
+        bond = bonds[k0]
         for row in rows:
             v = row[k0]
-            if v:
-                for j in range(r):
-                    if j == k0:
-                        row[j] = -v
-                    elif arow[j]:
-                        row[j] += v * arow[j]
-    return IntMatrix(tuple(map(tuple, rows)))
+            if not v:
+                continue
+            if m is None:
+                row[k0] = -v
+                for j, a in bond:
+                    row[j] += v * a
+            else:
+                row[k0] = -v % m
+                for j, a in bond:
+                    row[j] = (row[j] + v * a) % m
+    return tuple(map(tuple, rows))
 
 
-def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> ModMatrix:
+def evaluate(system: CoxeterSystem, word: Word) -> Matrix:
+    """Exact image of a word, the product of its generator matrices."""
+    require_small(system)
+    word = system.check_word(word)
+    return Matrix.canonical(_word_rows(system, word))
+
+
+def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> Matrix:
     """Image of a word with entries reduced mod m after every step."""
     require_small(system)
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
     word = system.check_word(word)
-    r = system.rank
-    rows = [list(row) for row in identity_rows(r)]
-    alpha_rows = [_alpha_row(system, k0) for k0 in range(r)]
-    for letter in word:
-        k0 = letter - 1
-        arow = alpha_rows[k0]
-        for row in rows:
-            v = row[k0]
-            if v:
-                for j in range(r):
-                    if j == k0:
-                        row[j] = -v % m
-                    elif arow[j]:
-                        row[j] = (row[j] + v * arow[j]) % m
-    return ModMatrix.canonical(tuple(map(tuple, rows)), m)
+    return Matrix.canonical(_word_rows(system, word, m), m)
 
 
 class _RowTimesGenerator(dict):
@@ -123,15 +138,19 @@ class _RowTimesGenerator(dict):
     rows over many elements, so the rows are computed once and shared.
     """
 
-    def __init__(self, alpha_row: list[int], k0: int, m: int):
+    def __init__(self, bond: tuple[tuple[int, int], ...], k0: int, m: int):
         super().__init__()
-        self.alpha_row, self.k0, self.m = alpha_row, k0, m
+        self.bond, self.k0, self.m = bond, k0, m
 
     def __missing__(self, row):
         k0, m, v = self.k0, self.m, row[self.k0]
-        out = row if not v else tuple(
-            -v % m if j == k0 else (e + v * a) % m
-            for j, (e, a) in enumerate(zip(row, self.alpha_row)))
+        out = row
+        if v:
+            new = list(row)
+            new[k0] = -v % m
+            for j, a in self.bond:
+                new[j] = (new[j] + v * a) % m
+            out = tuple(new)
         self[row] = out
         return out
 
@@ -140,17 +159,17 @@ def generator_step(system: CoxeterSystem, m: int):
     """``step(rows, k)``: the row tuples of rows * s_(k+1), entries mod m.
 
     This is the closure step of the congruence images.  Long single
-    words go through the in-place loop of ``evaluate_mod`` instead.
+    words go through the in-place loop of ``_word_rows`` instead.
     """
     require_small(system)
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
-    maps = [_RowTimesGenerator(_alpha_row(system, k0), k0, m).__getitem__
-            for k0 in range(system.rank)]
+    maps = [_RowTimesGenerator(bond, k0, m).__getitem__
+            for k0, bond in enumerate(_bonds(system))]
     return lambda rows, k0: tuple(map(maps[k0], rows))
 
 
-def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> IntMatrix:
+def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:
     """Entries of s_k s_l written directly from the alpha table.
 
     Row i is the standard basis vector e_i away from rows k and l; row l
@@ -169,7 +188,7 @@ def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> IntMatrix:
     akl = _alpha(exps, k0, l0)
     rows[k0] = [-akl if j == l0 else _alpha(exps, k0, j) + _alpha(exps, l0, j) * akl
                 for j in range(r)]
-    return IntMatrix(tuple(map(tuple, rows)))
+    return Matrix(tuple(map(tuple, rows)))
 
 
 def _gamma(system: CoxeterSystem, k0: int, l0: int, j0: int) -> int:
@@ -180,7 +199,7 @@ def _gamma(system: CoxeterSystem, k0: int, l0: int, j0: int) -> int:
     return _alpha(exps, k0, j0) + _alpha(exps, l0, j0) * _alpha(exps, k0, l0)
 
 
-def pair_product_square_formula(system: CoxeterSystem, k: int, l: int) -> IntMatrix:
+def pair_product_square_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:
     """Entries of (s_k s_l)^2 in closed form.
 
     With a = alpha(k, l) the k-row diagonal entry is a^4 - 3a^2 + 1 and
@@ -207,7 +226,7 @@ def pair_product_square_formula(system: CoxeterSystem, k: int, l: int) -> IntMat
             g = _gamma(system, k0, l0, j0)
             rows[k0][j0] = g * a ** 2 - a * _alpha(exps, l0, j0)
             rows[l0][j0] = a * g
-    return IntMatrix(tuple(map(tuple, rows)))
+    return Matrix(tuple(map(tuple, rows)))
 
 
 class PolyCoeffs(NamedTuple):
@@ -243,8 +262,8 @@ def order_check_2m(n: int, m: int, i: int) -> bool:
     return (pair ** m).is_identity()
 
 
-def twin_power_matrix(k: int) -> IntMatrix:
+def twin_power_matrix(k: int) -> Matrix:
     """(s_1 s_2)^k in the rank-2 twin group: [[2k+1, -2k], [2k, 1-2k]]."""
     if k < 0:
         raise ValueError("negative power")
-    return IntMatrix(((2 * k + 1, -2 * k), (2 * k, 1 - 2 * k)))
+    return Matrix(((2 * k + 1, -2 * k), (2 * k, 1 - 2 * k)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,50 @@ def test_stdout_is_pinned(line, capsys):
     assert dispatch(line.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[line]
+
+
+def _random_word(seed: int, rank: int, length: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randint(1, rank) for _ in range(length)]
+
+
+def _conjugated_twin_power(seed: int) -> list[int]:
+    # u (s_1 s_2)^6 u^-1 lies in level 12: (s_1 s_2)^k is trivial mod m
+    # exactly when m divides 2k
+    u = _random_word(seed, 5, 500)
+    return u + [1, 2] * 6 + u[::-1]
+
+
+# sha256 of stdout for seeded words read from --word-file: exact and
+# modular word evaluation for bonds inf (twin), 1 (triplet) and the
+# dense all-inf rows (universal), and level-m membership
+PINNED_WORD_STDOUT = {
+    "tits --family twin -n 7":
+        (lambda: _random_word(1, 6, 2000),
+         "53ff56e6af13523f8f23ea3bb5805af3afc041fd84ea7d0932ac6dabcfac6190"),
+    "tits --family twin -n 7 --mod 13":
+        (lambda: _random_word(1, 6, 2000),
+         "21dc466de69fa3a5240be1214c98a45f872fe1392282887de5d0f8c42bc21695"),
+    "tits --family triplet -n 7 --mod 6":
+        (lambda: _random_word(2, 6, 2000),
+         "ec38670aba310a1e3885ef12869aad3dac3a56d8ce4d4d99b1001a8cb4c7585a"),
+    "tits --family universal -n 7 --json":
+        (lambda: _random_word(3, 6, 300),
+         "396ad9bb8b43645b64272cebd1b05ac4b8df606c0a9d9011b83ed240db357f11"),
+    "member --family twin -n 6 -m 12":
+        (lambda: _conjugated_twin_power(4),
+         "10dd3e3b5f62e31b8da0e093603f3900f10668398ae3dbab575d132f09dc81b9"),
+}
+
+
+@pytest.mark.parametrize("line", PINNED_WORD_STDOUT)
+def test_word_stdout_is_pinned(line, tmp_path, capsys):
+    make_word, digest = PINNED_WORD_STDOUT[line]
+    path = tmp_path / "word.txt"
+    path.write_text(" ".join(map(str, make_word())) + "\n")
+    assert dispatch(line.split() + ["--word-file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _source_env() -> dict:

@@ -11,7 +11,7 @@ from smallcox.congruence import (BudgetExceededError, alternating_quotient_check
                                  product_generation_check,
                                  product_quotient_check, reduction_kernel)
 from smallcox.coxeter import all_graphs, racg_system, triplet, twin
-from smallcox.matrices import ModMatrix, identity_rows
+from smallcox.matrices import Matrix, identity_rows
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.tits import (evaluate, evaluate_mod, generator_matrix,
                            generator_step)
@@ -35,16 +35,16 @@ class TestEnumerateImage:
         b = enumerate_image(twin(4), 3)
         assert a.elements[0].is_identity()
         assert a.elements == b.elements
-        assert a.elements[1] == generator_matrix(twin(4), 1).mod(3)
+        assert a.elements[1] == generator_matrix(twin(4), 1).reduce(3)
 
     def test_contains(self):
         group = enumerate_image(twin(4), 3)
         assert evaluate_mod(twin(4), (1, 2, 3, 2), 3) in group
-        assert ModMatrix.identity(3, 3) in group
+        assert Matrix.identity(3, 3) in group
 
     def test_contains_checks_modulus(self):
         # identity rows are canonical mod 3 and mod 5 alike
-        assert ModMatrix.identity(3, 5) not in enumerate_image(twin(4), 3)
+        assert Matrix.identity(3, 5) not in enumerate_image(twin(4), 3)
 
     def test_closure_spot_check(self):
         group = enumerate_image(twin(4), 5)
@@ -79,7 +79,7 @@ class TestEnumerateImage:
         for graph in all_graphs(vertices):
             group = enumerate_image(racg_system(graph), 4)
             assert group.order == 2 ** vertices
-            ident = ModMatrix.identity(vertices, 4)
+            ident = Matrix.identity(vertices, 4)
             assert all(el * el == ident for el in group.elements)
 
 
@@ -138,7 +138,7 @@ class TestReductionKernel:
         assert group.order == 96
         assert kernel.order == 12
         # oracle: direct count of elements reducing to the identity
-        ident = ModMatrix.identity(3, 4)
+        ident = Matrix.identity(3, 4)
         direct = sum(1 for el in group.elements if el.reduce(4) == ident)
         assert kernel.order == direct
 
@@ -200,7 +200,7 @@ class TestQuotientChecks:
         pairs, _ = orbit((identity_rows(n - 1), identity(n)),
                          lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
                          n - 1)
-        first = {ModMatrix(p[0], 3 * m) for p in pairs}
+        first = {Matrix(p[0], 3 * m) for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
         assert first == set(group.elements)
 

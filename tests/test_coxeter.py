@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from smallcox.coxeter import (INF, BadDiagonalError, BadOffDiagonalError,
                               CoxeterError, NonSymmetricMatrixError,
                               all_graphs, build_system, complete_graph,
-                              format_coxeter_matrix, format_word, free_reduce,
-                              is_small, named_system, parse_coxeter_matrix,
-                              parse_word, racg_join_decomposition,
-                              racg_system, simple_graph, symmetric, triplet,
-                              twin, universal)
+                              family_of, format_coxeter_matrix, format_word,
+                              free_reduce, is_small, named_system,
+                              parse_coxeter_matrix, parse_word,
+                              racg_join_decomposition, racg_system,
+                              simple_graph, symmetric, triplet, twin,
+                              universal)
 
 
 class TestBuildSystem:
@@ -87,6 +88,19 @@ class TestNamedFamilies:
     def test_w_nm_needs_bond(self):
         with pytest.raises(CoxeterError):
             named_system("w_nm", 4)
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_family_of_named_systems(self, n):
+        for family in ("twin", "triplet", "symmetric", "universal"):
+            assert family_of(named_system(family, n)) == family
+        assert family_of(named_system("w_nm", n, m=3)) == "symmetric"
+        assert family_of(named_system("w_nm", n, m=4)) is None
+
+    def test_family_of_small_ranks_is_tried_in_order(self):
+        # rank 1 fits every pattern; rank 2 has no distant pair
+        assert family_of(symmetric(2)) == "twin"
+        assert family_of(universal(3)) == "twin"
+        assert family_of(symmetric(3)) == "triplet"
 
     def test_racg_needs_graph(self):
         with pytest.raises(CoxeterError):

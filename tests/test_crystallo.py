@@ -4,14 +4,14 @@ from smallcox.coxeter import triplet, twin
 from smallcox.crystallo import (beta_word, holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
-from smallcox.matrices import IntMatrix
+from smallcox.matrices import Matrix
 from smallcox.rewriting import KernelRewriter, quotient_map
 
 
 class TestThetaGeneratorMatrix:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_involutions_with_small_entries(self, n):
-        ident = IntMatrix.identity(2 * n - 5)
+        ident = Matrix.identity(2 * n - 5)
         for k in range(1, n):
             mat = theta_generator_matrix(n, k)
             assert mat.dimension == 2 * n - 5

@@ -6,29 +6,28 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcox.matrices import (IntMatrix, ModMatrix, det_rows, format_matrix,
-                               mul_rows, parse_matrix, pow_rows,
-                               smith_normal_form)
+from smallcox.matrices import (Matrix, det_rows, format_matrix, mul_rows,
+                               parse_matrix, pow_rows, smith_normal_form)
 
 
 class TestIntMatrix:
     def test_identity_and_multiplication(self):
-        a = IntMatrix(((1, 2), (3, 4)))
-        assert a * IntMatrix.identity(2) == a
+        a = Matrix(((1, 2), (3, 4)))
+        assert a * Matrix.identity(2) == a
         assert (a * a).rows == ((7, 10), (15, 22))
 
     def test_power(self):
-        a = IntMatrix(((1, 1), (0, 1)))
+        a = Matrix(((1, 1), (0, 1)))
         assert (a ** 5).rows == ((1, 5), (0, 1))
         assert (a ** 0).is_identity()
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) ** -1
+            Matrix.identity(2) ** -1
 
     def test_mod_reduction(self):
-        a = IntMatrix(((5, -4), (4, -3)))
-        assert a.mod(3).rows == ((2, 2), (1, 0))
+        a = Matrix(((5, -4), (4, -3)))
+        assert a.reduce(3).rows == ((2, 2), (1, 0))
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                     min_size=3, max_size=3))
@@ -58,11 +57,11 @@ class TestIntMatrix:
             repeated = mul_rows(repeated, a)
 
     def test_text_round_trip(self):
-        a = IntMatrix(((7, -6, 24), (6, -5, 18), (0, 0, 1)))
+        a = Matrix(((7, -6, 24), (6, -5, 18), (0, 0, 1)))
         assert parse_matrix(format_matrix(a.rows)) == a
 
     def test_mod_text_round_trip(self):
-        a = ModMatrix(((1, 2), (0, 1)), 5)
+        a = Matrix(((1, 2), (0, 1)), 5)
         assert parse_matrix(str(a)) == a
 
 
@@ -89,31 +88,37 @@ def _det_fraction(rows):
 
 class TestModMatrix:
     def test_entries_reduced(self):
-        a = ModMatrix(((-1, 7), (3, 4)), 5)
+        a = Matrix(((-1, 7), (3, 4)), 5)
         assert a.rows == ((4, 2), (3, 4))
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            ModMatrix.identity(2, 3) * ModMatrix.identity(2, 5)
+            Matrix.identity(2, 3) * Matrix.identity(2, 5)
+
+    @pytest.mark.parametrize("left, right", [(None, 5), (5, None), (3, 6)])
+    def test_product_needs_equal_moduli(self, left, right):
+        # an integer matrix times one mod m is no longer silently exact
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            Matrix.identity(2, left) * Matrix.identity(2, right)
 
     def test_reduce_needs_divisor(self):
         with pytest.raises(ValueError):
-            ModMatrix.identity(2, 6).reduce(4)
+            Matrix.identity(2, 6).reduce(4)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
-            ModMatrix.identity(2, 1)
+            Matrix.identity(2, 1)
 
     def test_reduce_to_modulus_one_rejected(self):
         with pytest.raises(ValueError):
-            ModMatrix(((4,),), 4).reduce(1)
+            Matrix(((4,),), 4).reduce(1)
 
     def test_canonical_skips_only_the_reduction(self):
         # the constructor still reduces; canonical takes residues as given
-        assert ModMatrix(((7,),), 5).rows == ((2,),)
-        assert ModMatrix.canonical(((2,),), 5) == ModMatrix(((7,),), 5)
+        assert Matrix(((7,),), 5).rows == ((2,),)
+        assert Matrix.canonical(((2,),), 5) == Matrix(((7,),), 5)
         with pytest.raises(ValueError):
-            ModMatrix.canonical(((0,),), 1)
+            Matrix.canonical(((0,),), 1)
 
 
 class TestSmithNormalForm:

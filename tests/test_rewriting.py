@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from smallcox.congruence import FiniteQuotientMap
 from smallcox.coxeter import symmetric, triplet, twin, universal
-from smallcox.matrices import IntMatrix
+from smallcox.matrices import Matrix
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, CosetBudgetError,
                                 KernelRewriter, LatticeTorsionError,
@@ -394,7 +394,7 @@ class TestConjugation:
         table, rewriter = kernel_rewriter(twin(4), "symmetric")
         gens = [rewriter.conjugation_matrix((y,)) for y in (1, 2, 3)]
         for word in table.transversal:
-            product = IntMatrix.identity(rewriter.rank)
+            product = Matrix.identity(rewriter.rank)
             for y in word:
                 product = product * gens[y - 1]
             assert rewriter.conjugation_matrix(word) == product
