@@ -6,9 +6,11 @@ congruence subgroup of level m.  Everything here works with finite
 images:
 
 * ``orbit`` is the one breadth-first closure: the orbit of a start
-  element under "apply generator k", in shortlex discovery order, with
-  its action table.  Images, subquotient checks and the coset tables of
-  :mod:`smallcox.rewriting` all run through it;
+  element under "apply generator k", in shortlex discovery order.
+  Images, subquotient checks and the coset tables of
+  :mod:`smallcox.rewriting` all run through it; only
+  ``rewriting.coset_table`` asks it for the action table as well, so
+  the other callers never hold one;
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
   an identity image and ``step(x, k)`` = x times generator k+1, checked
   against every Coxeter relation.  ``quotient_map`` builds adjacent
@@ -28,8 +30,11 @@ images:
   levels together generate the full even part.
 
 Matrices mod m are ``Matrix`` values with modulus m.  The closure runs
-on their tuples of canonical residue rows (0..m-1), and a group keys its
-elements by those tuples, so membership never rebuilds a matrix.  The
+on their tuples of canonical residue rows (0..m-1).  A group stores
+those tuples and builds its ``Matrix`` wrappers and its key set at first
+use: membership never rebuilds a matrix, the orbit's index is gone
+before a key set exists, so at most one hashed copy of the elements is
+alive, and a caller that needs only the order builds neither.  The
 default element budget is 10**7; exceeding it raises
 ``BudgetExceededError`` rather than truncating silently, since images of
 infinite Coxeter groups can be arbitrarily large.
@@ -40,13 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
 from .coxeter import (INF, CoxeterSystem, Word, family_of, require_small,
                       twin)
-from .matrices import Matrix, identity_rows, mul_rows, parse_matrix
+from .matrices import Matrix, Rows, identity_rows, mul_rows, parse_matrix
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
@@ -64,33 +70,45 @@ class BudgetExceededError(RuntimeError):
 class FiniteMatrixGroup:
     """A finite group of matrices mod m, closed under multiplication.
 
-    ``elements`` are in discovery order (identity first, then by
-    shortlex word in the generators); ``element_keys`` holds their row
-    tuples for O(1) membership.
+    ``rows`` holds the row tuples of the elements in discovery order
+    (identity first, then by shortlex word in the generators).
+    ``elements`` wraps them as ``Matrix`` values and ``element_keys``
+    holds them for O(1) membership; each is built at its first use, so
+    a caller that only asks for the order builds neither.
     """
 
     modulus: int
     dimension: int
-    elements: tuple[Matrix, ...]
-    element_keys: frozenset
+    rows: tuple[Rows, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.canonical(r, self.modulus) for r in self.rows)
+
+    @cached_property
+    def element_keys(self) -> frozenset:
+        return frozenset(self.rows)
 
     def __contains__(self, mat: Matrix) -> bool:
         return mat.modulus == self.modulus and mat.rows in self.element_keys
 
 
 def orbit(start: Hashable, step: Callable, ngens: int,
-          cap: int = DEFAULT_CAP) -> tuple[list, list[tuple[int, ...]]]:
+          cap: int = DEFAULT_CAP, *, with_action: bool = False):
     """Breadth-first orbit of ``start`` under ``ngens`` generators.
 
     ``step(x, k)`` applies generator k (0-based) to the hashable
-    element x.  Returns the elements in discovery order (start first,
-    then by shortlex word in the generators) and the action table:
-    ``action[i][k]`` is the index of step(elements[i], k).  Raises
-    ``BudgetExceededError`` rather than grow past ``cap`` elements.
+    element x.  Returns the list of elements in discovery order (start
+    first, then by shortlex word in the generators).  With
+    ``with_action`` it returns the pair (elements, action) instead,
+    where ``action[i][k]`` is the index of step(elements[i], k); only
+    ``rewriting.coset_table`` reads that table, so the other callers
+    never hold it.  Raises ``BudgetExceededError`` rather than grow past
+    ``cap`` elements.
     """
     index = {start: 0}
     elements = [start]
@@ -103,11 +121,14 @@ def orbit(start: Hashable, step: Callable, ngens: int,
             if at is None:
                 if len(elements) >= cap:
                     raise BudgetExceededError(cap)
-                at = index[y] = len(elements)
+                # only the action table reads positions back; without it
+                # one shared value spares an int object per element
+                at = index[y] = len(elements) if with_action else True
                 elements.append(y)
             row.append(at)
-        action.append(tuple(row))
-    return elements, action
+        if with_action:
+            action.append(tuple(row))
+    return (elements, action) if with_action else elements
 
 
 def enumerate_image(system: CoxeterSystem, m: int,
@@ -118,10 +139,9 @@ def enumerate_image(system: CoxeterSystem, m: int,
         raise ValueError(f"modulus {m} < 2")
     if cap < 1:
         raise ValueError("cap must be positive")
-    rows, _ = orbit(identity_rows(system.rank), generator_step(system, m),
-                    system.rank, cap)
-    elements = tuple(Matrix.canonical(r, m) for r in rows)
-    return FiniteMatrixGroup(m, system.rank, elements, frozenset(rows))
+    rows = orbit(identity_rows(system.rank), generator_step(system, m),
+                 system.rank, cap)
+    return FiniteMatrixGroup(m, system.rank, tuple(rows))
 
 
 def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:
@@ -134,14 +154,15 @@ def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
 
     This is the image of the level-m congruence subgroup inside the
     mod-km image, so its order is the index of level km inside level m.
+    Level 1 keeps the whole group.
     """
+    if m < 1:
+        raise ValueError(f"level {m} < 1")
     if group.modulus % m:
         raise ValueError(f"{m} does not divide modulus {group.modulus}")
-    kept = [el for el in group.elements
-            if m < 2 or el.reduce(m).is_identity()]
-    keys = frozenset(e.rows for e in kept)
-    return FiniteMatrixGroup(group.modulus, group.dimension,
-                             tuple(kept), keys)
+    kept = tuple(el.rows for el in group.elements
+                 if m == 1 or el.reduce(m).is_identity())
+    return FiniteMatrixGroup(group.modulus, group.dimension, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +249,17 @@ def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     classes = odd_bond_classes(system)
     t = max(classes) + 1
     units = [tuple(int(c == own) for c in range(t)) for own in classes]
-    return FiniteQuotientMap(system, "mod2_abelian", (0,) * t,
-                             lambda v, k: tuple(map(xor, v, units[k])))
+    # vector -> vector + unit k, each distinct vector built once per
+    # generator and then shared by every orbit element that carries it
+    flips = [{} for _ in units]
+
+    def step(v, k):
+        w = flips[k].get(v)
+        if w is None:
+            w = flips[k][v] = tuple(map(xor, v, units[k]))
+        return w
+
+    return FiniteQuotientMap(system, "mod2_abelian", (0,) * t, step)
 
 
 def _trivial_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
@@ -279,10 +309,9 @@ def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
     orbit of the pair of identities, in discovery order."""
     first = quotient_map(twin(n), "modular", modulus)
     second = quotient_map(twin(n), kind, m)
-    pairs, _ = orbit((first.identity_image, second.identity_image),
-                     lambda x, k: (first.step(x[0], k), second.step(x[1], k)),
-                     n - 1, cap)
-    return pairs
+    return orbit((first.identity_image, second.identity_image),
+                 lambda x, k: (first.step(x[0], k), second.step(x[1], k)),
+                 n - 1, cap)
 
 
 def _kernel_map(pairs, modulus: int, m: int):
@@ -399,9 +428,9 @@ def product_generation_check(n: int, m: int, k: int,
     group = enumerate_image(twin(n), mk, cap)
     seeds = [el.rows for el in group.elements
              if el.reduce(m).is_identity() or el.reduce(k).is_identity()]
-    generated, _ = orbit(identity_rows(n - 1),
-                         lambda g, i: mul_rows(g, seeds[i], mk),
-                         len(seeds), cap)
+    generated = orbit(identity_rows(n - 1),
+                      lambda g, i: mul_rows(g, seeds[i], mk),
+                      len(seeds), cap)
     even_part = {el.rows for el in group.elements if el.det() == 1 % mk}
     return set(generated) == even_part
 
@@ -436,9 +465,9 @@ def format_group_dump(group: FiniteMatrixGroup) -> str:
     """Header "modulus m, dimension d, order N", then the N matrices."""
     lines = [f"modulus {group.modulus}, dimension {group.dimension}, "
              f"order {group.order}"]
-    for el in group.elements:
+    for rows in group.rows:
         lines.append("")
-        for row in el.rows:
+        for row in rows:
             lines.append(" ".join(str(e) for e in row))
     return "\n".join(lines) + "\n"
 
@@ -452,10 +481,8 @@ def parse_group_dump(text: str) -> FiniteMatrixGroup:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != order * d:
         raise ValueError(f"expected {order * d} matrix rows, found {len(body)}")
-    elements = []
+    rows = []
     for i in range(order):
         block = "\n".join(body[i * d:(i + 1) * d])
-        mat = parse_matrix(f"mod {m}\n{block}")
-        elements.append(mat)
-    keys = frozenset(e.rows for e in elements)
-    return FiniteMatrixGroup(m, d, tuple(elements), keys)
+        rows.append(parse_matrix(f"mod {m}\n{block}").rows)
+    return FiniteMatrixGroup(m, d, tuple(rows))

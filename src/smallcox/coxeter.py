@@ -63,10 +63,10 @@ class CoxeterSystem:
 
     def check_word(self, word: Iterable[int]) -> Word:
         word = tuple(word)
+        rank = self.rank
         for letter in word:
-            if not 1 <= letter <= self.rank:
-                raise CoxeterError(
-                    f"letter {letter} outside 1..{self.rank}")
+            if not 1 <= letter <= rank:
+                raise CoxeterError(f"letter {letter} outside 1..{rank}")
         return word
 
 

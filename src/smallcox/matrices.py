@@ -57,13 +57,15 @@ def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """A square matrix over Z, or over Z/m when ``modulus`` is m.
 
     The matrix is immutable and hashable, so it can live in sets during
     group enumeration; two matrices are equal when their rows and their
-    moduli are.  Only matrices with the same modulus multiply.
+    moduli are.  Only matrices with the same modulus multiply.  The
+    class is slotted: an image of many thousands of matrices keeps no
+    per-matrix attribute dict.
     """
 
     rows: Rows

@@ -8,7 +8,9 @@ enumeration is ever needed:
 * ``coset_table`` lists the cosets as the orbit of the identity image
   (``congruence.orbit``), recording the shortlex-least coset
   representative word and the action of each generator (all generator
-  images are involutions, so the action table is its own inverse);
+  images are involutions, so the action table is its own inverse); it
+  is the one caller that asks ``orbit`` for its action table, which the
+  same breadth-first pass fills in;
 * ``KernelRewriter(pres, table).presentation`` presents the kernel on
   the nontrivial Schreier generators u y (rep of uy)^-1, with one
   rewritten relator per (coset, defining relator) pair;
@@ -122,7 +124,8 @@ class CosetTable:
 
 def coset_table(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP) -> CosetTable:
     r = qmap.system.rank
-    _, action = orbit(qmap.identity_image, qmap.step, r, cap)
+    _, action = orbit(qmap.identity_image, qmap.step, r, cap,
+                      with_action=True)
     # coset t is discovered at the first table entry that names it, and
     # its representative extends that entry's coset by one letter
     words: list[Word] = [()]

@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from smallcox import cli
 from smallcox import verify as verify_module
 from smallcox.cli import dispatch
+from smallcox.coxeter import (format_coxeter_matrix, racg_system,
+                              simple_graph, twin)
+from smallcox.matrices import format_matrix
+from smallcox.tits import evaluate
 from smallcox.verify import Claim, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +42,45 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         dispatch(["image", "--family", "twin", "-n", "4"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    real = cli.build_parser
+    calls = []
+
+    def counting_build():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    argv = ["image", "--family", "twin", "-n", "4", "-m", "3"]
+    assert dispatch(argv) == 0
+    assert dispatch(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "order 24\n" * 2
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["image", "--family", "twin", "-n", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert dispatch(["image", "--family", "twin", "-n", "4", "-m", "3"]) == 0
+    assert capsys.readouterr().out == "order 24\n"
+
+
+def test_word_file_does_not_leak_into_the_next_call(tmp_path, capsys):
+    path = tmp_path / "word.txt"
+    path.write_text("1 2 1 3\n")
+    argv = ["tits", "--family", "twin", "-n", "4"]
+    assert dispatch(argv + ["--word-file", str(path)]) == 0
+    first = capsys.readouterr().out
+    assert dispatch(argv + ["--word", "1 2"]) == 0
+    second = capsys.readouterr().out
+    assert second == format_matrix(evaluate(twin(4), (1, 2)).rows)
+    assert first == format_matrix(evaluate(twin(4), (1, 2, 1, 3)).rows)
+    assert first != second
 
 
 def test_failed_claim_exits_one(monkeypatch, capsys):
@@ -177,3 +221,40 @@ def test_cli_import_needs_no_numpy():
         env=_source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _right_angled_matrix(seed: int, vertices: int) -> str:
+    """The Coxeter matrix file of a seeded random right-angled group."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(1, vertices + 1)
+             for j in range(i + 1, vertices + 1) if rng.random() < 0.5]
+    return format_coxeter_matrix(racg_system(simple_graph(vertices, edges)))
+
+
+# sha256 of the files written by ``image --dump``: the elements in
+# discovery order, so these pin the closure's output order; the
+# right-angled matrix is written to a --matrix file first
+PINNED_DUMPS = {
+    "image --family twin -n 5 -m 3":
+        "86cb25e395e323866dc19ca6423ad886671abc7b7885a19d9a8c399ba3b528af",
+    "image --family twin -n 5 -m 12":
+        "f1761bcda0d5a7531c36fe8fd02928a7c9548ae1b6cb2547085c5cb64afff913",
+    "image --family triplet -n 4 -m 3":
+        "ab9998f8976a97af46f1131a707baf3314eb1d5f0b5f30a2c55db66e46a9884e",
+    "image -m 4 --matrix":
+        "0b0efd8e37bd53a066d98be5fa2e800b83d998653f077d7a1be2d74dc669c662",
+}
+
+
+@pytest.mark.parametrize("line", PINNED_DUMPS)
+def test_image_dump_is_pinned(line, tmp_path, capsys):
+    argv = line.split()
+    if argv[-1] == "--matrix":
+        matrix = tmp_path / "racg.txt"
+        matrix.write_text(_right_angled_matrix(5, 6))
+        argv.append(str(matrix))
+    dump = tmp_path / "dump.txt"
+    assert dispatch(argv + ["--dump", str(dump)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+    assert digest == PINNED_DUMPS[line]

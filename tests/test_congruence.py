@@ -9,7 +9,8 @@ from smallcox.congruence import (BudgetExceededError, alternating_quotient_check
                                  general_linear_order, minimal_congruence_power,
                                  orbit, parse_group_dump,
                                  product_generation_check,
-                                 product_quotient_check, reduction_kernel)
+                                 product_quotient_check, quotient_map,
+                                 reduction_kernel)
 from smallcox.coxeter import all_graphs, racg_system, triplet, twin
 from smallcox.matrices import Matrix, identity_rows
 from smallcox.perms import adjacent_transposition, identity, multiply
@@ -41,6 +42,14 @@ class TestEnumerateImage:
         group = enumerate_image(twin(4), 3)
         assert evaluate_mod(twin(4), (1, 2, 3, 2), 3) in group
         assert Matrix.identity(3, 3) in group
+
+    def test_hash_and_equality_ignore_the_views_built_on_use(self):
+        group = enumerate_image(twin(4), 3)
+        before = hash(group)
+        assert Matrix.identity(3, 3) in group
+        assert group.elements[0].is_identity()
+        assert hash(group) == before
+        assert group == enumerate_image(twin(4), 3)
 
     def test_contains_checks_modulus(self):
         # identity rows are canonical mod 3 and mod 5 alike
@@ -150,6 +159,30 @@ class TestReductionKernel:
         with pytest.raises(ValueError):
             reduction_kernel(enumerate_image(twin(4), 6), 4)
 
+    @pytest.mark.parametrize("level", [0, -3])
+    def test_level_below_one_rejected(self, level):
+        with pytest.raises(ValueError, match="level"):
+            reduction_kernel(enumerate_image(twin(4), 6), level)
+
+    def test_level_one_is_whole_group(self):
+        group = enumerate_image(twin(4), 6)
+        assert reduction_kernel(group, 1) == group
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("family", [twin, triplet])
+    @pytest.mark.parametrize("kind,m", [("symmetric", None), ("modular", 4),
+                                        ("mod2_abelian", None)])
+    def test_action_table_leaves_the_elements_alone(self, family, kind, m):
+        qmap = quotient_map(family(5), kind, m)
+        bare = orbit(qmap.identity_image, qmap.step, 4)
+        elements, action = orbit(qmap.identity_image, qmap.step, 4,
+                                 with_action=True)
+        assert elements == bare
+        position = {x: i for i, x in enumerate(bare)}
+        assert action == [tuple(position[qmap.step(x, k)] for k in range(4))
+                          for x in bare]
+
 
 class TestQuotientChecks:
     @pytest.mark.parametrize("n,m,kernel", [(4, 4, 12), (4, 5, 12), (5, 4, 60)])
@@ -197,9 +230,9 @@ class TestQuotientChecks:
         n, m = 4, 3
         aux = [adjacent_transposition(n, i) for i in range(1, n)]
         step = generator_step(twin(n), 3 * m)
-        pairs, _ = orbit((identity_rows(n - 1), identity(n)),
-                         lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
-                         n - 1)
+        pairs = orbit((identity_rows(n - 1), identity(n)),
+                      lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
+                      n - 1)
         first = {Matrix(p[0], 3 * m) for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
         assert first == set(group.elements)

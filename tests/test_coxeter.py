@@ -204,3 +204,7 @@ class TestTextFormats:
     def test_letter_out_of_range(self):
         with pytest.raises(CoxeterError):
             twin(3).check_word((1, 5))
+
+    def test_first_bad_letter_is_named(self):
+        with pytest.raises(CoxeterError, match=r"^letter 5 outside 1\.\.2$"):
+            twin(3).check_word((1, 5, 0, 7))
