@@ -314,7 +314,7 @@ def parse_coxeter_matrix(text: str) -> CoxeterSystem:
 def parse_word(text: str) -> Word:
     """Whitespace-separated 1-based indices; an empty line is the identity."""
     try:
-        return tuple(int(tok) for tok in text.split())
+        return tuple(map(int, text.split()))
     except ValueError:
         raise CoxeterError(f"bad word {text!r}") from None
 

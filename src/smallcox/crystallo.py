@@ -171,7 +171,9 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
     Only the generator matrices come from Schreier rewriting.  Coset c's
     representative is its tree parent's word plus one letter y, so its
     matrix is M(parent) * M(s_y); the parent is c.y, since generator
-    actions are involutions.
+    actions are involutions.  A coset's matrix is read again only as a
+    tree parent, so it is dropped once its last child is built; over the
+    720 cosets of S_6 at most 96 matrices are live at once.
 
     The lattice is the free part of the abelianized kernel.  When the
     abelianization has torsion the quotient cannot be certified
@@ -188,13 +190,19 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
     ident = Matrix.identity(dim)
     gens = [rewriter.conjugation_matrix((y,), allow_torsion=True)
             for y in range(1, system.rank + 1)]
-    mats = [ident]
+    parents = [table.action[c][table.transversal[c][-1] - 1]
+               for c in range(1, table.count)]
+    last_child = {p: c for c, p in enumerate(parents, 1)}
+    mats: dict[int, Matrix] = {0: ident}
     witnesses = []
-    for c in range(1, table.count):
+    for c, p in enumerate(parents, 1):
         word = table.transversal[c]
-        y = word[-1]
-        mats.append(mats[table.action[c][y - 1]] * gens[y - 1])
-        if mats[c] == ident:
+        mat = mats[p] * gens[word[-1] - 1]
+        if last_child[p] == c:
+            del mats[p]
+        if c in last_child:
+            mats[c] = mat
+        if mat == ident:
             witnesses.append(word)
     return HolonomyReport(
         quotient=_quotient_label(system, qmap),

@@ -32,14 +32,17 @@ def identity_rows(d: int) -> Rows:
 def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
     """a * b (entries reduced mod ``mod`` when given): each row of the
     product sums the rows of b over the nonzero entries of that row of
-    a, so sparse factors cost only their nonzeros."""
+    a, and each row of b is listed once as its nonzero (col, value)
+    pairs, so sparse factors cost only the products of their nonzeros."""
     width = len(b[0]) if b else 0
+    b_pairs = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, b):
+        for x, pairs in zip(row, b_pairs):
             if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
+                for j, y in pairs:
+                    acc[j] += x * y
         out.append(tuple(acc) if mod is None else tuple(s % mod for s in acc))
     return tuple(out)
 

@@ -376,20 +376,20 @@ def _suite_complexes() -> list[Claim]:
            str([0, 5, 61, 601, 5881]),
            lambda: str([permutahedron.pl_rank(n) for n in range(3, 8)]))
     _claim(claims, "hexagon-counts",
-           "hexagon count n!(n-2)/6, n = 3..8",
-           str([math.factorial(n) * (n - 2) // 6 for n in range(3, 9)]),
+           "hexagon count n!(n-2)/6, n = 3..12",
+           str([math.factorial(n) * (n - 2) // 6 for n in range(3, 13)]),
            lambda: str([permutahedron.face_census(n).hexagons
-                        for n in range(3, 9)]))
+                        for n in range(3, 13)]))
     _claim(claims, "edge-counts",
-           "edge count n!(n-1)/2, n = 3..8",
-           str([math.factorial(n) * (n - 1) // 2 for n in range(3, 9)]),
+           "edge count n!(n-1)/2, n = 3..12",
+           str([math.factorial(n) * (n - 1) // 2 for n in range(3, 13)]),
            lambda: str([permutahedron.face_census(n).edges
-                        for n in range(3, 9)]))
+                        for n in range(3, 13)]))
     _claim(claims, "euler-characteristic",
-           "chi of the hexagon complex is -n!(2n-7)/6, n = 3..8",
-           str([-math.factorial(n) * (2 * n - 7) // 6 for n in range(3, 9)]),
+           "chi of the hexagon complex is -n!(2n-7)/6, n = 3..12",
+           str([-math.factorial(n) * (2 * n - 7) // 6 for n in range(3, 13)]),
            lambda: str([permutahedron.face_census(n).euler_characteristic
-                        for n in range(3, 9)]))
+                        for n in range(3, 13)]))
     return claims
 
 

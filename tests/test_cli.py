@@ -103,8 +103,8 @@ def test_json_is_byte_identical(capsys):
 
 
 # sha256 of stdout for command lines that cover every quotient kind and
-# the Schreier, Tietze, Smith normal form, holonomy and subquotient
-# layers; a refactor must leave these bytes as they are
+# the Schreier, Tietze, Smith normal form, holonomy, subquotient and
+# face census layers; a refactor must leave these bytes as they are
 PINNED_STDOUT = {
     "subgroup --family triplet -n 5 --map symmetric --simplify":
         "f174bd9882749531b45ac76ee809cb3435ce6dc98c5cda3bd1ed3f373986a349",
@@ -144,6 +144,12 @@ PINNED_STDOUT = {
         "8ddc92b53070405bdd4ff5cbc43efc3e9a54bf4260ef178fff52c5575949aaee",
     "subgroup --family twin -n 6 --map mod2 --simplify":
         "ee92162ddded1b0cd00a95671ad98e54d0c3e710726f06da233d6e41de918711",
+    "permutahedron -n 8":
+        "2a36e36e70cf63c75e1bc011f4284b62f1074e26fd3ebe46cf389334dd6682de",
+    "permutahedron -n 8 --json":
+        "8a4beb4fea276b561bdc0997c8714f557632e5f87701605cf96693d4a9e43f88",
+    "permutahedron --table":
+        "ae61fcd316acff6490ac00ddd2efdc11c900b02c4fa5a5c95eab02a9bcac2568",
 }
 
 

@@ -197,6 +197,12 @@ class TestTextFormats:
     def test_empty_line_is_identity(self):
         assert parse_word("") == ()
 
+    def test_bad_token_names_the_word(self):
+        with pytest.raises(CoxeterError, match=r"^bad word '1 x 2'$"):
+            parse_word("1 x 2")
+        with pytest.raises(CoxeterError, match=r"^bad word '1 2.5'$"):
+            parse_word("1 2.5")
+
     def test_bad_rank_line(self):
         with pytest.raises(CoxeterError):
             parse_coxeter_matrix("x\n1 2\n2 1\n")

@@ -56,6 +56,31 @@ class TestIntMatrix:
                 tuple(e % m for e in row) for row in repeated)
             repeated = mul_rows(repeated, a)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_matches_triple_loop(self, seed):
+        # seeded rectangular factors up to 30 wide, mostly zero in the
+        # sparse half as the holonomy tree products are, each checked
+        # with and without a modulus
+        rng = random.Random(seed)
+        rows, inner, cols = (rng.randint(1, 30) for _ in range(3))
+        zero_share = 0.9 if seed % 2 else 0.0
+
+        def draw(r, c):
+            return tuple(tuple(0 if rng.random() < zero_share
+                               else rng.randint(-50, 50) for _ in range(c))
+                         for _ in range(r))
+
+        a, b = draw(rows, inner), draw(inner, cols)
+        expected = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for p in range(inner):
+                    expected[i][j] += a[i][p] * b[p][j]
+        assert mul_rows(a, b) == tuple(map(tuple, expected))
+        for m in (2, 7, 1000):
+            assert mul_rows(a, b, m) == tuple(
+                tuple(e % m for e in row) for row in expected)
+
     def test_text_round_trip(self):
         a = Matrix(((7, -6, 24), (6, -5, 18), (0, 0, 1)))
         assert parse_matrix(format_matrix(a.rows)) == a
