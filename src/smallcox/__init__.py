@@ -12,10 +12,9 @@ the pure triplet group.
 
 from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,
                       all_graphs, build_system, complete_graph, family_of,
-                      free_reduce, is_small, named_system,
-                      parse_coxeter_matrix, parse_word,
-                      racg_join_decomposition, racg_system, simple_graph,
-                      symmetric, triplet, twin, universal)
+                      is_small, named_system, parse_coxeter_matrix,
+                      parse_word, racg_join_decomposition, racg_system,
+                      simple_graph, symmetric, triplet, twin, universal)
 from .matrices import Matrix, SmithForm, parse_matrix, smith_normal_form
 from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,
                    generator_matrix, generator_step, order_check_2m,
@@ -26,10 +25,8 @@ from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          RelationCheckError, alternating_quotient_check,
                          congruence_member, enumerate_image,
                          even_vector_quotient_check, format_group_dump,
-                         general_linear_order, minimal_congruence_power,
-                         orbit, parse_group_dump, product_generation_check,
-                         product_quotient_check, quotient_map,
-                         reduction_kernel, trivial_map)
+                         minimal_congruence_power, orbit, parse_group_dump,
+                         product_quotient_check, quotient_map)
 from .rewriting import (AbelianInvariants, CosetTable, KernelRewriter,
                         LatticeTorsionError, Presentation,
                         abelian_invariants, coset_table,

@@ -46,6 +46,16 @@ def _add_system_flags(parser: argparse.ArgumentParser) -> None:
                              "'inf' for an infinite bond)")
 
 
+def _add_map_flags(parser: argparse.ArgumentParser) -> None:
+    """A system plus the quotient map whose kernel is computed."""
+    _add_system_flags(parser)
+    parser.add_argument("--map", choices=("symmetric", "mod2", "modular"),
+                        required=True)
+    parser.add_argument("--map-mod", type=int,
+                        help="modulus for --map modular")
+    parser.add_argument("--cap", type=int, default=congruence.DEFAULT_CAP)
+
+
 def _system_from_args(args) -> CoxeterSystem:
     if args.matrix is not None:
         return parse_coxeter_matrix(args.matrix.read_text())
@@ -120,38 +130,34 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _quotient_map_from_args(system, args):
+def _kernel_rewriter(args) -> rewriting.KernelRewriter:
+    """Schreier rewriting for the kernel of the ``--map`` quotient."""
+    system = _system_from_args(args)
     kind = {"symmetric": "symmetric", "mod2": "mod2_abelian",
             "modular": "modular"}[args.map]
     m = args.map_mod if kind == "modular" else None
     if kind == "modular" and m is None:
         raise CoxeterError("--map modular needs --map-mod M")
-    return rewriting.quotient_map(system, kind, m)
+    qmap = rewriting.quotient_map(system, kind, m)
+    return rewriting.KernelRewriter(qmap, args.cap)
 
 
 def _cmd_subgroup(args) -> int:
-    system = _system_from_args(args)
-    qmap = _quotient_map_from_args(system, args)
-    table = rewriting.coset_table(qmap, args.cap)
-    pres = rewriting.KernelRewriter(
-        rewriting.coxeter_presentation(system), table).presentation
+    rewriter = _kernel_rewriter(args)
+    pres = rewriter.presentation
     if args.simplify:
         pres = rewriting.tietze_simplify(pres)
-    record = {"cosets": table.count, "generators": pres.generators,
+    cosets = rewriter.table.count
+    record = {"cosets": cosets, "generators": pres.generators,
               "relators": [list(r) for r in pres.relators]}
     _emit(args, record,
-          [f"cosets {table.count}",
+          [f"cosets {cosets}",
            rewriting.format_presentation(pres).rstrip("\n")])
     return 0
 
 
 def _cmd_abelianize(args) -> int:
-    system = _system_from_args(args)
-    qmap = _quotient_map_from_args(system, args)
-    table = rewriting.coset_table(qmap, args.cap)
-    pres = rewriting.KernelRewriter(
-        rewriting.coxeter_presentation(system), table).presentation
-    inv = rewriting.abelian_invariants(pres)
+    inv = rewriting.abelian_invariants(_kernel_rewriter(args).presentation)
     _emit(args, {"rank": inv.rank, "torsion": list(inv.torsion)},
           [str(inv)])
     return 0
@@ -165,7 +171,7 @@ def _cmd_holonomy(args) -> int:
         system = named_system(args.quotient.removeprefix("pure-"), args.n)
         qmap = rewriting.quotient_map(system, "symmetric")
         report = crystallo.holonomy_via_conjugation(
-            system, qmap, require_torsion_free=False)
+            qmap, require_torsion_free=False)
     record = report.to_record()
     lines = [f"quotient {report.quotient}",
              f"dimension {report.dimension}",
@@ -256,22 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("subgroup",
                        help="Schreier presentation of a kernel")
-    _add_system_flags(p)
-    p.add_argument("--map", choices=("symmetric", "mod2", "modular"),
-                   required=True)
-    p.add_argument("--map-mod", type=int, help="modulus for --map modular")
+    _add_map_flags(p)
     p.add_argument("--simplify", action="store_true",
                    help="run Tietze simplification on the result")
-    p.add_argument("--cap", type=int, default=congruence.DEFAULT_CAP)
     p.set_defaults(func=_cmd_subgroup)
 
     p = add_parser("abelianize",
                        help="abelian invariants of a kernel")
-    _add_system_flags(p)
-    p.add_argument("--map", choices=("symmetric", "mod2", "modular"),
-                   required=True)
-    p.add_argument("--map-mod", type=int)
-    p.add_argument("--cap", type=int, default=congruence.DEFAULT_CAP)
+    _add_map_flags(p)
     p.set_defaults(func=_cmd_abelianize)
 
     p = add_parser("holonomy",

@@ -25,19 +25,14 @@ images:
   even-weight mod-2 vectors, and their direct product; their orbit
   carries the image under a second quotient map (``symmetric``,
   ``mod2_abelian`` or ``modular`` mod m) along the matrix and returns a
-  ``QuotientCheck`` record;
-* ``product_generation_check`` confirms at image level that two coprime
-  levels together generate the full even part.
+  ``QuotientCheck`` record.
 
-Matrices mod m are ``Matrix`` values with modulus m.  The closure runs
-on their tuples of canonical residue rows (0..m-1).  A group stores
-those tuples and builds its ``Matrix`` wrappers and its key set at first
-use: membership never rebuilds a matrix, the orbit's index is gone
-before a key set exists, so at most one hashed copy of the elements is
-alive, and a caller that needs only the order builds neither.  The
-default element budget is 10**7; exceeding it raises
-``BudgetExceededError`` rather than truncating silently, since images of
-infinite Coxeter groups can be arbitrarily large.
+Matrices mod m are handled as tuples of canonical residue rows
+(0..m-1): the closure runs on them and a ``FiniteMatrixGroup`` stores
+them, in discovery order.  The default element budget is 10**7;
+exceeding it raises ``BudgetExceededError`` rather than truncating
+silently, since images of infinite Coxeter groups can be arbitrarily
+large.
 """
 
 from __future__ import annotations
@@ -45,14 +40,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
 from .coxeter import (INF, CoxeterSystem, Word, family_of, require_small,
                       twin)
-from .matrices import Matrix, Rows, identity_rows, mul_rows, parse_matrix
+from .matrices import Rows, identity_rows, parse_matrix
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
@@ -72,9 +66,6 @@ class FiniteMatrixGroup:
 
     ``rows`` holds the row tuples of the elements in discovery order
     (identity first, then by shortlex word in the generators).
-    ``elements`` wraps them as ``Matrix`` values and ``element_keys``
-    holds them for O(1) membership; each is built at its first use, so
-    a caller that only asks for the order builds neither.
     """
 
     modulus: int
@@ -84,17 +75,6 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def elements(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.canonical(r, self.modulus) for r in self.rows)
-
-    @cached_property
-    def element_keys(self) -> frozenset:
-        return frozenset(self.rows)
-
-    def __contains__(self, mat: Matrix) -> bool:
-        return mat.modulus == self.modulus and mat.rows in self.element_keys
 
 
 def orbit(start: Hashable, step: Callable, ngens: int,
@@ -147,22 +127,6 @@ def enumerate_image(system: CoxeterSystem, m: int,
 def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:
     """Is the word in the principal congruence subgroup of level m?"""
     return evaluate_mod(system, word, m).is_identity()
-
-
-def reduction_kernel(group: FiniteMatrixGroup, m: int) -> FiniteMatrixGroup:
-    """Elements of a mod-km group that reduce to the identity mod m.
-
-    This is the image of the level-m congruence subgroup inside the
-    mod-km image, so its order is the index of level km inside level m.
-    Level 1 keeps the whole group.
-    """
-    if m < 1:
-        raise ValueError(f"level {m} < 1")
-    if group.modulus % m:
-        raise ValueError(f"{m} does not divide modulus {group.modulus}")
-    kept = tuple(el.rows for el in group.elements
-                 if m == 1 or el.reduce(m).is_identity())
-    return FiniteMatrixGroup(group.modulus, group.dimension, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +244,6 @@ def quotient_map(system: CoxeterSystem, kind: str,
     return _QUOTIENT_BUILDERS[kind](system, m)
 
 
-def trivial_map(system: CoxeterSystem) -> FiniteQuotientMap:
-    return quotient_map(system, "trivial")
-
-
 # ---------------------------------------------------------------------------
 # subquotients: the closure carries a second image along the matrix
 
@@ -314,17 +274,21 @@ def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
                  n - 1, cap)
 
 
-def _kernel_map(pairs, modulus: int, m: int):
+def _kernel_map(pairs, m: int):
     """Pairs whose matrix part is trivial mod m, as a matrix -> aux map.
 
+    The matrix rows are residues mod a multiple of m, so reducing them
+    entrywise mod m and comparing with the identity decides the kernel.
     Returns (mapping, well_defined, injective): well-defined means no
     matrix appears with two distinct auxiliaries, injective means no
     auxiliary appears for two distinct matrices.
     """
+    ident = identity_rows(len(pairs[0][0]))
     mapping: dict = {}
     well_defined = True
     for g, s in pairs:
-        if Matrix.canonical(g, modulus).reduce(m).is_identity():
+        if all(tuple(e % m for e in row) == one
+               for row, one in zip(g, ident)):
             if g in mapping and mapping[g] != s:
                 well_defined = False
             mapping[g] = s
@@ -350,7 +314,7 @@ def alternating_quotient_check(n: int, m: int,
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, 3 * m, m)
+    mapping, well_defined, injective = _kernel_map(pairs, m)
     all_even = all(perms.is_even(s) for s in mapping.values())
     onto = set(mapping.values()) == set(perms.alternating(n))
     ok = well_defined and injective and all_even and onto
@@ -374,7 +338,7 @@ def even_vector_quotient_check(n: int, m: int,
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
     pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, 4 * m, m)
+    mapping, well_defined, injective = _kernel_map(pairs, m)
     even_vectors = {v for v in itertools.product((0, 1), repeat=n - 1)
                     if sum(v) % 2 == 0}
     onto = set(mapping.values()) == even_vectors
@@ -411,30 +375,6 @@ def product_quotient_check(n: int, m: int,
                          expected, ok, detail)
 
 
-def product_generation_check(n: int, m: int, k: int,
-                             cap: int = DEFAULT_CAP) -> bool:
-    """Do levels m and k together generate the even part mod mk?
-
-    For coprime m, k >= 3: inside the image G mod mk, the subgroup
-    generated by everything trivial mod m together with everything
-    trivial mod k must be exactly the determinant-one part of G (the
-    image of the even-length words).
-    """
-    if m < 3 or k < 3:
-        raise ValueError(f"need m, k >= 3, got {m}, {k}")
-    if math.gcd(m, k) != 1:
-        raise ValueError(f"need gcd(m, k) = 1, got {m}, {k}")
-    mk = m * k
-    group = enumerate_image(twin(n), mk, cap)
-    seeds = [el.rows for el in group.elements
-             if el.reduce(m).is_identity() or el.reduce(k).is_identity()]
-    generated = orbit(identity_rows(n - 1),
-                      lambda g, i: mul_rows(g, seeds[i], mk),
-                      len(seeds), cap)
-    even_part = {el.rows for el in group.elements if el.det() == 1 % mk}
-    return set(generated) == even_part
-
-
 def minimal_congruence_power(m: int) -> int:
     """Smallest k >= 1 with (s_1 s_2)^k trivial mod m in the rank-2
     twin group; equals m for odd m and m/2 for even m, because the
@@ -446,15 +386,6 @@ def minimal_congruence_power(m: int) -> int:
         if twin_power_matrix(k).reduce(m).is_identity():
             return k
     raise AssertionError("unreachable: k = m always works")
-
-
-def general_linear_order(d: int, p: int) -> int:
-    """|GL(d, Z_p)| for prime p."""
-    q = p ** d
-    out = 1
-    for i in range(d):
-        out *= q - p ** i
-    return out
 
 
 # ---------------------------------------------------------------------------

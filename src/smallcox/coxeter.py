@@ -185,23 +185,6 @@ def require_small(system: CoxeterSystem) -> None:
             "system has an exponent outside {1, 2, 3, inf}")
 
 
-def free_reduce(word: Iterable[int]) -> Word:
-    """Delete adjacent equal letters until none remain (s_i^2 = 1).
-
-    >>> free_reduce((1, 1, 2))
-    (2,)
-    >>> free_reduce((1, 2, 2, 1))
-    ()
-    """
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # simple graphs and the right-angled virtually-abelian criterion
 

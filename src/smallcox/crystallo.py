@@ -13,11 +13,12 @@ quotient of the twin group (lattice of rank 2n-5):
   class down in closed form on the standard lattice basis
   b0(1), b0(2), b1(2), ..., b0(n-2), b1(n-2), where b0(j) is the class
   of s_{j+1} s_j s_{j+1} s_j and b1(j) its conjugate by s_{j-1};
-* ``holonomy_via_conjugation`` computes the action of each ambient
-  generator through Schreier rewriting, with no closed form anywhere,
-  and the action of every coset as a product of generator matrices
-  along the breadth-first transversal tree (the action is a
-  homomorphism, M(uv) = M(u) M(v)).
+* ``holonomy_via_conjugation(qmap)`` computes the action of each
+  ambient generator on the kernel of the quotient map through Schreier
+  rewriting (``KernelRewriter(qmap)``; the system is ``qmap.system``),
+  with no closed form anywhere, and the action of every coset as a
+  product of generator matrices along the breadth-first transversal
+  tree (the action is a homomorphism, M(uv) = M(u) M(v)).
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -30,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import DEFAULT_CAP, FiniteQuotientMap, quotient_map
-from .coxeter import CoxeterSystem, Word, family_of, twin
+from .coxeter import Word, family_of, twin
 from .matrices import Matrix
-from .rewriting import (KernelRewriter, LatticeTorsionError, coset_table,
-                        coxeter_presentation)
+from .rewriting import KernelRewriter, LatticeTorsionError
 
 
 class BasisSpanError(ValueError):
@@ -148,7 +148,8 @@ def theta_faithfulness(n: int) -> HolonomyReport:
     )
 
 
-def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
+def _quotient_label(qmap: FiniteQuotientMap) -> str:
+    system = qmap.system
     family = family_of(system)
     n = system.rank + 1
     stem = {"twin": f"T{n}", "triplet": f"L{n}", "symmetric": f"S{n}"}.get(
@@ -162,8 +163,7 @@ def _quotient_label(system: CoxeterSystem, qmap: FiniteQuotientMap) -> str:
     return f"{stem}/{stem}'"
 
 
-def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
-                             cap: int = DEFAULT_CAP,
+def holonomy_via_conjugation(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP,
                              require_torsion_free: bool = True) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
     abelianization, over every coset.
@@ -181,15 +181,15 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
     LatticeTorsionError, and with ``require_torsion_free=False`` the
     torsion is carried on the report instead.
     """
-    table = coset_table(qmap, cap)
-    rewriter = KernelRewriter(coxeter_presentation(system), table)
+    rewriter = KernelRewriter(qmap, cap)
+    table = rewriter.table
     torsion = rewriter.torsion
     if torsion and require_torsion_free:
         raise LatticeTorsionError(torsion)
     dim = rewriter.rank
     ident = Matrix.identity(dim)
     gens = [rewriter.conjugation_matrix((y,), allow_torsion=True)
-            for y in range(1, system.rank + 1)]
+            for y in range(1, qmap.system.rank + 1)]
     parents = [table.action[c][table.transversal[c][-1] - 1]
                for c in range(1, table.count)]
     last_child = {p: c for c, p in enumerate(parents, 1)}
@@ -205,7 +205,7 @@ def holonomy_via_conjugation(system: CoxeterSystem, qmap: FiniteQuotientMap,
         if mat == ident:
             witnesses.append(word)
     return HolonomyReport(
-        quotient=_quotient_label(system, qmap),
+        quotient=_quotient_label(qmap),
         dimension=dim,
         holonomy_order=table.count,
         faithful=not witnesses,
@@ -238,10 +238,7 @@ def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    system = twin(n)
-    qmap = quotient_map(system, "mod2_abelian")
-    table = coset_table(qmap, cap)
-    rewriter = KernelRewriter(coxeter_presentation(system), table)
+    rewriter = KernelRewriter(quotient_map(twin(n), "mod2_abelian"), cap)
     if rewriter.torsion:
         raise LatticeTorsionError(rewriter.torsion)
     dim = _basis_size(n)

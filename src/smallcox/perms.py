@@ -29,13 +29,6 @@ def multiply(p: Perm, q: Perm) -> Perm:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def is_even(p: Perm) -> bool:
     seen = [False] * len(p)
     parity = 0

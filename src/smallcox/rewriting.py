@@ -11,9 +11,11 @@ enumeration is ever needed:
   images are involutions, so the action table is its own inverse); it
   is the one caller that asks ``orbit`` for its action table, which the
   same breadth-first pass fills in;
-* ``KernelRewriter(pres, table).presentation`` presents the kernel on
-  the nontrivial Schreier generators u y (rep of uy)^-1, with one
-  rewritten relator per (coset, defining relator) pair;
+* ``KernelRewriter(qmap).presentation`` presents the kernel of the map
+  on the nontrivial Schreier generators u y (rep of uy)^-1, with one
+  rewritten relator per (coset, Coxeter relator) pair; the rewriter
+  builds the coset table itself (``rewriter.table``), so a quotient map
+  is the one way in to a kernel;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; an index from generators to relators keeps
@@ -24,6 +26,10 @@ enumeration is ever needed:
 * ``KernelRewriter.conjugation_matrix`` computes the action that an
   ambient word induces on the abelianized kernel, which is what the
   crystallographic checks consume.
+
+``quotient_map`` is importable from here as well: ``cli`` and ``verify``
+build their maps as ``rewriting.quotient_map``, and the perfbench
+tracer times that binding as the quotient-map layer.
 
 Presentation text format: first line ``gens g``, then one relator per
 line as signed generator indices (``1 2 -1 -2``).
@@ -36,9 +42,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-# quotient_map and trivial_map are re-exported for existing imports
-from .congruence import (DEFAULT_CAP, BudgetExceededError, FiniteQuotientMap,
-                         RelationCheckError, orbit, quotient_map, trivial_map)
+# quotient_map is re-exported (see the module docstring)
+from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
+                         orbit, quotient_map)
 from .coxeter import INF, CoxeterSystem, Word
 from .matrices import Matrix, SmithForm, smith_normal_form
 
@@ -52,10 +58,6 @@ class LatticeTorsionError(ValueError):
     def __init__(self, torsion: tuple[int, ...]):
         super().__init__(f"kernel abelianization has torsion {torsion}")
         self.torsion = torsion
-
-
-# coset tables share the one orbit budget and its error
-CosetBudgetError = BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,12 @@ def invert_signed(word: Sequence[int]) -> SignedWord:
 
 
 class KernelRewriter:
-    """Rewriting machinery for the kernel of a finite quotient.
+    """Rewriting machinery for the kernel of a finite quotient map.
 
-    Built from the ambient presentation and a coset table.  The Schreier
-    generator for a pair (coset c, generator y) is the kernel element
+    Built from the map alone: ``table`` is its coset table (at most
+    ``cap`` cosets) and the ambient relators are
+    ``coxeter_presentation(qmap.system)``.  The Schreier generator for a
+    pair (coset c, generator y) is the kernel element
     u_c s_y (u_{c.y})^-1; pairs where u_c s_y is itself the chosen
     representative (the breadth-first tree edges) are trivial and get no
     index.  Rewriting scans a word letter by letter, emitting the index
@@ -186,11 +190,9 @@ class KernelRewriter:
     ambient relator) pair, empty rewrites dropped.
     """
 
-    def __init__(self, pres: Presentation, table: CosetTable):
-        if table.action and len(table.action[0]) != pres.generators:
-            raise ValueError("coset table generator count differs from presentation")
-        self.pres = pres
-        self.table = table
+    def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
+        pres = coxeter_presentation(qmap.system)
+        self.table = table = coset_table(qmap, cap)
         n_cosets = table.count
         g = pres.generators
         self.pair_index: dict[tuple[int, int], int] = {}

@@ -18,8 +18,6 @@ from .coxeter import CoxeterSystem, symmetric, triplet, twin, universal
 
 SEED = 20240913
 
-SUITES = ("tits", "congruence", "rewriting", "crystallo", "complexes", "all")
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -257,12 +255,13 @@ def _suite_congruence() -> list[Claim]:
     return claims
 
 
-def _kernel_invariants(system: CoxeterSystem, kind: str, m=None):
+def _kernel_presentation(system: CoxeterSystem, kind: str, m=None):
     qmap = rewriting.quotient_map(system, kind, m)
-    table = rewriting.coset_table(qmap)
-    pres = rewriting.KernelRewriter(
-        rewriting.coxeter_presentation(system), table).presentation
-    return rewriting.abelian_invariants(pres)
+    return rewriting.KernelRewriter(qmap).presentation
+
+
+def _kernel_invariants(system: CoxeterSystem, kind: str, m=None):
+    return rewriting.abelian_invariants(_kernel_presentation(system, kind, m))
 
 
 def _suite_rewriting() -> list[Claim]:
@@ -285,11 +284,8 @@ def _suite_rewriting() -> list[Claim]:
                         for n in range(3, 6)]))
 
     def pl4_free():
-        qmap = rewriting.quotient_map(triplet(4), "symmetric")
-        table = rewriting.coset_table(qmap)
-        pres = rewriting.KernelRewriter(
-            rewriting.coxeter_presentation(triplet(4)), table).presentation
-        simp = rewriting.tietze_simplify(pres)
+        simp = rewriting.tietze_simplify(
+            _kernel_presentation(triplet(4), "symmetric"))
         return f"gens={simp.generators} relators={len(simp.relators)}"
 
     _claim(claims, "pl4-free-rank-5",
@@ -329,8 +325,8 @@ def _suite_crystallo() -> list[Claim]:
     claims: list[Claim] = []
 
     def via_conj(system, kind):
-        qmap = rewriting.quotient_map(system, kind)
-        report = crystallo.holonomy_via_conjugation(system, qmap)
+        report = crystallo.holonomy_via_conjugation(
+            rewriting.quotient_map(system, kind))
         return f"faithful={report.faithful} dim={report.dimension}"
 
     _claim(claims, "holonomy-pure-twin-4",
@@ -353,8 +349,8 @@ def _suite_crystallo() -> list[Claim]:
                         for n in range(4, 9)]))
 
     def t3_not_faithful():
-        qmap = rewriting.quotient_map(twin(3), "symmetric")
-        report = crystallo.holonomy_via_conjugation(twin(3), qmap)
+        report = crystallo.holonomy_via_conjugation(
+            rewriting.quotient_map(twin(3), "symmetric"))
         return (f"faithful={report.faithful} "
                 f"kernel_size={len(report.kernel_witnesses) + 1}")
 
@@ -401,14 +397,16 @@ _SUITE_BUILDERS = {
     "complexes": _suite_complexes,
 }
 
+# "all" runs every suite in the order above
+SUITES = (*_SUITE_BUILDERS, "all")
+
 
 def verify(suite: str) -> VerificationReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if suite == "all":
         claims: list[Claim] = []
-        for name in ("tits", "congruence", "rewriting", "crystallo",
-                     "complexes"):
-            claims.extend(_SUITE_BUILDERS[name]())
+        for build in _SUITE_BUILDERS.values():
+            claims.extend(build())
         return VerificationReport("all", tuple(claims))
     return VerificationReport(suite, tuple(_SUITE_BUILDERS[suite]()))

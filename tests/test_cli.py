@@ -20,11 +20,37 @@ from smallcox.verify import Claim, verify
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# sha256 of each suite's JSON record (claim ids, descriptions, expected
+# and computed values; no timings), so a refactor of a claim's route must
+# leave every claim line as it is
+SUITE_RECORD_SHA256 = {
+    "tits": "3971dca599f904552da15bff4b0da02d4ae6cc42a59f72d5409ad41a3fd7fcec",
+    "congruence":
+        "925eaf4c4284265427201c01e385a590083ba2055a8fa8a36c666df5508e50ca",
+    "rewriting":
+        "fdaf5a19fe7c018b72f581a0f88a24eaf0605baa80d33ad5c8b624a631ea1ebf",
+    "crystallo":
+        "1c83c2f05e9f6ba1b2ffc19441bafe5eb32209327e39e9db07ab301b16ae57a3",
+    "complexes":
+        "30f06d50955ed42b80bac278be4cb0b334e670034ddf09ab568ba723f6674cce",
+}
+
+
 @pytest.mark.parametrize("suite", ["tits", "congruence", "rewriting",
                                    "crystallo", "complexes"])
 def test_suite_passes(suite):
     report = verify(suite)
     assert report.passed, [c for c in report.claims if not c.ok]
+    record = json.dumps(report.to_record(), sort_keys=True,
+                        separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == \
+        SUITE_RECORD_SHA256[suite]
+
+
+def test_suites_are_the_builder_table():
+    assert verify_module.SUITES == ("tits", "congruence", "rewriting",
+                                    "crystallo", "complexes", "all")
+    assert verify_module.SUITES[:-1] == tuple(verify_module._SUITE_BUILDERS)
 
 
 def test_image_exits_zero(capsys):
@@ -264,3 +290,14 @@ def test_image_dump_is_pinned(line, tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256(dump.read_bytes()).hexdigest()
     assert digest == PINNED_DUMPS[line]
+
+
+@pytest.mark.parametrize("command", ["subgroup", "abelianize"])
+def test_kernel_commands_share_the_map_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--map {symmetric,mod2,modular}", "--map-mod MAP_MOD",
+                 "modulus for --map modular", "--cap CAP"):
+        assert flag in out

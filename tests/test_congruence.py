@@ -6,11 +6,10 @@ import pytest
 from smallcox.congruence import (BudgetExceededError, alternating_quotient_check,
                                  congruence_member, enumerate_image,
                                  even_vector_quotient_check, format_group_dump,
-                                 general_linear_order, minimal_congruence_power,
-                                 orbit, parse_group_dump,
-                                 product_generation_check,
-                                 product_quotient_check, quotient_map,
-                                 reduction_kernel)
+                                 minimal_congruence_power, orbit,
+                                 parse_group_dump, product_quotient_check,
+                                 quotient_map)
+from smallcox.congruence import _kernel_map, _twin_pairs
 from smallcox.coxeter import all_graphs, racg_system, triplet, twin
 from smallcox.matrices import Matrix, identity_rows
 from smallcox.perms import adjacent_transposition, identity, multiply
@@ -34,35 +33,24 @@ class TestEnumerateImage:
     def test_identity_first_and_deterministic(self):
         a = enumerate_image(twin(4), 3)
         b = enumerate_image(twin(4), 3)
-        assert a.elements[0].is_identity()
-        assert a.elements == b.elements
-        assert a.elements[1] == generator_matrix(twin(4), 1).reduce(3)
+        assert a.rows[0] == identity_rows(3)
+        assert a.rows == b.rows
+        assert a.rows[1] == generator_matrix(twin(4), 1).reduce(3).rows
 
     def test_contains(self):
-        group = enumerate_image(twin(4), 3)
-        assert evaluate_mod(twin(4), (1, 2, 3, 2), 3) in group
-        assert Matrix.identity(3, 3) in group
-
-    def test_hash_and_equality_ignore_the_views_built_on_use(self):
-        group = enumerate_image(twin(4), 3)
-        before = hash(group)
-        assert Matrix.identity(3, 3) in group
-        assert group.elements[0].is_identity()
-        assert hash(group) == before
-        assert group == enumerate_image(twin(4), 3)
-
-    def test_contains_checks_modulus(self):
-        # identity rows are canonical mod 3 and mod 5 alike
-        assert Matrix.identity(3, 5) not in enumerate_image(twin(4), 3)
+        rows = enumerate_image(twin(4), 3).rows
+        assert evaluate_mod(twin(4), (1, 2, 3, 2), 3).rows in rows
+        assert identity_rows(3) in rows
 
     def test_closure_spot_check(self):
         group = enumerate_image(twin(4), 5)
         rng = random.Random(1)
-        els = group.elements
+        els = [Matrix.canonical(r, 5) for r in group.rows]
+        rows = set(group.rows)
         for _ in range(50):
             a = els[rng.randrange(len(els))]
             b = els[rng.randrange(len(els))]
-            assert a * b in group
+            assert (a * b).rows in rows
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
@@ -81,7 +69,8 @@ class TestEnumerateImage:
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_mod_three_image_is_proper(self, n):
-        assert enumerate_image(twin(n), 3).order < general_linear_order(n - 1, 3)
+        gl_order = math.prod(3 ** (n - 1) - 3 ** i for i in range(n - 1))
+        assert enumerate_image(twin(n), 3).order < gl_order
 
     @pytest.mark.parametrize("vertices", range(1, 6))
     def test_right_angled_mod_four_is_mod2_abelianization(self, vertices):
@@ -89,7 +78,8 @@ class TestEnumerateImage:
             group = enumerate_image(racg_system(graph), 4)
             assert group.order == 2 ** vertices
             ident = Matrix.identity(vertices, 4)
-            assert all(el * el == ident for el in group.elements)
+            assert all(el * el == ident for el in
+                       (Matrix.canonical(r, 4) for r in group.rows))
 
 
 class TestCongruenceMember:
@@ -131,44 +121,6 @@ class TestCongruenceMember:
                     assert congruence_member(system, word, m * k) == both
 
 
-class TestReductionKernel:
-    def test_kernel_of_identity_reduction(self):
-        group = enumerate_image(twin(4), 6)
-        assert reduction_kernel(group, 6).order == 1
-
-    def test_mod_two_kernel_is_everything(self):
-        # every generator matrix is trivial mod 2, so nothing is detected
-        group = enumerate_image(twin(4), 6)
-        assert reduction_kernel(group, 2).order == group.order == 24
-
-    def test_mod_four_kernel_inside_mod_twelve(self):
-        group = enumerate_image(twin(4), 12)
-        kernel = reduction_kernel(group, 4)
-        assert group.order == 96
-        assert kernel.order == 12
-        # oracle: direct count of elements reducing to the identity
-        ident = Matrix.identity(3, 4)
-        direct = sum(1 for el in group.elements if el.reduce(4) == ident)
-        assert kernel.order == direct
-
-    def test_mod_three_kernel_inside_mod_twelve(self):
-        group = enumerate_image(twin(4), 12)
-        assert reduction_kernel(group, 3).order == 4
-
-    def test_non_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            reduction_kernel(enumerate_image(twin(4), 6), 4)
-
-    @pytest.mark.parametrize("level", [0, -3])
-    def test_level_below_one_rejected(self, level):
-        with pytest.raises(ValueError, match="level"):
-            reduction_kernel(enumerate_image(twin(4), 6), level)
-
-    def test_level_one_is_whole_group(self):
-        group = enumerate_image(twin(4), 6)
-        assert reduction_kernel(group, 1) == group
-
-
 class TestOrbit:
     @pytest.mark.parametrize("family", [twin, triplet])
     @pytest.mark.parametrize("kind,m", [("symmetric", None), ("modular", 4),
@@ -185,6 +137,19 @@ class TestOrbit:
 
 
 class TestQuotientChecks:
+    @pytest.mark.parametrize("n,factor,kind,m", [
+        (4, 3, "symmetric", 7), (5, 3, "symmetric", 4),
+        (5, 4, "mod2_abelian", 3)])
+    def test_kernel_map_keeps_the_pairs_trivial_mod_m(self, n, factor, kind,
+                                                       m):
+        # oracle: wrap each matrix and reduce it as a Matrix
+        pairs = _twin_pairs(n, factor * m, kind, None, 10 ** 6)
+        mapping, well_defined, injective = _kernel_map(pairs, m)
+        kernel = {g: s for g, s in pairs
+                  if Matrix.canonical(g, factor * m).reduce(m).is_identity()}
+        assert mapping == kernel
+        assert well_defined and injective
+
     @pytest.mark.parametrize("n,m,kernel", [(4, 4, 12), (4, 5, 12), (5, 4, 60)])
     def test_alternating_above_level_two(self, n, m, kernel):
         result = alternating_quotient_check(n, m)
@@ -233,28 +198,9 @@ class TestQuotientChecks:
         pairs = orbit((identity_rows(n - 1), identity(n)),
                       lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
                       n - 1)
-        first = {Matrix(p[0], 3 * m) for p in pairs}
+        first = {p[0] for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
-        assert first == set(group.elements)
-
-
-class TestProductGeneration:
-    def test_levels_three_and_four(self):
-        group = enumerate_image(twin(4), 12)
-        even = sum(1 for el in group.elements if el.det() == 1)
-        assert (group.order, even) == (96, 48)
-        assert product_generation_check(4, 3, 4)
-
-    def test_levels_three_and_five(self):
-        assert product_generation_check(4, 3, 5)
-
-    def test_level_two_rejected(self):
-        with pytest.raises(ValueError):
-            product_generation_check(4, 2, 3)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            product_generation_check(4, 3, 9)
+        assert first == set(group.rows)
 
 
 class TestMinimalCongruencePower:
@@ -306,7 +252,8 @@ class TestGroupDump:
         assert text.splitlines()[0] == "modulus 3, dimension 3, order 24"
         parsed = parse_group_dump(text)
         assert parsed.modulus == group.modulus
-        assert parsed.elements == group.elements
+        assert parsed.rows == group.rows
+        assert parsed == group and hash(parsed) == hash(group)
 
     def test_stable_across_runs(self):
         a = format_group_dump(enumerate_image(twin(4), 4))

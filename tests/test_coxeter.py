@@ -1,11 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from smallcox.coxeter import (INF, BadDiagonalError, BadOffDiagonalError,
                               CoxeterError, NonSymmetricMatrixError,
                               all_graphs, build_system, complete_graph,
                               family_of, format_coxeter_matrix, format_word,
-                              free_reduce, is_small, named_system,
+                              is_small, named_system,
                               parse_coxeter_matrix, parse_word,
                               racg_join_decomposition, racg_system,
                               simple_graph, symmetric, triplet, twin,
@@ -121,26 +120,6 @@ class TestIsSmall:
 
     def test_bond_four_is_not_small(self):
         assert not is_small(build_system([[1, 4], [4, 1]]))
-
-
-class TestFreeReduce:
-    def test_single_cancellation(self):
-        assert free_reduce((1, 1, 2)) == (2,)
-
-    def test_nested_cancellation(self):
-        assert free_reduce((1, 2, 2, 1)) == ()
-
-    def test_already_reduced(self):
-        assert free_reduce((1, 2, 1)) == (1, 2, 1)
-
-    @given(st.lists(st.integers(1, 5), max_size=40))
-    def test_idempotent_shorter_same_parity(self, letters):
-        word = tuple(letters)
-        reduced = free_reduce(word)
-        assert free_reduce(reduced) == reduced
-        assert len(reduced) <= len(word)
-        assert len(reduced) % 2 == len(word) % 2
-        assert not any(a == b for a, b in zip(reduced, reduced[1:]))
 
 
 class TestJoinDecomposition:

@@ -50,15 +50,13 @@ def test_theta_faithful(n):
 
 class TestHolonomyViaConjugation:
     def test_twin_three_has_rotation_kernel(self):
-        report = holonomy_via_conjugation(twin(3),
-                                          quotient_map(twin(3), "symmetric"))
+        report = holonomy_via_conjugation(quotient_map(twin(3), "symmetric"))
         assert not report.faithful
         assert report.dimension == 1
         assert report.kernel_witnesses == ((1, 2), (2, 1))
 
     def test_pure_twin_four(self):
-        report = holonomy_via_conjugation(twin(4),
-                                          quotient_map(twin(4), "symmetric"))
+        report = holonomy_via_conjugation(quotient_map(twin(4), "symmetric"))
         assert report.faithful and report.dimension == 7
         assert report.holonomy_order == 24
         assert report.quotient == "T4/PT4'"
@@ -72,12 +70,12 @@ class TestHolonomyViaConjugation:
             return direct(self, word, allow_torsion)
 
         monkeypatch.setattr(KernelRewriter, "conjugation_matrix", counted)
-        holonomy_via_conjugation(twin(4), quotient_map(twin(4), "symmetric"))
+        holonomy_via_conjugation(quotient_map(twin(4), "symmetric"))
         assert calls == [(1,), (2,), (3,)]
 
     def test_pure_triplet_four(self):
         report = holonomy_via_conjugation(
-            triplet(4), quotient_map(triplet(4), "symmetric"))
+            quotient_map(triplet(4), "symmetric"))
         assert report.faithful and report.dimension == 5
         assert report.holonomy_order == 24
         assert report.quotient == "L4/PL4'"
@@ -86,7 +84,7 @@ class TestHolonomyViaConjugation:
         # the mod-3 kernel is PT_4, so only the label differs from the
         # symmetric route
         report = holonomy_via_conjugation(
-            twin(4), quotient_map(twin(4), "modular", 3))
+            quotient_map(twin(4), "modular", 3))
         assert report.faithful and report.dimension == 7
         assert report.quotient == "T4/T4[3]'"
 

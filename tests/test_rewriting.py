@@ -4,25 +4,24 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from smallcox.congruence import FiniteQuotientMap
+from smallcox.congruence import BudgetExceededError, FiniteQuotientMap
 from smallcox.coxeter import symmetric, triplet, twin, universal
 from smallcox.matrices import Matrix
 from smallcox.perms import adjacent_transposition, identity, multiply
-from smallcox.rewriting import (AbelianInvariants, CosetBudgetError,
-                                KernelRewriter, LatticeTorsionError,
+from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
+                                LatticeTorsionError,
                                 Presentation, RelationCheckError,
                                 _exponent_row, abelian_invariants,
                                 coset_table, coxeter_presentation,
                                 cyclically_reduce, format_presentation,
                                 invert_signed, parse_presentation,
-                                quotient_map, tietze_simplify, trivial_map)
+                                quotient_map, tietze_simplify)
 from smallcox.tits import evaluate
 
 
 def kernel_rewriter(system, kind, m=None):
-    qmap = quotient_map(system, kind, m)
-    table = coset_table(qmap)
-    return table, KernelRewriter(coxeter_presentation(system), table)
+    rewriter = KernelRewriter(quotient_map(system, kind, m))
+    return rewriter.table, rewriter
 
 
 class TestCoxeterPresentation:
@@ -132,11 +131,25 @@ class TestCosetTable:
         assert lengths == sorted(lengths)
 
     def test_budget(self):
-        with pytest.raises(CosetBudgetError):
+        with pytest.raises(BudgetExceededError):
             coset_table(quotient_map(triplet(4), "symmetric"), cap=5)
 
 
 class TestReidemeisterSchreier:
+    @pytest.mark.parametrize("system,kind,m", [
+        (twin(4), "symmetric", None), (triplet(4), "mod2_abelian", None),
+        (twin(4), "modular", 6), (twin(4), "trivial", None)])
+    def test_rewriter_builds_the_map_coset_table(self, system, kind, m):
+        qmap = quotient_map(system, kind, m)
+        rewriter = KernelRewriter(qmap)
+        assert rewriter.table == coset_table(qmap)
+
+    def test_rewriter_keeps_the_coset_budget(self):
+        qmap = quotient_map(triplet(4), "symmetric")
+        with pytest.raises(BudgetExceededError):
+            KernelRewriter(qmap, cap=5)
+        assert KernelRewriter(qmap, cap=24).table.count == 24
+
     def test_twin3_commutator_subgroup(self):
         table, rewriter = kernel_rewriter(twin(3), "mod2_abelian")
         pres = rewriter.presentation
@@ -158,9 +171,8 @@ class TestReidemeisterSchreier:
             (symmetric(4), "symmetric", None),
         ]
         for system, kind, m in fixtures:
-            qmap = quotient_map(system, kind, m)
-            table = coset_table(qmap)
-            pres = KernelRewriter(coxeter_presentation(system), table).presentation
+            table, rewriter = kernel_rewriter(system, kind, m)
+            pres = rewriter.presentation
             n, g = table.count, system.rank
             assert pres.generators == n * g - (n - 1)
 
@@ -251,9 +263,7 @@ class TestTietze:
         for system, kind in ((twin(4), "symmetric"), (twin(4), "mod2_abelian"),
                              (triplet(4), "mod2_abelian"),
                              (triplet(4), "symmetric")):
-            qmap = quotient_map(system, kind)
-            pres = KernelRewriter(coxeter_presentation(system),
-                                  coset_table(qmap)).presentation
+            pres = kernel_rewriter(system, kind)[1].presentation
             assert abelian_invariants(tietze_simplify(pres)) == \
                 abelian_invariants(pres)
         for _ in range(25):
@@ -360,11 +370,8 @@ class TestAbelianInvariants:
 
 class TestConjugation:
     def test_rank_one_kernel_inverted_by_generator(self):
-        system = twin(3)
-        qmap = quotient_map(system, "symmetric")
-        table = coset_table(qmap)
-        pres = coxeter_presentation(system)
-        mat = KernelRewriter(pres, table).conjugation_matrix((1,))
+        mat = KernelRewriter(quotient_map(twin(3), "symmetric")) \
+            .conjugation_matrix((1,))
         assert mat.rows == ((-1,),)
 
     def test_identity_word_gives_identity(self):
@@ -439,19 +446,13 @@ class TestConjugation:
             assert sorted(calls) == support
 
     def test_torsion_reported(self):
-        system = triplet(4)
-        qmap = quotient_map(system, "mod2_abelian")
-        table = coset_table(qmap)
-        pres = coxeter_presentation(system)
+        rewriter = KernelRewriter(quotient_map(triplet(4), "mod2_abelian"))
         with pytest.raises(LatticeTorsionError) as exc:
-            KernelRewriter(pres, table).conjugation_matrix((1,))
+            rewriter.conjugation_matrix((1,))
         assert exc.value.torsion == (3, 3)
 
     def test_trivial_map_gives_empty_identity(self):
-        system = twin(4)
-        qmap = trivial_map(system)
-        table = coset_table(qmap)
-        rewriter = KernelRewriter(coxeter_presentation(system), table)
+        table, rewriter = kernel_rewriter(twin(4), "trivial")
         assert table.count == 1
         assert rewriter.torsion == (2, 2, 2)
         mat = rewriter.conjugation_matrix((1, 2), allow_torsion=True)
