@@ -28,13 +28,13 @@ from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          minimal_congruence_power, orbit, parse_group_dump,
                          product_quotient_check, quotient_map)
 from .rewriting import (AbelianInvariants, CosetTable, KernelRewriter,
-                        LatticeTorsionError, Presentation,
-                        abelian_invariants, coset_table,
+                        Presentation, abelian_invariants, coset_table,
                         coxeter_presentation, format_presentation,
                         parse_presentation, tietze_simplify)
-from .crystallo import (BasisSpanError, HolonomyReport, beta_word,
-                        holonomy_via_conjugation, theta_cross_check,
-                        theta_faithfulness, theta_generator_matrix)
+from .crystallo import (BasisSpanError, HolonomyReport, LatticeTorsionError,
+                        beta_word, holonomy_via_conjugation,
+                        theta_cross_check, theta_faithfulness,
+                        theta_generator_matrix)
 from .permutahedron import FaceCensus, face_census, pl_rank
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import congruence, crystallo, permutahedron, rewriting, tits, verify
-from .coxeter import (CoxeterError, CoxeterSystem, named_system,
-                      parse_coxeter_matrix, parse_word)
+from .coxeter import (CoxeterError, CoxeterSystem, format_word,
+                      named_system, parse_coxeter_matrix, parse_word)
 from .matrices import format_matrix
 
 COMPUTE_ERRORS = (CoxeterError, ValueError, RuntimeError, OSError)
@@ -170,8 +170,7 @@ def _cmd_holonomy(args) -> int:
         # pure-twin and pure-triplet: the kernel onto S_n
         system = named_system(args.quotient.removeprefix("pure-"), args.n)
         qmap = rewriting.quotient_map(system, "symmetric")
-        report = crystallo.holonomy_via_conjugation(
-            qmap, require_torsion_free=False)
+        report = crystallo.holonomy_via_conjugation(qmap)
     record = report.to_record()
     lines = [f"quotient {report.quotient}",
              f"dimension {report.dimension}",
@@ -182,7 +181,7 @@ def _cmd_holonomy(args) -> int:
                      " ".join(str(d) for d in report.lattice_torsion))
     if report.kernel_witnesses:
         lines.append("kernel_witnesses " + "; ".join(
-            " ".join(str(x) for x in w) for w in report.kernel_witnesses))
+            map(format_word, report.kernel_witnesses)))
     _emit(args, record, lines)
     return 0
 

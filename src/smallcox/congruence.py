@@ -13,7 +13,9 @@ images:
   the other callers never hold one;
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
   an identity image and ``step(x, k)`` = x times generator k+1, checked
-  against every Coxeter relation.  ``quotient_map`` builds adjacent
+  against every relator of ``coxeter.relators``, the one list of Coxeter
+  relators that the Schreier presentations of :mod:`smallcox.rewriting`
+  rewrite as well.  ``quotient_map`` builds adjacent
   transpositions in S_n (``symmetric``), the reflection matrices mod m
   as row tuples (``modular``), bit vectors indexed by odd-bond classes
   (``mod2_abelian``, the mod-2 abelianization) and ``trivial``;
@@ -44,9 +46,9 @@ from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
-from .coxeter import (INF, CoxeterSystem, Word, family_of, require_small,
-                      twin)
-from .matrices import Rows, identity_rows, parse_matrix
+from .coxeter import (INF, CoxeterSystem, Word, family_of, relators,
+                      require_small, twin)
+from .matrices import Rows, format_matrix, identity_rows, parse_matrix
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
@@ -143,9 +145,10 @@ class FiniteQuotientMap:
 
     ``step(x, k)`` is the image x times the image of generator k+1
     (k 0-based); images are hashable, so ``orbit`` runs on them as they
-    are.  Construction checks every relation (s_i s_j)^m_ij = 1, the
-    squares s_i^2 included, and raises ``RelationCheckError`` on the
-    first that fails.  ``modulus`` is m for the ``modular`` kind.
+    are.  Construction checks every relator of ``coxeter.relators``
+    (the squares s_i^2, then each finite bond (s_i s_j)^m_ij) and raises
+    ``RelationCheckError`` on the first that fails.  ``modulus`` is m for
+    the ``modular`` kind.
     """
 
     system: CoxeterSystem
@@ -155,16 +158,13 @@ class FiniteQuotientMap:
     modulus: Optional[int] = None
 
     def __post_init__(self):
-        ident, r = self.identity_image, self.system.rank
-        for i in range(1, r + 1):
-            if self.image_of_word((i, i)) != ident:
+        for rel in relators(self.system):
+            if self.image_of_word(rel) != self.identity_image:
+                i, j = rel[:2]
                 raise RelationCheckError(
-                    f"image of generator {i} is not an involution")
-            for j in range(i + 1, r + 1):
-                m = self.system.exponent(i, j)
-                if m is not INF and self.image_of_word((i, j) * m) != ident:
-                    raise RelationCheckError(
-                        f"bond relation ({i},{j})^{m} fails in the image")
+                    f"image of generator {i} is not an involution" if i == j
+                    else f"bond relation ({i},{j})^{len(rel) // 2} fails "
+                         "in the image")
 
     def image_of_word(self, word: Sequence[int]):
         """Image of a word; a signed letter -y maps like y, since every
@@ -394,13 +394,9 @@ def minimal_congruence_power(m: int) -> int:
 
 def format_group_dump(group: FiniteMatrixGroup) -> str:
     """Header "modulus m, dimension d, order N", then the N matrices."""
-    lines = [f"modulus {group.modulus}, dimension {group.dimension}, "
-             f"order {group.order}"]
-    for rows in group.rows:
-        lines.append("")
-        for row in rows:
-            lines.append(" ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    return (f"modulus {group.modulus}, dimension {group.dimension}, "
+            f"order {group.order}\n" +
+            "".join("\n" + format_matrix(rows) for rows in group.rows))
 
 
 def parse_group_dump(text: str) -> FiniteMatrixGroup:

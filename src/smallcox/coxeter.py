@@ -70,6 +70,15 @@ class CoxeterSystem:
         return word
 
 
+def relators(system: CoxeterSystem) -> tuple[Word, ...]:
+    """Every square s_i s_i, then (s_i s_j)^m_ij for each finite bond,
+    pairs i < j in order."""
+    gens = range(1, system.rank + 1)
+    return tuple((i, i) for i in gens) + tuple(
+        (i, j) * system.exponent(i, j) for i in gens for j in gens
+        if i < j and system.exponent(i, j) is not INF)
+
+
 def build_system(exponents) -> CoxeterSystem:
     """Validate an exponent matrix and wrap it as a CoxeterSystem.
 

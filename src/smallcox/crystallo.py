@@ -24,20 +24,32 @@ quotient of the twin group (lattice of rank 2n-5):
 change of basis that expresses the b-classes in Schreier coordinates.
 Faithfulness is always certified by enumerating the whole finite
 holonomy group, never from a single witness element.
+
+The lattice is the free part of the abelianized kernel, and any torsion
+is always reported on the ``HolonomyReport``, never raised; only
+``theta_cross_check`` raises ``LatticeTorsionError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import DEFAULT_CAP, FiniteQuotientMap, quotient_map
+from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
-from .matrices import Matrix
-from .rewriting import KernelRewriter, LatticeTorsionError
+from .matrices import Matrix, _listed, _mul_listed, identity_rows
+from .rewriting import KernelRewriter
 
 
 class BasisSpanError(ValueError):
     """The b-class dictionary does not span the lattice."""
+
+
+class LatticeTorsionError(ValueError):
+    """The kernel abelianization of the cross-check has torsion."""
+
+    def __init__(self, torsion: tuple[int, ...]):
+        super().__init__(f"kernel abelianization has torsion {torsion}")
+        self.torsion = torsion
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,11 @@ def _basis_size(n: int) -> int:
     return 2 * n - 5
 
 
-def _b0_index(n: int, j: int) -> int:
+def _b0_index(j: int) -> int:
     return 0 if j == 1 else 2 * j - 3
 
 
-def _b1_index(n: int, j: int) -> int:
+def _b1_index(j: int) -> int:
     if j < 2:
         raise ValueError("b1(j) needs j >= 2")
     return 2 * j - 2
@@ -95,15 +107,15 @@ def theta_generator_matrix(n: int, k: int) -> Matrix:
             if p == 1 and j == 1:
                 continue
             col = [0] * dim
-            own = _b0_index(n, j) if p == 0 else _b1_index(n, j)
+            own = _b0_index(j) if p == 0 else _b1_index(j)
             if j in (k - 1, k):
                 col[own] = -1
             elif j == k + 1:
-                col[_b1_index(n, j) if p == 0 else _b0_index(n, j)] = 1
+                col[_b1_index(j) if p == 0 else _b0_index(j)] = 1
             elif j == k - 2:
                 col[own] = 1
-                col[_b0_index(n, j + 1)] = 1
-                col[_b1_index(n, j + 1)] = -1
+                col[_b0_index(j + 1)] = 1
+                col[_b1_index(j + 1)] = -1
             else:
                 col[own] = 1
             cols.append(col)
@@ -163,41 +175,33 @@ def _quotient_label(qmap: FiniteQuotientMap) -> str:
     return f"{stem}/{stem}'"
 
 
-def holonomy_via_conjugation(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP,
-                             require_torsion_free: bool = True) -> HolonomyReport:
+def holonomy_via_conjugation(qmap: FiniteQuotientMap) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
     abelianization, over every coset.
 
-    Only the generator matrices come from Schreier rewriting.  Coset c's
-    representative is its tree parent's word plus one letter y, so its
-    matrix is M(parent) * M(s_y); the parent is c.y, since generator
-    actions are involutions.  A coset's matrix is read again only as a
-    tree parent, so it is dropped once its last child is built; over the
-    720 cosets of S_6 at most 96 matrices are live at once.
-
-    The lattice is the free part of the abelianized kernel.  When the
-    abelianization has torsion the quotient cannot be certified
-    crystallographic on this lattice; by default that raises
-    LatticeTorsionError, and with ``require_torsion_free=False`` the
-    torsion is carried on the report instead.
+    Only the generator matrices come from Schreier rewriting, each
+    listed once for ``matrices._mul_listed``.  Coset c's representative
+    is its tree parent's word plus one letter y, so its matrix is
+    M(parent) * M(s_y); the parent is c.y, since generator actions are
+    involutions.  A coset's matrix is read again only as a tree parent,
+    so it is dropped once its last child is built; over the 720 cosets
+    of S_6 at most 96 matrices are live at once.  Torsion of the
+    abelianization goes on the report as ``lattice_torsion``.
     """
-    rewriter = KernelRewriter(qmap, cap)
+    rewriter = KernelRewriter(qmap)
     table = rewriter.table
-    torsion = rewriter.torsion
-    if torsion and require_torsion_free:
-        raise LatticeTorsionError(torsion)
     dim = rewriter.rank
-    ident = Matrix.identity(dim)
-    gens = [rewriter.conjugation_matrix((y,), allow_torsion=True)
+    ident = identity_rows(dim)
+    gens = [_listed(rewriter.conjugation_matrix((y,)).rows)
             for y in range(1, qmap.system.rank + 1)]
     parents = [table.action[c][table.transversal[c][-1] - 1]
                for c in range(1, table.count)]
     last_child = {p: c for c, p in enumerate(parents, 1)}
-    mats: dict[int, Matrix] = {0: ident}
+    mats = {0: ident}
     witnesses = []
     for c, p in enumerate(parents, 1):
         word = table.transversal[c]
-        mat = mats[p] * gens[word[-1] - 1]
+        mat = _mul_listed(mats[p], gens[word[-1] - 1], dim)
         if last_child[p] == c:
             del mats[p]
         if c in last_child:
@@ -210,7 +214,7 @@ def holonomy_via_conjugation(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP,
         holonomy_order=table.count,
         faithful=not witnesses,
         kernel_witnesses=tuple(witnesses),
-        lattice_torsion=torsion,
+        lattice_torsion=rewriter.torsion,
     )
 
 
@@ -227,18 +231,19 @@ def beta_word(n: int, j: int, p: int) -> Word:
     return wrap + core + tuple(reversed(wrap))
 
 
-def theta_cross_check(n: int, cap: int = DEFAULT_CAP) -> bool:
+def theta_cross_check(n: int) -> bool:
     """Do the closed-form matrices match the conjugation computation?
 
     Runs the Schreier route over the mod-2 abelianization of the twin
     group and expresses the b-class dictionary in the Schreier basis as
     the columns of B.  B must be unimodular (determinant +-1), else
     BasisSpanError; then each generator's conjugation matrix C matches
-    Theta_k in the b-basis exactly when C B = B Theta_k.
+    Theta_k in the b-basis exactly when C B = B Theta_k.  A kernel
+    abelianization with torsion raises LatticeTorsionError.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    rewriter = KernelRewriter(quotient_map(twin(n), "mod2_abelian"), cap)
+    rewriter = KernelRewriter(quotient_map(twin(n), "mod2_abelian"))
     if rewriter.torsion:
         raise LatticeTorsionError(rewriter.torsion)
     dim = _basis_size(n)

@@ -30,12 +30,20 @@ def identity_rows(d: int) -> Rows:
 
 
 def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
-    """a * b (entries reduced mod ``mod`` when given): each row of the
-    product sums the rows of b over the nonzero entries of that row of
-    a, and each row of b is listed once as its nonzero (col, value)
-    pairs, so sparse factors cost only the products of their nonzeros."""
-    width = len(b[0]) if b else 0
-    b_pairs = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
+    """a * b (entries reduced mod ``mod`` when given)."""
+    return _mul_listed(a, _listed(b), len(b[0]) if b else 0, mod)
+
+
+def _listed(b: Rows) -> list[list[tuple[int, int]]]:
+    """Each row of b as its nonzero (col, value) pairs."""
+    return [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
+
+
+def _mul_listed(a: Rows, b_pairs: list, width: int,
+                mod: Optional[int] = None) -> Rows:
+    """a * b for b given as ``_listed(b)`` with ``width`` columns: each
+    product row sums the listed rows of b over the nonzeros of that row
+    of a, so sparse factors cost only the products of their nonzeros."""
     out = []
     for row in a:
         acc = [0] * width
@@ -136,7 +144,8 @@ class Matrix:
 
 
 def format_matrix(rows: Rows) -> str:
-    return "\n".join(" ".join(str(e) for e in row) for row in rows) + "\n"
+    """One line per row, each ending in a newline."""
+    return "".join(" ".join(str(e) for e in row) + "\n" for row in rows)
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -13,9 +13,10 @@ enumeration is ever needed:
   same breadth-first pass fills in;
 * ``KernelRewriter(qmap).presentation`` presents the kernel of the map
   on the nontrivial Schreier generators u y (rep of uy)^-1, with one
-  rewritten relator per (coset, Coxeter relator) pair; the rewriter
-  builds the coset table itself (``rewriter.table``), so a quotient map
-  is the one way in to a kernel;
+  rewritten relator per (coset, ``coxeter.relators`` relator) pair; the
+  rewriter builds the coset table itself (``rewriter.table``), so a
+  quotient map is the one way in to a kernel, and a rewrite reads that
+  action table and a Schreier label table laid out like it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; an index from generators to relators keeps
@@ -24,8 +25,9 @@ enumeration is ever needed:
   normal form of the relator exponent matrix, whose rows go in sparse,
   as ``(generator, exponent)`` pairs with zero sums left out;
 * ``KernelRewriter.conjugation_matrix`` computes the action that an
-  ambient word induces on the abelianized kernel, which is what the
-  crystallographic checks consume.
+  ambient word induces on the free part of the abelianized kernel, for
+  the crystallographic checks; torsion never raises here, and
+  ``crystallo`` reports it.
 
 ``quotient_map`` is importable from here as well: ``cli`` and ``verify``
 build their maps as ``rewriting.quotient_map``, and the perfbench
@@ -40,24 +42,16 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
                          orbit, quotient_map)
-from .coxeter import INF, CoxeterSystem, Word
+from .coxeter import CoxeterSystem, Word, relators
 from .matrices import Matrix, SmithForm, smith_normal_form
 
 SignedWord = tuple[int, ...]
-
-
-class LatticeTorsionError(ValueError):
-    """Conjugation asked for an integer matrix but the kernel
-    abelianization has torsion."""
-
-    def __init__(self, torsion: tuple[int, ...]):
-        super().__init__(f"kernel abelianization has torsion {torsion}")
-        self.torsion = torsion
 
 
 @dataclass(frozen=True)
@@ -88,17 +82,8 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def coxeter_presentation(system: CoxeterSystem) -> Presentation:
-    """Generator squares plus one braid-type relator per finite bond."""
-    rels: list[SignedWord] = []
-    r = system.rank
-    for i in range(1, r + 1):
-        rels.append((i, i))
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            m = system.exponent(i, j)
-            if m is not INF:
-                rels.append((i, j) * m)
-    return Presentation(r, tuple(rels))
+    """``coxeter.relators`` on rank-many generators."""
+    return Presentation(system.rank, relators(system))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +162,15 @@ class KernelRewriter:
 
     Built from the map alone: ``table`` is its coset table (at most
     ``cap`` cosets) and the ambient relators are
-    ``coxeter_presentation(qmap.system)``.  The Schreier generator for a
+    ``coxeter.relators(qmap.system)``.  The Schreier generator for a
     pair (coset c, generator y) is the kernel element
     u_c s_y (u_{c.y})^-1; pairs where u_c s_y is itself the chosen
-    representative (the breadth-first tree edges) are trivial and get no
-    index.  Rewriting scans a word letter by letter, emitting the index
-    of each pair it crosses.
+    representative (the breadth-first tree edges) are trivial: that is
+    when t = c.y is not coset 0 and u_t ends in y, since u_t extends its
+    parent t.y = c by y (``coset_table`` checks the involutions).
+    ``pairs[k]`` is the pair of generator k+1 and ``label[c][y-1]`` is
+    k+1, or 0 on a tree edge.  Rewriting scans a word letter by letter,
+    emitting the label of each pair it crosses.
 
     ``presentation`` is the Reidemeister-Schreier presentation of the
     kernel: a kernel of index N under g ambient generators gets exactly
@@ -191,28 +179,23 @@ class KernelRewriter:
     """
 
     def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
-        pres = coxeter_presentation(qmap.system)
         self.table = table = coset_table(qmap, cap)
-        n_cosets = table.count
-        g = pres.generators
-        self.pair_index: dict[tuple[int, int], int] = {}
-        self.pairs: list[tuple[int, int]] = []
-        for c in range(n_cosets):
-            for y in range(1, g + 1):
-                t = table.action[c][y - 1]
-                if table.transversal[c] + (y,) == table.transversal[t]:
-                    continue  # tree edge
-                self.pair_index[(c, y)] = len(self.pairs)
-                self.pairs.append((c, y))
+        words = table.transversal
+        self.pairs = [(c, y) for c, row in enumerate(table.action)
+                      for y, t in enumerate(row, 1)
+                      if not (t and words[t][-1] == y)]
+        self.label = [[0] * len(row) for row in table.action]
+        for k, (c, y) in enumerate(self.pairs, 1):
+            self.label[c][y - 1] = k
         self.num_schreier = len(self.pairs)
+        ambient = relators(qmap.system)
         rels = []
-        for c in range(n_cosets):
-            for rel in pres.relators:
+        for c in range(table.count):
+            for rel in ambient:
                 w = free_reduce_signed(self.rewrite(rel, start=c))
                 if w:
                     rels.append(w)
         self.presentation = Presentation(self.num_schreier, tuple(rels))
-        self._smith: Optional[SmithForm] = None
 
     # -- rewriting -----------------------------------------------------
 
@@ -223,22 +206,21 @@ class KernelRewriter:
         conjugate u r u^-1 for u the representative of ``start``: the
         representative's own letters only cross tree edges.
         """
-        action = self.table.action
-        index = self.pair_index
+        action, label = self.table.action, self.label
         c = start
         out: list[int] = []
         for letter in word:
-            y = abs(letter)
             if letter > 0:
-                k = index.get((c, y))
-                if k is not None:
-                    out.append(k + 1)
-                c = action[c][y - 1]
+                k = label[c][letter - 1]
+                if k:
+                    out.append(k)
+                c = action[c][letter - 1]
             else:
-                c = action[c][y - 1]  # involution: s_y^-1 acts like s_y
-                k = index.get((c, y))
-                if k is not None:
-                    out.append(-(k + 1))
+                y = -letter - 1
+                c = action[c][y]  # involution: s_y^-1 acts like s_y
+                k = label[c][y]
+                if k:
+                    out.append(-k)
         if c != start:
             raise ValueError("word does not normalize the coset: not in kernel "
                              "(or conjugate thereof)")
@@ -258,13 +240,10 @@ class KernelRewriter:
         ``{k: exponent of generator k+1}`` with zero sums left out."""
         return _exponent_row(self.rewrite(word))
 
-    @property
+    @cached_property
     def smith(self) -> SmithForm:
-        if self._smith is None:
-            self._smith = smith_normal_form(
-                _relator_rows(self.presentation), self.num_schreier,
-                want_transform=True)
-        return self._smith
+        return smith_normal_form(_relator_rows(self.presentation),
+                                 self.num_schreier, want_transform=True)
 
     @property
     def rank(self) -> int:
@@ -282,18 +261,14 @@ class KernelRewriter:
         return tuple(sum(x * sm.v[t][j] for t, x in v)
                      for j in sm.free_columns)
 
-    def conjugation_matrix(self, word: Sequence[int],
-                           allow_torsion: bool = False) -> Matrix:
+    def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
         """Matrix of x -> w x w^-1 on the free abelianized kernel.
 
         Columns are the images of the free basis vectors, so the map is
-        a homomorphism in ambient words: M(uv) = M(u) M(v).  With
-        torsion present the free part is still well defined, but the
-        caller must opt in; by default torsion raises.
+        a homomorphism in ambient words: M(uv) = M(u) M(v).  The free
+        part is well defined with or without torsion.
         """
         sm = self.smith
-        if sm.torsion and not allow_torsion:
-            raise LatticeTorsionError(sm.torsion)
         word = tuple(word)
         word_inv = invert_signed(word)
         # basis vector i is row i of V^-1 in Schreier generators, so its
@@ -414,8 +389,5 @@ class AbelianInvariants:
 
 
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
-    rows = _relator_rows(pres)
-    if not rows:
-        return AbelianInvariants(pres.generators, ())
-    sm = smith_normal_form(rows, pres.generators)
+    sm = smith_normal_form(_relator_rows(pres), pres.generators)
     return AbelianInvariants(pres.generators - len(sm.divisors), sm.torsion)

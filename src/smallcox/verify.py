@@ -1,7 +1,10 @@
 """One-shot verification suites behind ``smallcox verify``.
 
 Each claim pins an expected value and recomputes it from scratch; a
-claim that does not match is reported as failed, never raised.  Random
+claim that does not match is reported as failed, never raised, and so
+is a claim whose computation raises: its computed value is then
+``error: <type>: <message>`` (the traceback goes to stderr), and the
+claims after it still run.  Random
 choices are made with a fixed seed so that identical invocations
 produce identical reports.
 """
@@ -57,12 +60,17 @@ class VerificationReport:
 
 
 def _claim(claims, claim_id, description, expected, computed):
+    exp_s = str(expected)
     t0 = time.perf_counter()
-    value = computed() if callable(computed) else computed
+    try:
+        got_s = str(computed() if callable(computed) else computed)
+        ok = exp_s == got_s
+    except Exception as exc:  # a claim that raises is a failed claim
+        import traceback  # only on this path: it would slow every CLI start
+        traceback.print_exc()  # to stderr, apart from the byte-stable report
+        got_s, ok = f"error: {type(exc).__name__}: {exc}", False
     dt = time.perf_counter() - t0
-    exp_s, got_s = str(expected), str(value)
-    claims.append(Claim(claim_id, description, exp_s, got_s,
-                        exp_s == got_s, dt))
+    claims.append(Claim(claim_id, description, exp_s, got_s, ok, dt))
 
 
 def _random_word(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
@@ -327,7 +335,9 @@ def _suite_crystallo() -> list[Claim]:
     def via_conj(system, kind):
         report = crystallo.holonomy_via_conjugation(
             rewriting.quotient_map(system, kind))
-        return f"faithful={report.faithful} dim={report.dimension}"
+        torsion = report.lattice_torsion
+        return (f"faithful={report.faithful} dim={report.dimension}" +
+                (f" torsion={torsion}" if torsion else ""))
 
     _claim(claims, "holonomy-pure-twin-4",
            "S_4 acts faithfully on the rank-7 lattice of the pure twin group",

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from smallcox import cli
+from smallcox import cli, crystallo
 from smallcox import verify as verify_module
 from smallcox.cli import dispatch
 from smallcox.coxeter import (format_coxeter_matrix, racg_system,
-                              simple_graph, twin)
+                              simple_graph, triplet, twin)
+from smallcox.rewriting import quotient_map
 from smallcox.matrices import format_matrix
 from smallcox.tits import evaluate
 from smallcox.verify import Claim, verify
@@ -117,6 +118,40 @@ def test_failed_claim_exits_one(monkeypatch, capsys):
     assert "FAIL suite tits: 0/1 claims" in capsys.readouterr().out
 
 
+def test_raising_claim_is_a_fail_line(monkeypatch, capsys):
+    # one crystallo route raises: its claim is a FAIL line carrying the
+    # error, and every other claim of the suite still runs and prints
+    def broken(n):
+        raise crystallo.BasisSpanError("b-class dictionary is not a "
+                                       "lattice basis")
+
+    monkeypatch.setattr(crystallo, "theta_cross_check", broken)
+    assert dispatch(["verify", "--suite", "crystallo"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    lines = captured.out.splitlines()
+    assert lines[-1] == "FAIL suite crystallo: 6/7 claims"
+    failed = [line for line in lines[:-1] if not line.startswith("PASS ")]
+    assert failed == [
+        "FAIL theta-cross-check: closed-form holonomy matches the "
+        "conjugation route, n = 4, 5, 6 [computed error: BasisSpanError: "
+        "b-class dictionary is not a lattice basis]"]
+
+
+def test_torsion_lattice_is_a_fail_line(monkeypatch):
+    # every holonomy claim routed to L_4 over L_4'' (Z_3 + Z_3, so no
+    # free part): the computed value names the torsion, nothing raises
+    real = crystallo.holonomy_via_conjugation
+    monkeypatch.setattr(
+        crystallo, "holonomy_via_conjugation",
+        lambda qmap: real(quotient_map(triplet(4), "mod2_abelian")))
+    claims = {c.claim_id: c for c in verify("crystallo").claims}
+    claim = claims["holonomy-pure-twin-4"]
+    assert not claim.ok
+    assert claim.computed == "faithful=False dim=0 torsion=(3, 3)"
+    assert claims["holonomy-twin-second-commutator"].ok
+
+
 def test_json_is_byte_identical(capsys):
     argv = ["quotient", "--check", "alternating", "-n", "4", "-m", "5",
             "--json"]
@@ -130,7 +165,8 @@ def test_json_is_byte_identical(capsys):
 
 # sha256 of stdout for command lines that cover every quotient kind and
 # the Schreier, Tietze, Smith normal form, holonomy, subquotient and
-# face census layers; a refactor must leave these bytes as they are
+# face census layers; the n = 3 holonomy lines print kernel witnesses
+# and a dimension-0 lattice; a refactor must leave these bytes as they are
 PINNED_STDOUT = {
     "subgroup --family triplet -n 5 --map symmetric --simplify":
         "f174bd9882749531b45ac76ee809cb3435ce6dc98c5cda3bd1ed3f373986a349",
@@ -154,6 +190,12 @@ PINNED_STDOUT = {
         "503105080f26eaef81d2dec11f6fc3ebc1d3afd157cb39d37d649d205a227194",
     "holonomy --quotient second-commutator -n 10":
         "58ded8dd8add463bd04de403f0732a0a7cfa8e0742a9c4140ee54631dc10ff20",
+    "holonomy --quotient pure-twin -n 3":
+        "16d379e7d3e34a599016be642bdbb7715c4c1ccbbf86962513dda38f65ada6e2",
+    "holonomy --quotient pure-triplet -n 3":
+        "099eeac6691d700c0af91a0f314d2f28bcbd485df9500371ed14d2318a37964c",
+    "holonomy --quotient second-commutator -n 3":
+        "d91906ee492695380b2daee57aed021f75ae996deb04ff8e0ad856a9dd4f4dc4",
     "quotient --check product -n 4 -m 5":
         "1f605bae39f30b14af3816fb725cb7ab64b520d31f4c04125e4a73929c6107fb",
     "quotient --check alternating -n 5 -m 4":

@@ -10,7 +10,8 @@ from smallcox.congruence import (BudgetExceededError, alternating_quotient_check
                                  parse_group_dump, product_quotient_check,
                                  quotient_map)
 from smallcox.congruence import _kernel_map, _twin_pairs
-from smallcox.coxeter import all_graphs, racg_system, triplet, twin
+from smallcox.coxeter import (all_graphs, build_system, racg_system, triplet,
+                              twin)
 from smallcox.matrices import Matrix, identity_rows
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.tits import (evaluate, evaluate_mod, generator_matrix,
@@ -254,6 +255,13 @@ class TestGroupDump:
         assert parsed.modulus == group.modulus
         assert parsed.rows == group.rows
         assert parsed == group and hash(parsed) == hash(group)
+
+    def test_rank_zero_dump(self):
+        # the one-element image of the rank-0 system: a header line, then
+        # a blank line and no matrix rows
+        text = format_group_dump(enumerate_image(build_system([]), 3))
+        assert text == "modulus 3, dimension 0, order 1\n\n"
+        assert parse_group_dump(text).rows == ((),)
 
     def test_stable_across_runs(self):
         a = format_group_dump(enumerate_image(twin(4), 4))

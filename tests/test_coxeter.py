@@ -6,7 +6,7 @@ from smallcox.coxeter import (INF, BadDiagonalError, BadOffDiagonalError,
                               family_of, format_coxeter_matrix, format_word,
                               is_small, named_system,
                               parse_coxeter_matrix, parse_word,
-                              racg_join_decomposition, racg_system,
+                              racg_join_decomposition, racg_system, relators,
                               simple_graph, symmetric, triplet, twin,
                               universal)
 
@@ -109,6 +109,15 @@ class TestNamedFamilies:
         graph = simple_graph(3, [(1, 3)])
         system = named_system("racg", graph=graph)
         assert system == twin(4)
+
+
+class TestRelators:
+    def test_squares_then_finite_bonds_in_pair_order(self):
+        system = build_system([[1, 3, 2, INF], [3, 1, INF, 2],
+                               [2, INF, 1, 3], [INF, 2, 3, 1]])
+        assert relators(system) == (
+            (1, 1), (2, 2), (3, 3), (4, 4),
+            (1, 2) * 3, (1, 3) * 2, (2, 4) * 2, (3, 4) * 3)
 
 
 class TestIsSmall:

@@ -65,9 +65,9 @@ class TestHolonomyViaConjugation:
         calls = []
         direct = KernelRewriter.conjugation_matrix
 
-        def counted(self, word, allow_torsion=False):
+        def counted(self, word):
             calls.append(tuple(word))
-            return direct(self, word, allow_torsion)
+            return direct(self, word)
 
         monkeypatch.setattr(KernelRewriter, "conjugation_matrix", counted)
         holonomy_via_conjugation(quotient_map(twin(4), "symmetric"))

@@ -89,6 +89,11 @@ class TestIntMatrix:
         a = Matrix(((1, 2), (0, 1)), 5)
         assert parse_matrix(str(a)) == a
 
+    def test_every_row_ends_in_a_newline(self):
+        assert format_matrix(((1, -2), (0, 3))) == "1 -2\n0 3\n"
+        assert format_matrix(()) == ""
+        assert parse_matrix(format_matrix(())) == Matrix(())
+
 
 def _det_fraction(rows):
     n = len(rows)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smallcox.congruence import BudgetExceededError, FiniteQuotientMap
-from smallcox.coxeter import symmetric, triplet, twin, universal
+from smallcox.coxeter import relators, symmetric, triplet, twin, universal
+from smallcox.crystallo import holonomy_via_conjugation
 from smallcox.matrices import Matrix
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
-                                LatticeTorsionError,
                                 Presentation, RelationCheckError,
                                 _exponent_row, abelian_invariants,
                                 coset_table, coxeter_presentation,
@@ -43,6 +43,13 @@ class TestCoxeterPresentation:
     def test_universal_has_only_squares(self):
         pres = coxeter_presentation(universal(5))
         assert set(pres.relators) == {(i, i) for i in range(1, 5)}
+
+    @pytest.mark.parametrize("system", [twin(4), triplet(4), symmetric(4),
+                                        universal(4)])
+    def test_wraps_the_one_relator_list(self, system):
+        pres = coxeter_presentation(system)
+        assert pres.generators == system.rank
+        assert pres.relators == relators(system)
 
 
 class TestQuotientMap:
@@ -206,6 +213,26 @@ class TestReidemeisterSchreier:
                  for i in range(5)]
         assert tuple(combo) == c[5]
 
+    @pytest.mark.parametrize("system,kind,m", [
+        (twin(4), "symmetric", None), (triplet(4), "mod2_abelian", None),
+        (twin(4), "modular", 6), (symmetric(4), "symmetric", None),
+        (twin(4), "trivial", None)])
+    def test_label_table_marks_the_tree_edges(self, system, kind, m):
+        # a label is 0 exactly where the representative of c, extended by
+        # y, is the chosen representative of c.y; the other pairs are
+        # numbered 1, 2, ... in (coset, letter) order
+        table, rewriter = kernel_rewriter(system, kind, m)
+        words, action = table.transversal, table.action
+        numbered = []
+        for c in range(table.count):
+            for y in range(1, system.rank + 1):
+                tree = words[c] + (y,) == words[action[c][y - 1]]
+                assert (rewriter.label[c][y - 1] == 0) == tree
+                if not tree:
+                    numbered.append(rewriter.label[c][y - 1])
+                    assert rewriter.pairs[numbered[-1] - 1] == (c, y)
+        assert numbered == list(range(1, rewriter.num_schreier + 1))
+
     def test_rewrite_rejects_non_kernel_words(self):
         table, rewriter = kernel_rewriter(twin(3), "mod2_abelian")
         with pytest.raises(ValueError):
@@ -360,6 +387,12 @@ class TestAbelianInvariants:
         assert abelian_invariants(Presentation(pres.generators, relabeled)) \
             == abelian_invariants(pres)
 
+    def test_no_relators_is_free(self):
+        assert abelian_invariants(Presentation(3, ())) == \
+            AbelianInvariants(3, ())
+        assert abelian_invariants(Presentation(0, ())) == \
+            AbelianInvariants(0, ())
+
     def test_rendering(self):
         assert str(AbelianInvariants(7, ())) == "Z^7"
         assert str(AbelianInvariants(1, ())) == "Z"
@@ -446,16 +479,17 @@ class TestConjugation:
             assert sorted(calls) == support
 
     def test_torsion_reported(self):
-        rewriter = KernelRewriter(quotient_map(triplet(4), "mod2_abelian"))
-        with pytest.raises(LatticeTorsionError) as exc:
-            rewriter.conjugation_matrix((1,))
-        assert exc.value.torsion == (3, 3)
+        # L_4'/L_4'' is Z_3 + Z_3: the report carries the torsion and the
+        # action on the (zero) free part is still computed
+        qmap = quotient_map(triplet(4), "mod2_abelian")
+        assert holonomy_via_conjugation(qmap).lattice_torsion == (3, 3)
+        assert KernelRewriter(qmap).conjugation_matrix((1,)).dimension == 0
 
     def test_trivial_map_gives_empty_identity(self):
         table, rewriter = kernel_rewriter(twin(4), "trivial")
         assert table.count == 1
         assert rewriter.torsion == (2, 2, 2)
-        mat = rewriter.conjugation_matrix((1, 2), allow_torsion=True)
+        mat = rewriter.conjugation_matrix((1, 2))
         assert mat.dimension == 0 and mat.is_identity()
 
 
