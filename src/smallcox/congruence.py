@@ -5,10 +5,11 @@ Coxeter group onto a finite matrix group; the kernel is the principal
 congruence subgroup of level m.  Everything here works with finite
 images:
 
-* ``orbit`` is the one breadth-first closure: the orbit of a start
-  element under "apply generator k", in shortlex discovery order.
-  Images, subquotient checks and the coset tables of
-  :mod:`smallcox.rewriting` all run through it; only
+* ``orbit`` is the one breadth-first closure, and the only code that
+  lists the elements of a finite group: the orbit of a start element
+  under "apply generator k", in shortlex discovery order.  Images,
+  subquotient checks and the coset tables of :mod:`smallcox.rewriting`
+  all run through it, and it alone checks the element budget; only
   ``rewriting.coset_table`` asks it for the action table as well, so
   the other callers never hold one;
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
@@ -19,15 +20,18 @@ images:
   transpositions in S_n (``symmetric``), the reflection matrices mod m
   as row tuples (``modular``), bit vectors indexed by odd-bond classes
   (``mod2_abelian``, the mod-2 abelianization) and ``trivial``;
-* ``enumerate_image`` lists the image as the orbit of the identity under
-  right multiplication by the generator matrices;
+* ``enumerate_image`` lists the image as the orbit of
+  ``quotient_map(system, "modular", m)``: the identity under right
+  multiplication by the generator matrices mod m;
 * ``congruence_member`` decides level-m membership of a word;
 * the ``*_quotient_check`` functions identify the subquotients
   "level m over level 3m / 4m / 12m" with the alternating group, the
   even-weight mod-2 vectors, and their direct product; their orbit
   carries the image under a second quotient map (``symmetric``,
   ``mod2_abelian`` or ``modular`` mod m) along the matrix and returns a
-  ``QuotientCheck`` record.
+  ``QuotientCheck`` record.  Onto-ness is decided by counting, never by
+  listing the target: n!/2 distinct even permutations are all of A_n,
+  and 2^(n-2) distinct even-weight vectors are all of them.
 
 Matrices mod m are handled as tuples of canonical residue rows
 (0..m-1): the closure runs on them and a ``FiniteMatrixGroup`` stores
@@ -39,15 +43,13 @@ large.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
-from .coxeter import (INF, CoxeterSystem, Word, family_of, relators,
-                      require_small, twin)
+from .coxeter import INF, CoxeterSystem, Word, family_of, relators, twin
 from .matrices import Rows, format_matrix, identity_rows, parse_matrix
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
@@ -90,8 +92,10 @@ def orbit(start: Hashable, step: Callable, ngens: int,
     where ``action[i][k]`` is the index of step(elements[i], k); only
     ``rewriting.coset_table`` reads that table, so the other callers
     never hold it.  Raises ``BudgetExceededError`` rather than grow past
-    ``cap`` elements.
+    ``cap`` elements, and ``ValueError`` for a ``cap`` below 1.
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     index = {start: 0}
     elements = [start]
     action = []
@@ -115,14 +119,10 @@ def orbit(start: Hashable, step: Callable, ngens: int,
 
 def enumerate_image(system: CoxeterSystem, m: int,
                     cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
-    """The image of a small system mod m, as an explicit finite group."""
-    require_small(system)
-    if m < 2:
-        raise ValueError(f"modulus {m} < 2")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    rows = orbit(identity_rows(system.rank), generator_step(system, m),
-                 system.rank, cap)
+    """The image of a small system mod m, as an explicit finite group:
+    the orbit of ``quotient_map(system, "modular", m)``."""
+    qmap = quotient_map(system, "modular", m)
+    rows = orbit(qmap.identity_image, qmap.step, system.rank, cap)
     return FiniteMatrixGroup(m, system.rank, tuple(rows))
 
 
@@ -315,8 +315,10 @@ def alternating_quotient_check(n: int, m: int,
         raise ValueError(f"need m >= 2, got {m}")
     pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
     mapping, well_defined, injective = _kernel_map(pairs, m)
-    all_even = all(perms.is_even(s) for s in mapping.values())
-    onto = set(mapping.values()) == set(perms.alternating(n))
+    values = set(mapping.values())
+    all_even = all(perms.is_even(s) for s in values)
+    # a set of n!/2 even permutations is A_n
+    onto = all_even and len(values) == math.factorial(n) // 2
     ok = well_defined and injective and all_even and onto
     detail = (f"well_defined={well_defined} injective={injective} "
               f"even={all_even} onto={onto}")
@@ -339,9 +341,10 @@ def even_vector_quotient_check(n: int, m: int,
         raise ValueError(f"need odd m >= 3, got {m}")
     pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
     mapping, well_defined, injective = _kernel_map(pairs, m)
-    even_vectors = {v for v in itertools.product((0, 1), repeat=n - 1)
-                    if sum(v) % 2 == 0}
-    onto = set(mapping.values()) == even_vectors
+    values = set(mapping.values())
+    # a set of 2^(n-2) even-weight vectors in Z_2^(n-1) is all of them
+    onto = (all(sum(v) % 2 == 0 for v in values)
+            and len(values) == 2 ** (n - 2))
     ok = well_defined and injective and onto
     detail = f"well_defined={well_defined} injective={injective} onto={onto}"
     return QuotientCheck("even-vectors", n, m, len(pairs), len(mapping),

@@ -112,8 +112,6 @@ def _canonical_exponent(e):
     return e
 
 
-FAMILIES = ("twin", "triplet", "symmetric", "universal", "w_nm", "racg")
-
 # (near, far) exponents of the chain families: near between consecutive
 # generators, far between all others; in the order ``family_of`` tries
 _CHAIN_BONDS = {"twin": (INF, 2), "triplet": (3, INF), "symmetric": (3, 2),

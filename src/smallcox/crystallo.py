@@ -13,12 +13,17 @@ quotient of the twin group (lattice of rank 2n-5):
   class down in closed form on the standard lattice basis
   b0(1), b0(2), b1(2), ..., b0(n-2), b1(n-2), where b0(j) is the class
   of s_{j+1} s_j s_{j+1} s_j and b1(j) its conjugate by s_{j-1};
+  ``theta_faithfulness`` runs these over the coset table of the mod-2
+  abelianization of the twin group, one coset per subset of classes;
 * ``holonomy_via_conjugation(qmap)`` computes the action of each
   ambient generator on the kernel of the quotient map through Schreier
   rewriting (``KernelRewriter(qmap)``; the system is ``qmap.system``),
-  with no closed form anywhere, and the action of every coset as a
-  product of generator matrices along the breadth-first transversal
-  tree (the action is a homomorphism, M(uv) = M(u) M(v)).
+  with no closed form anywhere.
+
+Both routes hand their generator matrices to one walk, ``_holonomy``,
+which builds the action of every coset as a product of generator
+matrices along the breadth-first transversal tree of a coset table
+(the action is a homomorphism, M(uv) = M(u) M(v)).
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -33,11 +38,12 @@ is always reported on the ``HolonomyReport``, never raised; only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
 from .matrices import Matrix, _listed, _mul_listed, identity_rows
-from .rewriting import KernelRewriter
+from .rewriting import CosetTable, KernelRewriter, coset_table
 
 
 class BasisSpanError(ValueError):
@@ -128,36 +134,22 @@ def theta_faithfulness(n: int) -> HolonomyReport:
 
     Verifies first that the generator matrices are commuting involutions
     (so the formulas really define an action of the elementary abelian
-    group), then multiplies out all 2^(n-1) products and reports every
-    subset acting trivially.
+    group), then walks the 2^(n-1) cosets of the mod-2 abelianization
+    of the twin group (no odd bonds, so one coset per subset) and
+    reports every subset acting trivially.
     """
     if not 3 <= n <= 12:
         raise ValueError(f"need 3 <= n <= 12, got {n}")
-    dim = _basis_size(n)
-    ident = Matrix.identity(dim)
     mats = [theta_generator_matrix(n, k) for k in range(1, n)]
     for i, a in enumerate(mats):
-        if a * a != ident:
+        if not (a * a).is_identity():
             raise ArithmeticError(f"generator class {i + 1} is not an involution")
         for b in mats[i + 1:]:
             if a * b != b * a:
                 raise ArithmeticError("generator classes fail to commute")
-    products = [ident]
-    for mask in range(1, 2 ** (n - 1)):
-        low = (mask & -mask).bit_length() - 1
-        products.append(products[mask & (mask - 1)] * mats[low])
-    witnesses = []
-    for mask in range(1, 2 ** (n - 1)):
-        if products[mask] == ident:
-            word = tuple(k + 1 for k in range(n - 1) if mask >> k & 1)
-            witnesses.append(word)
-    return HolonomyReport(
-        quotient=f"T{n}/T{n}''",
-        dimension=dim,
-        holonomy_order=2 ** (n - 1),
-        faithful=not witnesses,
-        kernel_witnesses=tuple(witnesses),
-    )
+    qmap = quotient_map(twin(n), "mod2_abelian")
+    return _holonomy(qmap, coset_table(qmap), [m.rows for m in mats],
+                     _basis_size(n))
 
 
 def _quotient_label(qmap: FiniteQuotientMap) -> str:
@@ -175,25 +167,22 @@ def _quotient_label(qmap: FiniteQuotientMap) -> str:
     return f"{stem}/{stem}'"
 
 
-def holonomy_via_conjugation(qmap: FiniteQuotientMap) -> HolonomyReport:
-    """Conjugation action of a finite quotient on its kernel's
-    abelianization, over every coset.
+def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
+              dim: int, torsion: tuple[int, ...] = ()) -> HolonomyReport:
+    """The action of every coset of ``table``, from the row tuples of
+    the generator matrices ``gens``, as a faithfulness report.
 
-    Only the generator matrices come from Schreier rewriting, each
-    listed once for ``matrices._mul_listed``.  Coset c's representative
-    is its tree parent's word plus one letter y, so its matrix is
-    M(parent) * M(s_y); the parent is c.y, since generator actions are
-    involutions.  A coset's matrix is read again only as a tree parent,
-    so it is dropped once its last child is built; over the 720 cosets
-    of S_6 at most 96 matrices are live at once.  Torsion of the
-    abelianization goes on the report as ``lattice_torsion``.
+    Each generator matrix is listed once for ``matrices._mul_listed``,
+    and ``gens`` is read once, so a generator spares the dense copies.
+    Coset c's representative is its tree parent's word plus one letter
+    y, so its matrix is M(parent) * M(s_y); the parent is c.y, since
+    generator actions are involutions.  A coset's matrix is read again
+    only as a tree parent, so it is dropped once its last child is
+    built; over the 720 cosets of S_6 at most 96 matrices are live at
+    once.  Kernel witnesses come in table order.
     """
-    rewriter = KernelRewriter(qmap)
-    table = rewriter.table
-    dim = rewriter.rank
     ident = identity_rows(dim)
-    gens = [_listed(rewriter.conjugation_matrix((y,)).rows)
-            for y in range(1, qmap.system.rank + 1)]
+    gens = [_listed(rows) for rows in gens]
     parents = [table.action[c][table.transversal[c][-1] - 1]
                for c in range(1, table.count)]
     last_child = {p: c for c, p in enumerate(parents, 1)}
@@ -214,8 +203,23 @@ def holonomy_via_conjugation(qmap: FiniteQuotientMap) -> HolonomyReport:
         holonomy_order=table.count,
         faithful=not witnesses,
         kernel_witnesses=tuple(witnesses),
-        lattice_torsion=rewriter.torsion,
+        lattice_torsion=torsion,
     )
+
+
+def holonomy_via_conjugation(qmap: FiniteQuotientMap) -> HolonomyReport:
+    """Conjugation action of a finite quotient on its kernel's
+    abelianization, over every coset.
+
+    Only the generator matrices come from Schreier rewriting; the walk
+    over the cosets is ``_holonomy``.  Torsion of the abelianization
+    goes on the report as ``lattice_torsion``.
+    """
+    rewriter = KernelRewriter(qmap)
+    gens = (rewriter.conjugation_matrix((y,)).rows
+            for y in range(1, qmap.system.rank + 1))
+    return _holonomy(qmap, rewriter.table, gens, rewriter.rank,
+                     rewriter.torsion)
 
 
 def beta_word(n: int, j: int, p: int) -> Word:

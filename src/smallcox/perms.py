@@ -3,11 +3,12 @@
 ``multiply(p, q)`` means "apply p, then q", which matches the
 left-to-right order used for matrix images of words: the image of a
 concatenated word is the fold of ``multiply`` over its letters.
+
+These are the images of the ``symmetric`` quotient map; no group is
+listed here, since ``congruence.orbit`` enumerates every finite group.
 """
 
 from __future__ import annotations
-
-import itertools
 
 Perm = tuple[int, ...]
 
@@ -43,7 +44,3 @@ def is_even(p: Perm) -> bool:
             length += 1
         parity ^= (length - 1) & 1
     return parity == 0
-
-
-def alternating(n: int) -> frozenset[Perm]:
-    return frozenset(p for p in itertools.permutations(range(n)) if is_even(p))

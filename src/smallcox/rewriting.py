@@ -235,11 +235,6 @@ class KernelRewriter:
 
     # -- abelianized kernel ---------------------------------------------
 
-    def exponent_vector(self, word: Sequence[int]) -> dict[int, int]:
-        """Schreier-generator exponent sums of a kernel word, as
-        ``{k: exponent of generator k+1}`` with zero sums left out."""
-        return _exponent_row(self.rewrite(word))
-
     @cached_property
     def smith(self) -> SmithForm:
         return smith_normal_form(_relator_rows(self.presentation),
@@ -256,7 +251,7 @@ class KernelRewriter:
     def free_coordinates(self, word: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a kernel word in the free part of the
         abelianized kernel (the basis the Smith column transform picks)."""
-        v = self.exponent_vector(word).items()
+        v = _exponent_row(self.rewrite(word)).items()
         sm = self.smith
         return tuple(sum(x * sm.v[t][j] for t, x in v)
                      for j in sm.free_columns)

@@ -65,6 +65,16 @@ def test_budget_exits_one(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "image --family twin -n 4 -m 3 --cap 0",
+    "quotient --check alternating -n 4 -m 5 --cap 0",
+    "subgroup --family twin -n 4 --map symmetric --cap -1",
+    "abelianize --family twin -n 4 --map symmetric --cap 0"])
+def test_non_positive_cap_exits_one(line, capsys):
+    assert dispatch(line.split()) == 1
+    assert "cap must be positive" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         dispatch(["image", "--family", "twin", "-n", "4"])
@@ -218,6 +228,16 @@ PINNED_STDOUT = {
         "8a4beb4fea276b561bdc0997c8714f557632e5f87701605cf96693d4a9e43f88",
     "permutahedron --table":
         "ae61fcd316acff6490ac00ddd2efdc11c900b02c4fa5a5c95eab02a9bcac2568",
+    "quotient --check alternating -n 4 -m 2":
+        "90c3d59e474ace4d20c97091611f68e39b8a8cfa72fd01d1aeb51395fe522803",
+    "quotient --check alternating -n 5 -m 2":
+        "29fcf3f62e143963bf5920e424b2be308d7407d3fa1c022e17b862ba165770d6",
+    "quotient --check even-vectors -n 4 -m 3":
+        "4fe4ff877d28d61ad536da55c7213fa035d24ea1fe582fcc558135db02501e47",
+    "holonomy --quotient second-commutator -n 4":
+        "79052cc1a34241a33d66becac07ade3d0aafc189166e99c3a7964102efb66cdc",
+    "holonomy --quotient second-commutator -n 12 --json":
+        "fd27e5ac2fbec18388e7baccb29396acb5585b9eb216b6b3ed7d443d5c6afe6b",
 }
 
 
@@ -295,6 +315,21 @@ def test_cli_import_needs_no_numpy():
         env=_source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # the benchmark tracer wraps functions by name; a rename or a dropped
+    # re-export would silently lose that layer's metrics
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import spans
+    import smallcox.cli  # noqa: F401  (loads every traced module)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
 
 
 def _right_angled_matrix(seed: int, vertices: int) -> str:

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from smallcox.congruence import (BudgetExceededError, alternating_quotient_check,
+from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
+                                 alternating_quotient_check,
                                  congruence_member, enumerate_image,
                                  even_vector_quotient_check, format_group_dump,
                                  minimal_congruence_power, orbit,
@@ -136,6 +138,12 @@ class TestOrbit:
         assert action == [tuple(position[qmap.step(x, k)] for k in range(4))
                           for x in bare]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_is_rejected(self, cap):
+        qmap = quotient_map(twin(4), "symmetric")
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            orbit(qmap.identity_image, qmap.step, 3, cap)
+
 
 class TestQuotientChecks:
     @pytest.mark.parametrize("n,factor,kind,m", [
@@ -202,6 +210,36 @@ class TestQuotientChecks:
         first = {p[0] for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
         assert first == set(group.rows)
+
+
+def _inversions(p) -> int:
+    return sum(1 for i, j in itertools.combinations(range(len(p)), 2)
+               if p[i] > p[j])
+
+
+class TestOntoByCounting:
+    """The onto flags of the subquotient checks count the image; these
+    oracles list the whole target and compare sets instead."""
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 5), (5, 2), (5, 4)])
+    def test_alternating_onto_is_set_equality(self, n, m):
+        result = alternating_quotient_check(n, m)
+        mapping, _, _ = _kernel_map(
+            _twin_pairs(n, 3 * m, "symmetric", None, DEFAULT_CAP), m)
+        a_n = {p for p in itertools.permutations(range(n))
+               if _inversions(p) % 2 == 0}
+        onto = set(mapping.values()) == a_n
+        assert f"onto={onto}" in result.detail
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 5), (5, 3), (6, 3)])
+    def test_even_vectors_onto_is_set_equality(self, n, m):
+        result = even_vector_quotient_check(n, m)
+        mapping, _, _ = _kernel_map(
+            _twin_pairs(n, 4 * m, "mod2_abelian", None, DEFAULT_CAP), m)
+        even = {v for v in itertools.product((0, 1), repeat=n - 1)
+                if sum(v) % 2 == 0}
+        onto = set(mapping.values()) == even
+        assert f"onto={onto}" in result.detail
 
 
 class TestMinimalCongruencePower:

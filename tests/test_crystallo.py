@@ -40,6 +40,29 @@ class TestBetaWord:
             beta_word(5, j, p)
 
 
+def _mask_products_report(n):
+    """Brute-force oracle: multiply out the closed-form matrices over all
+    2^(n-1) subsets by bit mask, and list the trivial ones by mask."""
+    ident = Matrix.identity(2 * n - 5)
+    mats = [theta_generator_matrix(n, k) for k in range(1, n)]
+    products = [ident]
+    for mask in range(1, 2 ** (n - 1)):
+        low = (mask & -mask).bit_length() - 1
+        products.append(products[mask & (mask - 1)] * mats[low])
+    witnesses = tuple(tuple(k + 1 for k in range(n - 1) if mask >> k & 1)
+                      for mask in range(1, 2 ** (n - 1))
+                      if products[mask] == ident)
+    return witnesses, 2 ** (n - 1), 2 * n - 5, f"T{n}/T{n}''"
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_theta_faithfulness_matches_the_mask_products(n):
+    report = theta_faithfulness(n)
+    assert (report.kernel_witnesses, report.holonomy_order, report.dimension,
+            report.quotient) == _mask_products_report(n)
+    assert report.faithful == (not report.kernel_witnesses)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_theta_faithful(n):
     report = theta_faithfulness(n)

@@ -236,7 +236,7 @@ class TestReidemeisterSchreier:
     def test_rewrite_rejects_non_kernel_words(self):
         table, rewriter = kernel_rewriter(twin(3), "mod2_abelian")
         with pytest.raises(ValueError):
-            rewriter.exponent_vector((1,))
+            rewriter.rewrite((1,))
 
     @given(st.lists(st.integers(1, 6).flatmap(
         lambda g: st.sampled_from((g, -g))), max_size=30))
