@@ -211,7 +211,7 @@ def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
 
 def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     classes = odd_bond_classes(system)
-    t = max(classes) + 1
+    t = max(classes, default=-1) + 1
     units = [tuple(int(c == own) for c in range(t)) for own in classes]
     # vector -> vector + unit k, each distinct vector built once per
     # generator and then shared by every orbit element that carries it

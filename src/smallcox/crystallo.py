@@ -21,9 +21,12 @@ quotient of the twin group (lattice of rank 2n-5):
   with no closed form anywhere.
 
 Both routes hand their generator matrices to one walk, ``_holonomy``,
-which builds the action of every coset as a product of generator
-matrices along the breadth-first transversal tree of a coset table
-(the action is a homomorphism, M(uv) = M(u) M(v)).
+which carries one probe row along the breadth-first transversal tree
+of a coset table, v M(c) = (v M(parent)) M(s_y) (the action is a
+homomorphism, M(uv) = M(u) M(v)).  A coset in the kernel fixes every
+row, so only the cosets that fix the probe are multiplied out in full
+and compared with the identity; the witnesses are exactly the cosets
+whose full matrix is the identity.
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -80,18 +83,9 @@ class HolonomyReport:
         }
 
 
-def _basis_size(n: int) -> int:
-    return 2 * n - 5
-
-
-def _b0_index(j: int) -> int:
-    return 0 if j == 1 else 2 * j - 3
-
-
-def _b1_index(j: int) -> int:
-    if j < 2:
-        raise ValueError("b1(j) needs j >= 2")
-    return 2 * j - 2
+def _basis(n: int) -> list[tuple[int, int]]:
+    """The (j, p) of each basis class b_p(j), in basis order."""
+    return [(1, 0)] + [(j, p) for j in range(2, n - 1) for p in (0, 1)]
 
 
 def theta_generator_matrix(n: int, k: int) -> Matrix:
@@ -106,27 +100,23 @@ def theta_generator_matrix(n: int, k: int) -> Matrix:
         raise ValueError(f"need n >= 3, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} outside 1..{n - 1}")
-    dim = _basis_size(n)
-    cols: list[list[int]] = []
-    for j in range(1, n - 1):
-        for p in (0, 1):
-            if p == 1 and j == 1:
-                continue
-            col = [0] * dim
-            own = _b0_index(j) if p == 0 else _b1_index(j)
-            if j in (k - 1, k):
-                col[own] = -1
-            elif j == k + 1:
-                col[_b1_index(j) if p == 0 else _b0_index(j)] = 1
-            elif j == k - 2:
-                col[own] = 1
-                col[_b0_index(j + 1)] = 1
-                col[_b1_index(j + 1)] = -1
-            else:
-                col[own] = 1
-            cols.append(col)
-    return Matrix(tuple(tuple(cols[j][i] for j in range(dim))
-                        for i in range(dim)))
+    basis = _basis(n)
+    index = {b: i for i, b in enumerate(basis)}
+    cols = []
+    for j, p in basis:
+        col = [0] * len(basis)
+        if j in (k - 1, k):
+            col[index[j, p]] = -1
+        elif j == k + 1:
+            col[index[j, 1 - p]] = 1
+        elif j == k - 2:
+            col[index[j, p]] = 1
+            col[index[j + 1, 0]] = 1
+            col[index[j + 1, 1]] = -1
+        else:
+            col[index[j, p]] = 1
+        cols.append(col)
+    return Matrix(tuple(zip(*cols)))
 
 
 def theta_faithfulness(n: int) -> HolonomyReport:
@@ -149,7 +139,7 @@ def theta_faithfulness(n: int) -> HolonomyReport:
                 raise ArithmeticError("generator classes fail to commute")
     qmap = quotient_map(twin(n), "mod2_abelian")
     return _holonomy(qmap, coset_table(qmap), [m.rows for m in mats],
-                     _basis_size(n))
+                     mats[0].dimension)
 
 
 def _quotient_label(qmap: FiniteQuotientMap) -> str:
@@ -174,29 +164,29 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
 
     Each generator matrix is listed once for ``matrices._mul_listed``,
     and ``gens`` is read once, so a generator spares the dense copies.
-    Coset c's representative is its tree parent's word plus one letter
-    y, so its matrix is M(parent) * M(s_y); the parent is c.y, since
-    generator actions are involutions.  A coset's matrix is read again
-    only as a tree parent, so it is dropped once its last child is
-    built; over the 720 cosets of S_6 at most 96 matrices are live at
-    once.  Kernel witnesses come in table order.
+    The walk carries one probe row, (1, 2, ..., dim), times each coset's
+    matrix: coset c's representative is its tree parent's word plus one
+    letter y, so its row is the parent's row times M(s_y), and the
+    parent is c.y, since generator actions are involutions.  A coset
+    that acts trivially fixes every row, so only a coset that fixes the
+    probe can be in the kernel; its full matrix is multiplied out along
+    its word and compared with the identity.  Kernel witnesses come in
+    table order.
     """
-    ident = identity_rows(dim)
     gens = [_listed(rows) for rows in gens]
-    parents = [table.action[c][table.transversal[c][-1] - 1]
-               for c in range(1, table.count)]
-    last_child = {p: c for c, p in enumerate(parents, 1)}
-    mats = {0: ident}
+    ident = identity_rows(dim)
+    probes = [(tuple(range(1, dim + 1)),)]
     witnesses = []
-    for c, p in enumerate(parents, 1):
+    for c in range(1, table.count):
         word = table.transversal[c]
-        mat = _mul_listed(mats[p], gens[word[-1] - 1], dim)
-        if last_child[p] == c:
-            del mats[p]
-        if c in last_child:
-            mats[c] = mat
-        if mat == ident:
-            witnesses.append(word)
+        y = word[-1] - 1
+        probes.append(_mul_listed(probes[table.action[c][y]], gens[y], dim))
+        if probes[c] == probes[0]:
+            mat = ident
+            for x in word:
+                mat = _mul_listed(mat, gens[x - 1], dim)
+            if mat == ident:
+                witnesses.append(word)
     return HolonomyReport(
         quotient=_quotient_label(qmap),
         dimension=dim,
@@ -250,18 +240,13 @@ def theta_cross_check(n: int) -> bool:
     rewriter = KernelRewriter(quotient_map(twin(n), "mod2_abelian"))
     if rewriter.torsion:
         raise LatticeTorsionError(rewriter.torsion)
-    dim = _basis_size(n)
+    basis = _basis(n)
+    dim = len(basis)
     if rewriter.rank != dim:
         raise BasisSpanError(
             f"kernel abelianization has rank {rewriter.rank}, expected {dim}")
-    betas = []
-    for j in range(1, n - 1):
-        betas.append(beta_word(n, j, 0))
-        if j >= 2:
-            betas.append(beta_word(n, j, 1))
-    coords = [rewriter.free_coordinates(w) for w in betas]
-    b_mat = Matrix(tuple(tuple(coords[j][i] for j in range(dim))
-                         for i in range(dim)))
+    coords = [rewriter.free_coordinates(beta_word(n, j, p)) for j, p in basis]
+    b_mat = Matrix(tuple(zip(*coords)))
     if b_mat.det() not in (1, -1):
         raise BasisSpanError("b-class dictionary is not a lattice basis")
     for k in range(1, n):

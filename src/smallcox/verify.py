@@ -63,7 +63,7 @@ def _claim(claims, claim_id, description, expected, computed):
     exp_s = str(expected)
     t0 = time.perf_counter()
     try:
-        got_s = str(computed() if callable(computed) else computed)
+        got_s = str(computed())
         ok = exp_s == got_s
     except Exception as exc:  # a claim that raises is a failed claim
         import traceback  # only on this path: it would slow every CLI start

@@ -120,6 +120,19 @@ def test_word_file_does_not_leak_into_the_next_call(tmp_path, capsys):
     assert first != second
 
 
+def test_rank_zero_matrix_takes_the_mod2_map(tmp_path, capsys):
+    # no generator, so no odd-bond class: the mod-2 abelianization is the
+    # trivial group, as every other map already gives for rank 0
+    matrix = tmp_path / "rank0.txt"
+    matrix.write_text("0\n")
+    flags = ["--matrix", str(matrix), "--map", "mod2"]
+    assert dispatch(["abelianize"] + flags) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert dispatch(["subgroup"] + flags + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "cosets": 1, "generators": 0, "relators": []}
+
+
 def test_failed_claim_exits_one(monkeypatch, capsys):
     failing = Claim("always-false", "a claim that fails", "1", "2", False, 0.0)
     monkeypatch.setitem(verify_module._SUITE_BUILDERS, "tits",

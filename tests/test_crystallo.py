@@ -1,11 +1,12 @@
 import pytest
 
+from smallcox import crystallo
 from smallcox.coxeter import triplet, twin
-from smallcox.crystallo import (beta_word, holonomy_via_conjugation,
+from smallcox.crystallo import (_holonomy, beta_word, holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
 from smallcox.matrices import Matrix
-from smallcox.rewriting import KernelRewriter, quotient_map
+from smallcox.rewriting import KernelRewriter, coset_table, quotient_map
 
 
 class TestThetaGeneratorMatrix:
@@ -110,6 +111,34 @@ class TestHolonomyViaConjugation:
             quotient_map(twin(4), "modular", 3))
         assert report.faithful and report.dimension == 7
         assert report.quotient == "T4/T4[3]'"
+
+
+class TestProbeWalk:
+    def test_a_probe_fixer_outside_the_kernel_is_multiplied_out(self):
+        # generator 1 is an involution that fixes the probe (1, 2) but is
+        # not the identity, so cosets (1,) and (1, 2) pass the probe and
+        # only their full products reject them
+        qmap = quotient_map(twin(3), "mod2_abelian")
+        report = _holonomy(qmap, coset_table(qmap),
+                           [((-1, 0), (1, 1)), ((1, 0), (0, 1))], 2)
+        assert report.kernel_witnesses == ((2,),)
+        assert not report.faithful
+
+    def test_faithful_actions_form_no_full_product(self, monkeypatch):
+        # a faithful action moves the probe at every coset but the first,
+        # so the walk multiplies one-row matrices only
+        rows_in = []
+        listed = crystallo._mul_listed
+
+        def counted(a, *rest):
+            rows_in.append(len(a))
+            return listed(a, *rest)
+
+        monkeypatch.setattr(crystallo, "_mul_listed", counted)
+        assert holonomy_via_conjugation(
+            quotient_map(twin(5), "symmetric")).faithful
+        assert theta_faithfulness(8).faithful
+        assert rows_in == [1] * (119 + 127)
 
 
 @pytest.mark.parametrize("n", [4, 5])
