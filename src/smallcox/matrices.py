@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 Rows = tuple[tuple[int, ...], ...]
@@ -192,16 +193,34 @@ def det_rows(rows: Rows) -> int:
 class SmithForm:
     """U * A * V = diag(divisors) with U, V unimodular.
 
-    Only the column transform V (and its inverse) is kept: it is what a
-    presentation needs to change generators, and row operations never
-    touch it.  ``divisors`` is the nonzero diagonal, each dividing the
-    next.
+    ``divisors`` is the nonzero diagonal, each dividing the next.  Only
+    the column transform V is kept, since row operations never touch
+    it, and only with ``want_transform``:
+
+    * ``columns[i]`` is column i of V as a sparse ``{row: value}`` dict,
+      pivots first, so A V is zero on ``free_columns``;
+    * ``order[i]`` is the column of A that position i started from;
+    * ``free_rows`` holds, for each free position i in turn, row i of
+      V^-1 as a sparse dict: the combination of A's columns that V
+      sends to e_i.
+
+    V^-1 itself is never formed.  A column move rewrites only the row
+    of V^-1 that belongs to the pivot column, so a free column that
+    never held the pivot keeps the unit row ``{order[i]: 1}``; then row
+    ``order[i]`` of V is e_i as well.  Only a column that a Euclid step
+    demoted from pivot, and that ends free, has a longer row.
+
+    ``v`` is V as dense row tuples (None without the transform), built
+    from ``columns`` on first read and then cached.  It is ncols x ncols
+    and kept only for readers outside this package; the package itself
+    reads ``columns``.
     """
 
     divisors: tuple[int, ...]
     ncols: int
-    v: Optional[tuple[tuple[int, ...], ...]] = None
-    v_inv: Optional[tuple[tuple[int, ...], ...]] = None
+    columns: Optional[tuple[dict[int, int], ...]] = None
+    order: Optional[tuple[int, ...]] = None
+    free_rows: Optional[tuple[dict[int, int], ...]] = None
 
     @property
     def free_columns(self) -> tuple[int, ...]:
@@ -210,6 +229,16 @@ class SmithForm:
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.divisors if d > 1)
+
+    @cached_property
+    def v(self) -> Optional[Rows]:
+        if self.columns is None:
+            return None
+        rows = [[0] * self.ncols for _ in range(self.ncols)]
+        for i, col in enumerate(self.columns):
+            for t, x in col.items():
+                rows[t][i] = x
+        return tuple(map(tuple, rows))
 
 
 def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
@@ -235,10 +264,12 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
     into the divisor chain.
 
     Transform: with ``want_transform`` every column operation is also
-    applied to the sparse columns of V and, inverted, to the sparse
-    rows of V^-1.  Row operations never touch V.  On return the columns
-    of V (and the rows of V^-1) are ordered pivots first, so A V is zero
-    on ``free_columns``, and both come back as dense tuples.
+    applied to the sparse columns of V; row operations never touch V.
+    Column j -= q * column c is, on V^-1, row c += q * row j, so only
+    the row of the pivot column moves.  That row is kept while its
+    column may still end free, and dropped once the column is a pivot
+    for good.  On return V's columns are ordered pivots first, still
+    sparse; see ``SmithForm`` for what comes back.
     """
     a: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
@@ -251,7 +282,8 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
             col_rows[j].add(i)
     if want_transform:
         v_cols = [{j: 1} for j in range(ncols)]
-        v_inv_rows = [{j: 1} for j in range(ncols)]
+        # the rows of V^-1 that moved, while their column may end free
+        v_inv_rows: dict[int, dict[int, int]] = {}
 
     buckets: list[set[int]] = [set() for _ in range(ncols + 1)]
     bucket_of = dict.fromkeys(a, 0)  # 0: waiting for a change
@@ -330,7 +362,8 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
                     # column j -= q * column c; V^-1 takes the inverse
                     # row move
                     _axpy(v_cols[j], v_cols[c], -q)
-                    _axpy(v_inv_rows[c], v_inv_rows[j], q)
+                    _axpy(v_inv_rows.setdefault(c, {c: 1}),
+                          v_inv_rows.get(j) or {j: 1}, q)
                 rest = pivot_row[j] - q * p
                 if rest:
                     pivot_row[j] = rest
@@ -344,6 +377,8 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
         col_rows[c].discard(r)
         buckets[bucket_of[r]].discard(r)
         del a[r], bucket_of[r]
+        if want_transform:
+            v_inv_rows.pop(c, None)  # a pivot's row is never read again
         pivots.append(c)
         divisors.append(abs(p))
 
@@ -351,17 +386,11 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
     if not want_transform:
         return SmithForm(tuple(divisors), ncols)
     done = set(pivots)
-    order = pivots + [j for j in range(ncols) if j not in done]
-    v = tuple(zip(*(_dense(v_cols[j], ncols) for j in order)))
-    v_inv = tuple(_dense(v_inv_rows[j], ncols) for j in order)
-    return SmithForm(tuple(divisors), ncols, v, v_inv)
-
-
-def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
-    row = [0] * n
-    for t, e in vec.items():
-        row[t] = e
-    return tuple(row)
+    free = [j for j in range(ncols) if j not in done]
+    return SmithForm(tuple(divisors), ncols,
+                     tuple(v_cols[j] for j in pivots + free),
+                     tuple(pivots + free),
+                     tuple(v_inv_rows.get(j) or {j: 1} for j in free))
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:

@@ -23,11 +23,16 @@ enumeration is ever needed:
   each elimination to the relators it changes;
 * ``abelian_invariants`` reads free rank and torsion off the Smith
   normal form of the relator exponent matrix, whose rows go in sparse,
-  as ``(generator, exponent)`` pairs with zero sums left out;
+  as ``(generator, exponent)`` pairs with zero sums left out, one per
+  distinct multiset of relator letters (``_relator_rows``);
 * ``KernelRewriter.conjugation_matrix`` computes the action that an
   ambient word induces on the free part of the abelianized kernel, for
-  the crystallographic checks; torsion never raises here, and
-  ``crystallo`` reports it.
+  the crystallographic checks.  It reads the Smith transform sparse:
+  each Schreier generator's free coordinates are listed once from V's
+  free columns, and free basis vector i is the Schreier generator
+  ``order[i]`` (the combination ``free_rows[i]`` in general), so a
+  matrix costs one conjugate rewrite per free column and V^-1 is never
+  formed.  Torsion never raises here, and ``crystallo`` reports it.
 
 ``quotient_map`` is importable from here as well: ``cli`` and ``verify``
 build their maps as ``rewriting.quotient_map``, and the perfbench
@@ -242,19 +247,33 @@ class KernelRewriter:
 
     @property
     def rank(self) -> int:
-        return len(self.smith.free_columns)
+        return self.smith.ncols - len(self.smith.divisors)
 
     @property
     def torsion(self) -> tuple[int, ...]:
         return self.smith.torsion
 
+    @cached_property
+    def _coordinates(self) -> list[list[tuple[int, int]]]:
+        """Each Schreier generator's free coordinates as sparse
+        ``(free index, value)`` pairs, read off V's free columns."""
+        sm = self.smith
+        coords: list[list[tuple[int, int]]] = [
+            [] for _ in range(self.num_schreier)]
+        for i, col in enumerate(sm.columns[len(sm.divisors):]):
+            for t, x in col.items():
+                coords[t].append((i, x))
+        return coords
+
     def free_coordinates(self, word: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a kernel word in the free part of the
         abelianized kernel (the basis the Smith column transform picks)."""
-        v = _exponent_row(self.rewrite(word)).items()
-        sm = self.smith
-        return tuple(sum(x * sm.v[t][j] for t, x in v)
-                     for j in sm.free_columns)
+        coords = self._coordinates
+        out = [0] * self.rank
+        for t, x in _exponent_row(self.rewrite(word)).items():
+            for i, y in coords[t]:
+                out[i] += x * y
+        return tuple(out)
 
     def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
         """Matrix of x -> w x w^-1 on the free abelianized kernel.
@@ -263,21 +282,20 @@ class KernelRewriter:
         a homomorphism in ambient words: M(uv) = M(u) M(v).  The free
         part is well defined with or without torsion.
         """
-        sm = self.smith
         word = tuple(word)
         word_inv = invert_signed(word)
-        # basis vector i is row i of V^-1 in Schreier generators, so its
-        # image is the same combination of the images of the generators
+        # basis vector i is the combination free_rows[i] of Schreier
+        # generators, so its image is that combination of the images of
+        # their conjugates
         cols = []
-        for i in sm.free_columns:
-            col = [0] * len(sm.free_columns)
-            for t, x in enumerate(sm.v_inv[i]):
-                if x:
-                    image = self.free_coordinates(
-                        word + self.schreier_word(t) + word_inv)
-                    col = [c + x * y for c, y in zip(col, image)]
+        for lift in self.smith.free_rows:
+            col = [0] * self.rank
+            for t, x in lift.items():
+                image = self.free_coordinates(
+                    word + self.schreier_word(t) + word_inv)
+                col = [c + x * y for c, y in zip(col, image)]
             cols.append(col)
-        return Matrix(tuple(zip(*cols)))
+        return Matrix.canonical(tuple(zip(*cols)))
 
 
 def _exponent_row(word: Sequence[int]) -> dict[int, int]:
@@ -296,8 +314,20 @@ def _exponent_row(word: Sequence[int]) -> dict[int, int]:
 
 def _relator_rows(pres: Presentation) -> list:
     """The relator exponent matrix, one row of ``(column, exponent)``
-    pairs per relator, as ``smith_normal_form`` reads it."""
-    return [_exponent_row(rel).items() for rel in pres.relators]
+    pairs per distinct multiset of relator letters, as
+    ``smith_normal_form`` reads it.
+
+    Relators with the same letters in any order have the same row, so
+    the row lattice, and with it rank and torsion, is what every
+    relator gives.  A ``KernelRewriter`` presentation rewrites the
+    positive words of ``coxeter.relators``, so its rows are its letter
+    multisets and each distinct row goes in once (none is the negative
+    of another); the rewrites of one ambient relator along its cycle of
+    cosets are rotations of each other, so PT_5's 840 relators give 420
+    rows.
+    """
+    letters = dict.fromkeys(tuple(sorted(rel)) for rel in pres.relators)
+    return [_exponent_row(word).items() for word in letters]
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,18 @@ def _suite_crystallo() -> list[Claim]:
            "closed-form holonomy matches the conjugation route, n = 4, 5, 6",
            str([True] * 3),
            lambda: str([crystallo.theta_cross_check(n) for n in (4, 5, 6)]))
+    _claim(claims, "holonomy-pure-triplet-6",
+           "S_6 acts faithfully on the rank-601 lattice of the pure triplet "
+           "group, 601 = 1 + n!(2n-7)/6, so L_6/PL_6' is crystallographic "
+           "of dimension 601",
+           f"faithful=True dim={1 + math.factorial(6) * 5 // 6}",
+           lambda: via_conj(triplet(6), "symmetric"))
+    _claim(claims, "holonomy-pure-twin-7",
+           "S_7 acts faithfully on the rank-351 lattice of the pure twin "
+           "group, the Bjorner-Welker sum, so T_7/PT_7' is crystallographic "
+           "of dimension 351",
+           f"faithful=True dim={_pure_twin_betti(7)}",
+           lambda: via_conj(twin(7), "symmetric"))
     return claims
 
 

@@ -31,7 +31,7 @@ SUITE_RECORD_SHA256 = {
     "rewriting":
         "fdaf5a19fe7c018b72f581a0f88a24eaf0605baa80d33ad5c8b624a631ea1ebf",
     "crystallo":
-        "1c83c2f05e9f6ba1b2ffc19441bafe5eb32209327e39e9db07ab301b16ae57a3",
+        "bd3f10473af1b23495d09ccf550e9773469f56b62312762627388c8384f6d71a",
     "complexes":
         "30f06d50955ed42b80bac278be4cb0b334e670034ddf09ab568ba723f6674cce",
 }
@@ -153,7 +153,7 @@ def test_raising_claim_is_a_fail_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "Traceback" in captured.err
     lines = captured.out.splitlines()
-    assert lines[-1] == "FAIL suite crystallo: 6/7 claims"
+    assert lines[-1] == "FAIL suite crystallo: 8/9 claims"
     failed = [line for line in lines[:-1] if not line.startswith("PASS ")]
     assert failed == [
         "FAIL theta-cross-check: closed-form holonomy matches the "

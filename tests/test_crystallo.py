@@ -97,6 +97,23 @@ class TestHolonomyViaConjugation:
         holonomy_via_conjugation(quotient_map(twin(4), "symmetric"))
         assert calls == [(1,), (2,), (3,)]
 
+    def test_never_builds_the_dense_transform(self, monkeypatch):
+        # the PT_5 holonomy reads V's sparse columns only, so the dense
+        # ncols x ncols view is never made
+        made = []
+
+        class Recorded(KernelRewriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(crystallo, "KernelRewriter", Recorded)
+        assert holonomy_via_conjugation(
+            quotient_map(twin(5), "symmetric")).faithful
+        (rewriter,) = made
+        assert rewriter.smith.columns is not None
+        assert "v" not in rewriter.smith.__dict__
+
     def test_pure_triplet_four(self):
         report = holonomy_via_conjugation(
             quotient_map(triplet(4), "symmetric"))

@@ -173,16 +173,7 @@ class TestSmithNormalForm:
         rows = [[data.draw(st.integers(-5, 5)) for _ in range(nc)]
                 for _ in range(nr)]
         sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
-        # V * V^-1 = identity
-        prod = _mat_mul(sm.v, sm.v_inv)
-        assert prod == _identity(nc)
-        # A * V has pivots in the leading columns and zero free columns,
-        # with the column lattice unchanged: check rank via determinantal
-        # rank of A*V restricted to pivot columns
-        av = _mat_mul(rows, sm.v)
-        for row in av:
-            for j in sm.free_columns:
-                assert row[j] == 0
+        _check_transform(rows, sm)
 
     def test_rank_and_torsion_of_known_quotient(self):
         # Z^3 / <(2,0,0), (0,3,0)> is Z_6 + Z after the chain repair
@@ -210,18 +201,35 @@ class TestSmithNormalForm:
     def test_sparse_transform_with_non_unit_steps(self):
         # entries from {0, 0, 0, +-1, +-2, 3}: unit pivots first, then
         # Euclid steps and divisibility folds on what is left; the 6-row
-        # matrices leave at least four free columns
+        # matrices leave at least four free columns, and some of them
+        # were pivots that a Euclid step demoted
         rng = random.Random(5)
         entries = (0, 0, 0, 1, -1, 2, -2, 3)
+        demoted = 0
         for nr in [12] * 40 + [6] * 20:
             rows = [[rng.choice(entries) for _ in range(10)]
                     for _ in range(nr)]
             sm = smith_normal_form(_pairs(rows), 10, want_transform=True)
-            assert _mat_mul(sm.v, sm.v_inv) == _identity(10)
-            assert det_rows(sm.v) in (1, -1)
-            for row in _mat_mul(rows, sm.v):
-                assert all(row[j] == 0 for j in sm.free_columns)
+            demoted += _check_transform(rows, sm)
             assert sm.divisors == smith_normal_form(_pairs(rows), 10).divisors
+        assert demoted > 0
+
+    def test_demoted_free_column_keeps_its_row_of_v_inverse(self):
+        # (2 3): a Euclid step makes column 1 the pivot and leaves column
+        # 0 free, and no single column maps to the free generator
+        sm = smith_normal_form(_pairs([[2, 3]]), 2, want_transform=True)
+        assert (sm.divisors, sm.order) == ((1,), (1, 0))
+        assert sm.free_rows == ({0: 1, 1: 1},)
+        assert sm.v == ((-1, 3), (1, -2))
+
+    def test_dense_view_only_with_transform(self):
+        rows = _pairs([[2, 4, 4], [-6, 6, 12]])
+        bare = smith_normal_form(rows, 3)
+        assert (bare.v, bare.columns, bare.order, bare.free_rows) == \
+            (None, None, None, None)
+        sm = smith_normal_form(rows, 3, want_transform=True)
+        assert "v" not in sm.__dict__
+        assert sm.v is sm.v and "v" in sm.__dict__
 
     def test_rows_left_unchanged(self):
         rows = _pairs([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [0, 1, -1]])
@@ -241,6 +249,28 @@ class TestSmithNormalForm:
                       for row in rows]
             assert smith_normal_form(sparse, 8, want_transform=True) == \
                 smith_normal_form(_pairs(rows), 8, want_transform=True)
+
+
+def _check_transform(rows, sm):
+    """The transform contract, read through the dense view of V: V is
+    unimodular, A V vanishes on the free columns, ``columns`` and
+    ``order`` match the view, and ``free_rows[i]`` times V is e_i, so a
+    unit ``{order[i]: 1}`` means row order[i] of V is e_i.  Returns how
+    many free rows are not unit rows."""
+    nc = sm.ncols
+    v = sm.v
+    assert det_rows(v) in (1, -1)
+    assert sorted(sm.order) == list(range(nc))
+    assert [{t: v[t][i] for t in range(nc) if v[t][i]} for i in range(nc)] \
+        == list(sm.columns)
+    for row in _mat_mul(rows, v):
+        assert all(row[j] == 0 for j in sm.free_columns)
+    assert len(sm.free_rows) == len(sm.free_columns)
+    for i, lift in zip(sm.free_columns, sm.free_rows):
+        assert [sum(x * v[t][j] for t, x in lift.items())
+                for j in range(nc)] == _identity(nc)[i]
+    return sum(lift != {sm.order[i]: 1}
+               for i, lift in zip(sm.free_columns, sm.free_rows))
 
 
 def _pairs(rows):

@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 from smallcox.congruence import BudgetExceededError, FiniteQuotientMap
 from smallcox.coxeter import relators, symmetric, triplet, twin, universal
 from smallcox.crystallo import holonomy_via_conjugation
-from smallcox.matrices import Matrix
+from smallcox.matrices import Matrix, smith_normal_form
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
                                 Presentation, RelationCheckError,
-                                _exponent_row, abelian_invariants,
+                                _exponent_row, _relator_rows,
+                                abelian_invariants,
                                 coset_table, coxeter_presentation,
                                 cyclically_reduce, format_presentation,
                                 invert_signed, parse_presentation,
@@ -167,21 +168,47 @@ class TestReidemeisterSchreier:
         coords = rewriter.free_coordinates((2, 1, 2, 1))
         assert coords in ((1,), (-1,))
 
+    fixtures = [
+        (twin(3), "mod2_abelian", None),
+        (twin(4), "mod2_abelian", None),
+        (twin(4), "symmetric", None),
+        (twin(4), "modular", 6),
+        (triplet(4), "symmetric", None),
+        (triplet(4), "mod2_abelian", None),
+        (symmetric(4), "symmetric", None),
+    ]
+
     def test_index_formula_across_fixtures(self):
-        fixtures = [
-            (twin(3), "mod2_abelian", None),
-            (twin(4), "mod2_abelian", None),
-            (twin(4), "symmetric", None),
-            (twin(4), "modular", 6),
-            (triplet(4), "symmetric", None),
-            (triplet(4), "mod2_abelian", None),
-            (symmetric(4), "symmetric", None),
-        ]
-        for system, kind, m in fixtures:
+        for system, kind, m in self.fixtures:
             table, rewriter = kernel_rewriter(system, kind, m)
             pres = rewriter.presentation
             n, g = table.count, system.rank
             assert pres.generators == n * g - (n - 1)
+
+    def test_distinct_rows_keep_the_invariants(self):
+        # the Smith form of every relator row, repeats included,
+        # against that of the distinct rows; no row is kept twice, and
+        # none is the negative of another
+        for system, kind, m in self.fixtures:
+            pres = kernel_rewriter(system, kind, m)[1].presentation
+            every = smith_normal_form(
+                [_exponent_row(rel).items() for rel in pres.relators],
+                pres.generators)
+            rows = [frozenset(row) for row in _relator_rows(pres)]
+            assert len(set(rows)) == len(rows) < len(pres.relators)
+            assert not set(rows) & {frozenset((k, -x) for k, x in row)
+                                    for row in rows}
+            assert abelian_invariants(pres) == AbelianInvariants(
+                pres.generators - len(every.divisors), every.torsion)
+
+    @pytest.mark.parametrize("system,rows",
+                             [(twin(5), 420), (triplet(5), 360)])
+    def test_relator_rows_of_rank_five_kernels(self, system, rows):
+        # the rotations of a relator's rewrite give equal rows, so the
+        # 840 relators of PT_5 and PL_5 give 420 and 360 distinct rows
+        pres = kernel_rewriter(system, "symmetric")[1].presentation
+        assert len(pres.relators) == 840
+        assert len(_relator_rows(pres)) == rows
 
     def test_kernel_of_isomorphism_is_trivial(self):
         table, rewriter = kernel_rewriter(symmetric(3), "symmetric")
@@ -456,15 +483,16 @@ class TestConjugation:
             assert all(sum(row[t] * sm.v[t][j] for t in support) == 0
                        for j in free)
 
-    def test_rewrites_only_the_free_rows_of_v_inverse(self, monkeypatch):
-        # each generator's matrix rewrites the conjugates of the Schreier
-        # generators in the support of V^-1's free rows: 31 of the 361
-        # for PT_5, every free row being a unit vector
+    def test_rewrites_one_schreier_generator_per_free_column(self, monkeypatch):
+        # no column of PT_5's relator matrix is demoted from pivot, so
+        # basis vector i is the Schreier generator order[i] itself and
+        # each generator's matrix rewrites the conjugates of exactly
+        # those 31 of the 361 generators
         table, rewriter = kernel_rewriter(twin(5), "symmetric")
         sm = rewriter.smith
-        support = sorted(t for i in sm.free_columns
-                         for t, x in enumerate(sm.v_inv[i]) if x)
-        assert len(support) == 31
+        free = [sm.order[i] for i in sm.free_columns]
+        assert list(sm.free_rows) == [{t: 1} for t in free]
+        assert len(free) == 31
         calls = []
         original = rewriter.schreier_word
 
@@ -476,7 +504,7 @@ class TestConjugation:
         for y in range(1, 5):
             calls.clear()
             rewriter.conjugation_matrix((y,))
-            assert sorted(calls) == support
+            assert calls == free
 
     def test_torsion_reported(self):
         # L_4'/L_4'' is Z_3 + Z_3: the report carries the torsion and the
