@@ -25,12 +25,12 @@ from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          RelationCheckError, alternating_quotient_check,
                          congruence_member, enumerate_image,
                          even_vector_quotient_check, format_group_dump,
-                         minimal_congruence_power, orbit, parse_group_dump,
+                         minimal_congruence_power, orbit,
                          product_quotient_check, quotient_map)
 from .rewriting import (AbelianInvariants, CosetTable, KernelRewriter,
                         Presentation, abelian_invariants, coset_table,
                         coxeter_presentation, format_presentation,
-                        parse_presentation, tietze_simplify)
+                        tietze_simplify)
 from .crystallo import (BasisSpanError, HolonomyReport, LatticeTorsionError,
                         beta_word, holonomy_via_conjugation,
                         theta_cross_check, theta_faithfulness,

@@ -18,8 +18,12 @@ images:
   relators that the Schreier presentations of :mod:`smallcox.rewriting`
   rewrite as well.  ``quotient_map`` builds adjacent
   transpositions in S_n (``symmetric``), the reflection matrices mod m
-  as row tuples (``modular``), bit vectors indexed by odd-bond classes
-  (``mod2_abelian``, the mod-2 abelianization) and ``trivial``;
+  as row tuples (``modular``), vectors over Z_2 indexed by odd-bond
+  classes (``mod2_abelian``, the mod-2 abelianization) and ``trivial``.
+  A ``mod2_abelian`` image is an int bit mask, bit c the coordinate of
+  odd-bond class c, so the identity is 0 and a step is one XOR.  No
+  step is cached: a breadth-first orbit steps each (element,
+  generator) pair exactly once, so a cache would miss every time;
 * ``enumerate_image`` lists the image as the orbit of
   ``quotient_map(system, "modular", m)``: the identity under right
   multiplication by the generator matrices mod m;
@@ -45,12 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import xor
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
 from .coxeter import INF, CoxeterSystem, Word, family_of, relators, twin
-from .matrices import Rows, format_matrix, identity_rows, parse_matrix
+from .matrices import Rows, format_matrix, identity_rows
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
@@ -210,20 +213,9 @@ def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
 
 
 def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
-    classes = odd_bond_classes(system)
-    t = max(classes, default=-1) + 1
-    units = [tuple(int(c == own) for c in range(t)) for own in classes]
-    # vector -> vector + unit k, each distinct vector built once per
-    # generator and then shared by every orbit element that carries it
-    flips = [{} for _ in units]
-
-    def step(v, k):
-        w = flips[k].get(v)
-        if w is None:
-            w = flips[k][v] = tuple(map(xor, v, units[k]))
-        return w
-
-    return FiniteQuotientMap(system, "mod2_abelian", (0,) * t, step)
+    bits = [1 << c for c in odd_bond_classes(system)]
+    return FiniteQuotientMap(system, "mod2_abelian", 0,
+                             lambda v, k: v ^ bits[k])
 
 
 def _trivial_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
@@ -331,9 +323,10 @@ def even_vector_quotient_check(n: int, m: int,
     """Compare level m over level 4m with the even-weight mod-2 vectors.
 
     Same construction with the second coordinate the mod-2 exponent
-    vector of the word (the ``mod2_abelian`` quotient map: the twin
-    group has no odd bonds); the kernel of reduction mod odd m must
-    biject onto the 2^(n-2) vectors of even weight in Z_2^(n-1).
+    vector of the word (the ``mod2_abelian`` quotient map, a bit mask
+    with bit k-1 for s_k: the twin group has no odd bonds); the kernel
+    of reduction mod odd m must biject onto the 2^(n-2) vectors of even
+    weight in Z_2^(n-1).
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -343,7 +336,7 @@ def even_vector_quotient_check(n: int, m: int,
     mapping, well_defined, injective = _kernel_map(pairs, m)
     values = set(mapping.values())
     # a set of 2^(n-2) even-weight vectors in Z_2^(n-1) is all of them
-    onto = (all(sum(v) % 2 == 0 for v in values)
+    onto = (all(v.bit_count() % 2 == 0 for v in values)
             and len(values) == 2 ** (n - 2))
     ok = well_defined and injective and onto
     detail = f"well_defined={well_defined} injective={injective} onto={onto}"
@@ -400,19 +393,3 @@ def format_group_dump(group: FiniteMatrixGroup) -> str:
     return (f"modulus {group.modulus}, dimension {group.dimension}, "
             f"order {group.order}\n" +
             "".join("\n" + format_matrix(rows) for rows in group.rows))
-
-
-def parse_group_dump(text: str) -> FiniteMatrixGroup:
-    lines = text.splitlines()
-    header = lines[0].replace(",", " ").split()
-    m = int(header[1])
-    d = int(header[3])
-    order = int(header[5])
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != order * d:
-        raise ValueError(f"expected {order * d} matrix rows, found {len(body)}")
-    rows = []
-    for i in range(order):
-        block = "\n".join(body[i * d:(i + 1) * d])
-        rows.append(parse_matrix(f"mod {m}\n{block}").rows)
-    return FiniteMatrixGroup(m, d, tuple(rows))

@@ -268,14 +268,6 @@ def all_graphs(n: int):
 # text formats
 
 
-def format_coxeter_matrix(system: CoxeterSystem) -> str:
-    """First line the rank, then one row per line, "inf" for infinity."""
-    lines = [str(system.rank)]
-    for row in system.exponents:
-        lines.append(" ".join("inf" if e is INF else str(e) for e in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_coxeter_matrix(text: str) -> CoxeterSystem:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

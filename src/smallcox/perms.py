@@ -27,7 +27,8 @@ def adjacent_transposition(n: int, i: int) -> Perm:
 
 
 def multiply(p: Perm, q: Perm) -> Perm:
-    return tuple(q[p[i]] for i in range(len(p)))
+    """The permutation i -> q[p[i]], looked up in C."""
+    return tuple(map(q.__getitem__, p))
 
 
 def is_even(p: Perm) -> bool:

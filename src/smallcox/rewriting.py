@@ -20,7 +20,8 @@ enumeration is ever needed:
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; an index from generators to relators keeps
-  each elimination to the relators it changes;
+  each elimination to the relators it changes, and each of those takes
+  one pass that substitutes and free-reduces together;
 * ``abelian_invariants`` reads free rank and torsion off the Smith
   normal form of the relator exponent matrix, whose rows go in sparse,
   as ``(generator, exponent)`` pairs with zero sums left out, one per
@@ -45,7 +46,6 @@ line as signed generator indices (``1 2 -1 -2``).
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -75,15 +75,6 @@ def format_presentation(pres: Presentation) -> str:
     lines = [f"gens {pres.generators}"]
     lines.extend(" ".join(str(x) for x in rel) for rel in pres.relators)
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str) -> Presentation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gens "):
-        raise ValueError("presentation text must start with 'gens g'")
-    g = int(lines[0].split()[1])
-    rels = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
-    return Presentation(g, rels)
 
 
 def coxeter_presentation(system: CoxeterSystem) -> Presentation:
@@ -343,55 +334,82 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     and cyclically reduced, empty ones dropped.  An index from each
     generator to the relators that contain it limits the substitution
     to those relators, and a heap keyed by (length, position) finds the
-    next relator.  Terminates because each elimination removes a
-    generator.  This is deliberately modest; it suffices to expose
-    freeness for the kernels this package computes, and it preserves
-    abelian invariants exactly.
+    next relator.  Each changed relator takes one pass: substitution
+    and free reduction run in the same loop, the cyclic strip follows,
+    and the index moves only by the generators the relator gained or
+    lost.  Terminates because each elimination removes a generator.
+    This is deliberately modest; it suffices to expose freeness for the
+    kernels this package computes, and it preserves abelian invariants
+    exactly.
     """
     relators: dict[int, SignedWord] = {}  # by position, gaps for the dropped
+    # generator -> the positions of the relators that contain it; its
+    # keys are the generators not yet eliminated
     holders = {g: set() for g in range(1, pres.generators + 1)}
     heap: list = []  # (length, position, lone generator, relator)
 
-    def put(ri, rel):
+    def put(ri, rel) -> set[int]:
+        """Store ``rel`` at ``ri``, push it when some generator occurs
+        once in it (the one of the first such letter), and return its
+        generators."""
         relators[ri] = rel
-        counts = Counter(abs(letter) for letter in rel)
-        for g in counts:
-            holders[g].add(ri)
-        lone = next((g for g, cnt in counts.items() if cnt == 1), None)
-        if lone is not None:
-            heapq.heappush(heap, (len(rel), ri, lone, rel))
-
-    def take(ri):
-        rel = relators.pop(ri)
-        for letter in rel:
-            holders[abs(letter)].discard(ri)
-        return rel
+        once: dict[int, bool] = {}  # in the order of first occurrence
+        for g in map(abs, rel):
+            once[g] = g not in once
+        for g, single in once.items():
+            if single:
+                heapq.heappush(heap, (len(rel), ri, g, rel))
+                break
+        return set(once)
 
     for ri, rel in enumerate(pres.relators):
         rel = cyclically_reduce(rel)
         if rel:
-            put(ri, rel)
-    alive = list(range(1, pres.generators + 1))
+            for g in put(ri, rel):
+                holders[g].add(ri)
     while heap:
         _, ri, g, rel = heapq.heappop(heap)
         if relators.get(ri) != rel:
             continue  # stale: the relator changed or went since the push
-        take(ri)
+        del relators[ri]
+        for h in set(map(abs, rel)):
+            holders[h].discard(ri)
         at = rel.index(g) if g in rel else rel.index(-g)
         spun = rel[at:] + rel[:at]
         # spun = g^e * w, so g = w^-1 when e = +1 and g = w when e = -1
         replacement = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
-        sub = {g: replacement, -g: invert_signed(replacement)}
+        inverse = invert_signed(replacement)
         for other in sorted(holders[g]):
-            reduced = cyclically_reduce([x for letter in take(other)
-                                         for x in sub.get(letter, (letter,))])
-            if reduced:
-                put(other, reduced)
-        alive.remove(g)
-    renumber = {g: i + 1 for i, g in enumerate(alive)}
+            # out is freely reduced as it grows; the reduction step is
+            # written out for a substituted piece and again for a plain
+            # letter, since this loop is the simplifier's hot path
+            out: list[int] = []
+            word = relators.pop(other)
+            for letter in word:
+                if letter == g or letter == -g:
+                    for x in replacement if letter == g else inverse:
+                        if out and out[-1] == -x:
+                            out.pop()
+                        else:
+                            out.append(x)
+                elif out and out[-1] == -letter:
+                    out.pop()
+                else:
+                    out.append(letter)
+            i, j = 0, len(out) - 1
+            while i < j and out[i] == -out[j]:
+                i, j = i + 1, j - 1
+            old = set(map(abs, word))
+            new = put(other, tuple(out[i:j + 1])) if out else set()
+            for h in old - new:
+                holders[h].discard(other)
+            for h in new - old:
+                holders[h].add(other)
+        del holders[g]
+    renumber = {g: i for i, g in enumerate(holders, 1)}
     final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
                         for letter in relators[ri]) for ri in sorted(relators))
-    return Presentation(len(alive), final)
+    return Presentation(len(renumber), final)
 
 
 # ---------------------------------------------------------------------------

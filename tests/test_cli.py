@@ -11,8 +11,7 @@ import pytest
 from smallcox import cli, crystallo
 from smallcox import verify as verify_module
 from smallcox.cli import dispatch
-from smallcox.coxeter import (format_coxeter_matrix, racg_system,
-                              simple_graph, triplet, twin)
+from smallcox.coxeter import INF, racg_system, simple_graph, triplet, twin
 from smallcox.rewriting import quotient_map
 from smallcox.matrices import format_matrix
 from smallcox.tits import evaluate
@@ -350,7 +349,10 @@ def _right_angled_matrix(seed: int, vertices: int) -> str:
     rng = random.Random(seed)
     edges = [(i, j) for i in range(1, vertices + 1)
              for j in range(i + 1, vertices + 1) if rng.random() < 0.5]
-    return format_coxeter_matrix(racg_system(simple_graph(vertices, edges)))
+    system = racg_system(simple_graph(vertices, edges))
+    rows = (" ".join("inf" if e is INF else str(e) for e in row)
+            for row in system.exponents)
+    return "\n".join([str(vertices), *rows]) + "\n"
 
 
 # sha256 of the files written by ``image --dump``: the elements in

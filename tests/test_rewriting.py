@@ -1,11 +1,15 @@
+import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from smallcox.congruence import BudgetExceededError, FiniteQuotientMap
-from smallcox.coxeter import relators, symmetric, triplet, twin, universal
+from smallcox.congruence import (BudgetExceededError, FiniteQuotientMap,
+                                 odd_bond_classes)
+from smallcox.coxeter import (racg_system, relators, simple_graph, symmetric,
+                              triplet, twin, universal)
 from smallcox.crystallo import holonomy_via_conjugation
 from smallcox.matrices import Matrix, smith_normal_form
 from smallcox.perms import adjacent_transposition, identity, multiply
@@ -15,8 +19,8 @@ from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
                                 abelian_invariants,
                                 coset_table, coxeter_presentation,
                                 cyclically_reduce, format_presentation,
-                                invert_signed, parse_presentation,
-                                quotient_map, tietze_simplify)
+                                invert_signed, quotient_map,
+                                tietze_simplify)
 from smallcox.tits import evaluate
 
 
@@ -60,15 +64,29 @@ class TestQuotientMap:
         assert coset_table(qmap).count == 24
 
     def test_mod2_abelian_on_twin(self):
+        # images are bit masks: s_k sets bit k-1, its own class
         qmap = quotient_map(twin(4), "mod2_abelian")
+        assert qmap.identity_image == 0
         assert tuple(qmap.image_of_word((k,)) for k in (1, 2, 3)) == \
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            (0b001, 0b010, 0b100)
+        assert qmap.image_of_word((1, 3, 2, 3)) == 0b011
 
     def test_mod2_abelian_on_triplet_is_parity(self):
-        # consecutive odd bonds merge every generator class
+        # consecutive odd bonds merge every generator class into bit 0
         qmap = quotient_map(triplet(4), "mod2_abelian")
         assert tuple(qmap.image_of_word((k,)) for k in (1, 2, 3)) == \
-            ((1,), (1,), (1,))
+            (1, 1, 1)
+        assert qmap.image_of_word((1, 2)) == 0
+
+    @pytest.mark.parametrize("system", [
+        twin(5), triplet(5),
+        racg_system(simple_graph(5, [(1, 2), (2, 3), (4, 5)]))],
+        ids=["twin5", "triplet5", "right-angled5"])
+    def test_mod2_abelian_sets_the_class_bit(self, system):
+        qmap = quotient_map(system, "mod2_abelian")
+        classes = odd_bond_classes(system)
+        for k in range(1, system.rank + 1):
+            assert qmap.image_of_word((k,)) == 1 << classes[k - 1]
 
     def test_modular_on_twin(self):
         qmap = quotient_map(twin(4), "modular", 6)
@@ -312,6 +330,29 @@ class TestTietze:
         simp = tietze_simplify(rewriter.presentation)
         assert (simp.generators, len(simp.relators)) == (5, 0)
 
+    @pytest.mark.parametrize("kind,m", [("symmetric", None),
+                                        ("mod2_abelian", None),
+                                        ("trivial", None), ("modular", 3)])
+    @pytest.mark.parametrize("family", [twin, triplet, symmetric])
+    def test_kernels_match_the_reference(self, family, kind, m):
+        for n in (3, 4, 5):
+            pres = KernelRewriter(quotient_map(family(n), kind, m)).presentation
+            assert tietze_simplify(pres) == _tietze_reference(pres)
+
+    def test_random_presentations_match_the_reference(self):
+        rng = random.Random(41)
+        stuck = 0  # inputs where no generator is ever lone
+        for _ in range(300):
+            g = rng.randrange(1, 7)
+            rels = tuple(tuple(rng.choice((1, -1)) * rng.randrange(1, g + 1)
+                               for _ in range(rng.randrange(0, 9)))
+                         for _ in range(rng.randrange(0, 8)))
+            pres = Presentation(g, rels)
+            simp = tietze_simplify(pres)
+            assert simp == _tietze_reference(pres)
+            stuck += simp.generators == g and any(rels)
+        assert stuck >= 20
+
     def test_preserves_abelian_invariants(self):
         rng = random.Random(5)
         for system, kind in ((twin(4), "symmetric"), (twin(4), "mod2_abelian"),
@@ -328,6 +369,55 @@ class TestTietze:
             pres = Presentation(g, rels)
             assert abelian_invariants(tietze_simplify(pres)) == \
                 abelian_invariants(pres)
+
+
+def _tietze_reference(pres):
+    """The heap-indexed elimination as it stood before substitution and
+    reduction shared one loop: each changed relator is taken out of the
+    index and put back, recounted with ``Counter``."""
+    relators = {}
+    holders = {g: set() for g in range(1, pres.generators + 1)}
+    heap = []
+
+    def put(ri, rel):
+        relators[ri] = rel
+        counts = Counter(abs(letter) for letter in rel)
+        for g in counts:
+            holders[g].add(ri)
+        lone = next((g for g, cnt in counts.items() if cnt == 1), None)
+        if lone is not None:
+            heapq.heappush(heap, (len(rel), ri, lone, rel))
+
+    def take(ri):
+        rel = relators.pop(ri)
+        for letter in rel:
+            holders[abs(letter)].discard(ri)
+        return rel
+
+    for ri, rel in enumerate(pres.relators):
+        rel = cyclically_reduce(rel)
+        if rel:
+            put(ri, rel)
+    alive = list(range(1, pres.generators + 1))
+    while heap:
+        _, ri, g, rel = heapq.heappop(heap)
+        if relators.get(ri) != rel:
+            continue
+        take(ri)
+        at = rel.index(g) if g in rel else rel.index(-g)
+        spun = rel[at:] + rel[:at]
+        replacement = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
+        sub = {g: replacement, -g: invert_signed(replacement)}
+        for other in sorted(holders[g]):
+            reduced = cyclically_reduce([x for letter in take(other)
+                                         for x in sub.get(letter, (letter,))])
+            if reduced:
+                put(other, reduced)
+        alive.remove(g)
+    renumber = {g: i + 1 for i, g in enumerate(alive)}
+    final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
+                        for letter in relators[ri]) for ri in sorted(relators))
+    return Presentation(len(alive), final)
 
 
 def _tietze_full_rescan(pres):
@@ -521,14 +611,24 @@ class TestConjugation:
         assert mat.dimension == 0 and mat.is_identity()
 
 
+def _parse_presentation(text):
+    """Read the ``format_presentation`` text back."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("gens "):
+        raise ValueError("presentation text must start with 'gens g'")
+    g = int(lines[0].split()[1])
+    rels = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
+    return Presentation(g, rels)
+
+
 class TestPresentationFormat:
     def test_round_trip(self):
         pres = Presentation(3, ((1, 2, -1, -2), (3, 3)))
-        assert parse_presentation(format_presentation(pres)) == pres
+        assert _parse_presentation(format_presentation(pres)) == pres
 
     def test_header_required(self):
         with pytest.raises(ValueError):
-            parse_presentation("1 2\n")
+            _parse_presentation("1 2\n")
 
     def test_letter_range_checked(self):
         with pytest.raises(ValueError):
