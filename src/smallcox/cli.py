@@ -84,11 +84,14 @@ def _cmd_tits(args) -> int:
     if args.mod is None:
         mat = tits.evaluate(system, word)
         record = {"matrix": [list(r) for r in mat.rows]}
-        lines = [format_matrix(mat.rows).rstrip("\n")]
     else:
         mat = tits.evaluate_mod(system, word, args.mod)
         record = {"matrix": [list(r) for r in mat.rows], "mod": args.mod}
-        lines = [f"mod {args.mod}", format_matrix(mat.rows).rstrip("\n")]
+    lines = []  # the text form is only formatted when it is printed
+    if not args.json:
+        lines = [format_matrix(mat.rows).rstrip("\n")]
+        if args.mod is not None:
+            lines.insert(0, f"mod {args.mod}")
     _emit(args, record, lines)
     return 0
 

@@ -18,11 +18,12 @@ images:
   relators that the Schreier presentations of :mod:`smallcox.rewriting`
   rewrite as well.  ``quotient_map`` builds adjacent
   transpositions in S_n (``symmetric``), the reflection matrices mod m
-  as row tuples (``modular``), vectors over Z_2 indexed by odd-bond
-  classes (``mod2_abelian``, the mod-2 abelianization) and ``trivial``.
+  as tuples of row ids (``modular``), vectors over Z_2 indexed by
+  odd-bond classes (``mod2_abelian``, the mod-2 abelianization) and
+  ``trivial``.
   A ``mod2_abelian`` image is an int bit mask, bit c the coordinate of
   odd-bond class c, so the identity is 0 and a step is one XOR.  No
-  step is cached: a breadth-first orbit steps each (element,
+  element step is cached: a breadth-first orbit steps each (element,
   generator) pair exactly once, so a cache would miss every time;
 * ``enumerate_image`` lists the image as the orbit of
   ``quotient_map(system, "modular", m)``: the identity under right
@@ -37,18 +38,25 @@ images:
   listing the target: n!/2 distinct even permutations are all of A_n,
   and 2^(n-2) distinct even-weight vectors are all of them.
 
-Matrices mod m are handled as tuples of canonical residue rows
-(0..m-1): the closure runs on them and a ``FiniteMatrixGroup`` stores
-them, in discovery order.  The default element budget is 10**7;
-exceeding it raises ``BudgetExceededError`` rather than truncating
-silently, since images of infinite Coxeter groups can be arbitrarily
-large.
+A ``modular`` map interns its rows: ``rows`` lists every distinct
+canonical residue row (0..m-1) met so far, identity rows first, and an
+image is the tuple of its row ids, so the identity is
+``tuple(range(rank))`` and equal matrices have equal id tuples.  The
+closure hashes those tuples of small ints, and a step looks each id up
+in one lazily filled id -> id table per generator
+(``tits.generator_step``).  Rows are decoded once, at the end:
+``enumerate_image`` stores them in a ``FiniteMatrixGroup`` in discovery
+order, and ``_kernel_map`` reduces each distinct row mod m once.
+
+The default element budget is 10**7; exceeding it raises
+``BudgetExceededError`` rather than truncating silently, since images
+of infinite Coxeter groups can be arbitrarily large.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Sequence
 
 from . import perms
@@ -93,40 +101,55 @@ def orbit(start: Hashable, step: Callable, ngens: int,
     first, then by shortlex word in the generators).  With
     ``with_action`` it returns the pair (elements, action) instead,
     where ``action[i][k]`` is the index of step(elements[i], k); only
-    ``rewriting.coset_table`` reads that table, so the other callers
-    never hold it.  Raises ``BudgetExceededError`` rather than grow past
-    ``cap`` elements, and ``ValueError`` for a ``cap`` below 1.
+    ``rewriting.coset_table`` reads that table, so only that call keeps
+    each element's position and action row; the others keep a set of
+    the elements seen.  Raises ``BudgetExceededError`` rather than grow
+    past ``cap`` elements, and ``ValueError`` for a ``cap`` below 1.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    index = {start: 0}
     elements = [start]
+    gens = range(ngens)
+    if not with_action:
+        seen = {start}
+        for x in elements:  # the list grows while it is scanned
+            for k in gens:
+                y = step(x, k)
+                if y not in seen:
+                    if len(elements) >= cap:
+                        raise BudgetExceededError(cap)
+                    seen.add(y)
+                    elements.append(y)
+        return elements
+    index = {start: 0}
     action = []
-    for x in elements:  # the list grows while it is scanned
+    for x in elements:
         row = []
-        for k in range(ngens):
+        for k in gens:
             y = step(x, k)
             at = index.get(y)
             if at is None:
                 if len(elements) >= cap:
                     raise BudgetExceededError(cap)
-                # only the action table reads positions back; without it
-                # one shared value spares an int object per element
-                at = index[y] = len(elements) if with_action else True
+                at = index[y] = len(elements)
                 elements.append(y)
             row.append(at)
-        if with_action:
-            action.append(tuple(row))
-    return (elements, action) if with_action else elements
+        action.append(tuple(row))
+    return elements, action
 
 
 def enumerate_image(system: CoxeterSystem, m: int,
                     cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     """The image of a small system mod m, as an explicit finite group:
-    the orbit of ``quotient_map(system, "modular", m)``."""
+    the orbit of ``quotient_map(system, "modular", m)``, its row ids
+    decoded once the orbit is closed."""
     qmap = quotient_map(system, "modular", m)
-    rows = orbit(qmap.identity_image, qmap.step, system.rank, cap)
-    return FiniteMatrixGroup(m, system.rank, tuple(rows))
+    elements = orbit(qmap.identity_image, qmap.step, system.rank, cap)
+    row = qmap.rows.__getitem__
+    # in place, so each decoded element takes the memory its ids free
+    for i, ids in enumerate(elements):
+        elements[i] = tuple(map(row, ids))
+    return FiniteMatrixGroup(m, system.rank, tuple(elements))
 
 
 def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:
@@ -150,8 +173,9 @@ class FiniteQuotientMap:
     (k 0-based); images are hashable, so ``orbit`` runs on them as they
     are.  Construction checks every relator of ``coxeter.relators``
     (the squares s_i^2, then each finite bond (s_i s_j)^m_ij) and raises
-    ``RelationCheckError`` on the first that fails.  ``modulus`` is m for
-    the ``modular`` kind.
+    ``RelationCheckError`` on the first that fails.  For the ``modular``
+    kind ``modulus`` is m and ``rows`` is the row list that its images
+    index into; it grows as steps meet new rows.
     """
 
     system: CoxeterSystem
@@ -159,6 +183,7 @@ class FiniteQuotientMap:
     identity_image: Hashable
     step: Callable[[Hashable, int], Hashable]
     modulus: Optional[int] = None
+    rows: Optional[list] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for rel in relators(self.system):
@@ -208,8 +233,9 @@ def _symmetric_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
 def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     if m is None or m < 2:
         raise ValueError(f"modular quotient needs m >= 2, got {m}")
-    return FiniteQuotientMap(system, "modular", identity_rows(system.rank),
-                             generator_step(system, m), m)
+    rows, step = generator_step(system, m)
+    return FiniteQuotientMap(system, "modular", tuple(range(system.rank)),
+                             step, m, rows)
 
 
 def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
@@ -255,32 +281,41 @@ class QuotientCheck:
 
 
 def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
-                cap: int) -> list:
+                cap: int):
     """Image of the twin group on n strands in the product of its
-    matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``: the
-    orbit of the pair of identities, in discovery order."""
+    matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``.
+
+    Returns (first, second, pairs): the two quotient maps and the orbit
+    of the pair of identities, in discovery order.
+    """
     first = quotient_map(twin(n), "modular", modulus)
     second = quotient_map(twin(n), kind, m)
-    return orbit((first.identity_image, second.identity_image),
-                 lambda x, k: (first.step(x[0], k), second.step(x[1], k)),
-                 n - 1, cap)
+    f, g = first.step, second.step
+    pairs = orbit((first.identity_image, second.identity_image),
+                  lambda x, k: (f(x[0], k), g(x[1], k)), n - 1, cap)
+    return first, second, pairs
 
 
-def _kernel_map(pairs, m: int):
+def _kernel_map(pairs, rows: list, m: int):
     """Pairs whose matrix part is trivial mod m, as a matrix -> aux map.
 
-    The matrix rows are residues mod a multiple of m, so reducing them
-    entrywise mod m and comparing with the identity decides the kernel.
-    Returns (mapping, well_defined, injective): well-defined means no
-    matrix appears with two distinct auxiliaries, injective means no
-    auxiliary appears for two distinct matrices.
+    The matrix parts are row-id tuples into ``rows``, whose residues are
+    taken mod a multiple of m.  Each distinct row is reduced mod m once,
+    to the i with row = e_i mod m (or -1), and a matrix is trivial mod m
+    exactly when that sends its ids to (0, 1, ..., rank-1).  Returns
+    (mapping, well_defined, injective): well-defined means no matrix
+    appears with two distinct auxiliaries, injective means no auxiliary
+    appears for two distinct matrices.
     """
     ident = identity_rows(len(pairs[0][0]))
+    unit = {row: i for i, row in enumerate(ident)}
+    reduced = [unit.get(tuple(e % m for e in row), -1) for row in rows]
+    reduce_ids = reduced.__getitem__
+    trivial = tuple(range(len(ident)))
     mapping: dict = {}
     well_defined = True
     for g, s in pairs:
-        if all(tuple(e % m for e in row) == one
-               for row, one in zip(g, ident)):
+        if tuple(map(reduce_ids, g)) == trivial:
             if g in mapping and mapping[g] != s:
                 well_defined = False
             mapping[g] = s
@@ -305,8 +340,8 @@ def alternating_quotient_check(n: int, m: int,
         raise ValueError(f"need 3 not dividing m, got {m}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, m)
+    first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
+    mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
     values = set(mapping.values())
     all_even = all(perms.is_even(s) for s in values)
     # a set of n!/2 even permutations is A_n
@@ -332,8 +367,8 @@ def even_vector_quotient_check(n: int, m: int,
         raise ValueError(f"need n >= 3, got {n}")
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
-    pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, m)
+    first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
+    mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
     values = set(mapping.values())
     # a set of 2^(n-2) even-weight vectors in Z_2^(n-1) is all of them
     onto = (all(v.bit_count() % 2 == 0 for v in values)
@@ -360,8 +395,8 @@ def product_quotient_check(n: int, m: int,
         raise ValueError(f"need m odd and prime to 3, got {m}")
     alt = alternating_quotient_check(n, m, cap)
     vec = even_vector_quotient_check(n, m, cap)
-    ident = identity_rows(n - 1)
-    pairs = _twin_pairs(n, 12, "modular", m, cap)
+    _, second, pairs = _twin_pairs(n, 12, "modular", m, cap)
+    ident = second.identity_image
     kernel_order = sum(1 for _, s in pairs if s == ident)
     expected = alt.expected_kernel_order * vec.expected_kernel_order
     ok = alt.ok and vec.ok and kernel_order == alt.kernel_order * vec.kernel_order

@@ -19,7 +19,11 @@ product by a generator runs on that list: ``_word_rows`` for the words
 of ``evaluate`` and ``evaluate_mod``, and the closure step
 ``generator_step``.  A word of length L costs O(L * rank * (1 + b))
 operations for b bonds per generator: at most 2 for twin and symmetric
-systems, rank - 1 for triplet and universal ones.
+systems, rank - 1 for triplet and universal ones.  The closure step
+never rebuilds a matrix: it interns each distinct residue row once in a
+row list, an element is the tuple of its row ids, and one lazily filled
+id -> id table per generator multiplies each row by that generator at
+most once.
 
 Closed forms implemented here and cross-checked against plain matrix
 multiplication in the test suite:
@@ -130,43 +134,60 @@ def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> Matrix:
     return Matrix.canonical(_word_rows(system, word, m), m)
 
 
-class _RowTimesGenerator(dict):
-    """row -> row * s_(k+1) with entries mod m, each distinct row once.
+class _RowIdTable(dict):
+    """row id -> id of row * s_(k+1) with entries mod m, filled lazily.
 
     Row i of rows * s only depends on row i, and a row with a zero in
     column k is left as it is; congruence images repeat a few distinct
-    rows over many elements, so the rows are computed once and shared.
+    rows over many elements, so each row is multiplied once, and the
+    product is interned in the row list that every generator's table
+    shares (``index`` maps a row back to its id).
     """
 
-    def __init__(self, bond: tuple[tuple[int, int], ...], k0: int, m: int):
+    def __init__(self, bond: tuple[tuple[int, int], ...], k0: int, m: int,
+                 rows: list[tuple[int, ...]], index: dict):
         super().__init__()
         self.bond, self.k0, self.m = bond, k0, m
+        self.rows, self.index = rows, index
 
-    def __missing__(self, row):
-        k0, m, v = self.k0, self.m, row[self.k0]
-        out = row
+    def __missing__(self, i: int) -> int:
+        k0, m = self.k0, self.m
+        row = self.rows[i]
+        v = row[k0]
+        out = i
         if v:
             new = list(row)
             new[k0] = -v % m
             for j, a in self.bond:
                 new[j] = (new[j] + v * a) % m
-            out = tuple(new)
-        self[row] = out
+            new = tuple(new)
+            out = self.index.get(new)
+            if out is None:
+                out = self.index[new] = len(self.rows)
+                self.rows.append(new)
+        self[i] = out
         return out
 
 
 def generator_step(system: CoxeterSystem, m: int):
-    """``step(rows, k)``: the row tuples of rows * s_(k+1), entries mod m.
+    """The closure step of the congruence images, over interned rows.
 
-    This is the closure step of the congruence images.  Long single
-    words go through the in-place loop of ``_word_rows`` instead.
+    Returns ``(rows, step)``.  ``rows`` is the list of distinct residue
+    rows (0..m-1) met so far, starting with the identity rows, so row i
+    of the identity has id i; an element is the tuple of its row ids,
+    and ``step(ids, k)`` is the id tuple of that matrix times s_(k+1).
+    Rows are interned, so equal matrices have equal id tuples.  The list
+    only grows when a step meets a new row.  Long single words go
+    through the in-place loop of ``_word_rows`` instead.
     """
     require_small(system)
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
-    maps = [_RowTimesGenerator(bond, k0, m).__getitem__
-            for k0, bond in enumerate(_bonds(system))]
-    return lambda rows, k0: tuple(map(maps[k0], rows))
+    rows = list(identity_rows(system.rank))
+    index = {row: i for i, row in enumerate(rows)}
+    tables = [_RowIdTable(bond, k0, m, rows, index).__getitem__
+              for k0, bond in enumerate(_bonds(system))]
+    return rows, lambda ids, k0: tuple(map(tables[k0], ids))
 
 
 def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:

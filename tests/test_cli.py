@@ -365,6 +365,8 @@ PINNED_DUMPS = {
         "f1761bcda0d5a7531c36fe8fd02928a7c9548ae1b6cb2547085c5cb64afff913",
     "image --family triplet -n 4 -m 3":
         "ab9998f8976a97af46f1131a707baf3314eb1d5f0b5f30a2c55db66e46a9884e",
+    "image --family triplet -n 5 -m 3":
+        "5c77e6923107db139ca0864aeec1941c4ed2c8e469ad76da21bc70ddd3084c43",
     "image -m 4 --matrix":
         "0b0efd8e37bd53a066d98be5fa2e800b83d998653f077d7a1be2d74dc669c662",
 }

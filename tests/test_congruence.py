@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -10,13 +11,21 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
                                  even_vector_quotient_check, format_group_dump,
                                  minimal_congruence_power, orbit,
                                  product_quotient_check, quotient_map)
-from smallcox.congruence import FiniteMatrixGroup, _kernel_map, _twin_pairs
-from smallcox.coxeter import (all_graphs, build_system, racg_system, triplet,
-                              twin)
+from smallcox.congruence import (FiniteMatrixGroup, QuotientCheck,
+                                 _kernel_map, _twin_pairs)
+from smallcox.coxeter import (all_graphs, build_system, racg_system,
+                              simple_graph, symmetric, triplet, twin,
+                              universal)
 from smallcox.matrices import Matrix, identity_rows, parse_matrix
-from smallcox.perms import adjacent_transposition, identity, multiply
-from smallcox.tits import (evaluate, evaluate_mod, generator_matrix,
+from smallcox.perms import adjacent_transposition, identity, is_even, multiply
+from smallcox.rewriting import coset_table
+from smallcox.tits import (_bonds, evaluate, evaluate_mod, generator_matrix,
                            generator_step)
+
+
+def _decode(rows, ids):
+    """The residue rows of a modular image given as row ids."""
+    return tuple(rows[i] for i in ids)
 
 
 class TestEnumerateImage:
@@ -150,11 +159,12 @@ class TestQuotientChecks:
         (5, 4, "mod2_abelian", 3)])
     def test_kernel_map_keeps_the_pairs_trivial_mod_m(self, n, factor, kind,
                                                        m):
-        # oracle: wrap each matrix and reduce it as a Matrix
-        pairs = _twin_pairs(n, factor * m, kind, None, 10 ** 6)
-        mapping, well_defined, injective = _kernel_map(pairs, m)
+        # oracle: decode each matrix and reduce it as a Matrix
+        first, _, pairs = _twin_pairs(n, factor * m, kind, None, 10 ** 6)
+        mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
         kernel = {g: s for g, s in pairs
-                  if Matrix.canonical(g, factor * m).reduce(m).is_identity()}
+                  if Matrix.canonical(_decode(first.rows, g), factor * m)
+                  .reduce(m).is_identity()}
         assert mapping == kernel
         assert well_defined and injective
 
@@ -202,11 +212,11 @@ class TestQuotientChecks:
     def test_paired_projection_surjects(self):
         n, m = 4, 3
         aux = [adjacent_transposition(n, i) for i in range(1, n)]
-        step = generator_step(twin(n), 3 * m)
-        pairs = orbit((identity_rows(n - 1), identity(n)),
+        rows, step = generator_step(twin(n), 3 * m)
+        pairs = orbit((tuple(range(n - 1)), identity(n)),
                       lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
                       n - 1)
-        first = {p[0] for p in pairs}
+        first = {_decode(rows, p[0]) for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
         assert first == set(group.rows)
 
@@ -223,8 +233,9 @@ class TestOntoByCounting:
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 5), (5, 2), (5, 4)])
     def test_alternating_onto_is_set_equality(self, n, m):
         result = alternating_quotient_check(n, m)
-        mapping, _, _ = _kernel_map(
-            _twin_pairs(n, 3 * m, "symmetric", None, DEFAULT_CAP), m)
+        first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None,
+                                      DEFAULT_CAP)
+        mapping, _, _ = _kernel_map(pairs, first.rows, m)
         a_n = {p for p in itertools.permutations(range(n))
                if _inversions(p) % 2 == 0}
         onto = set(mapping.values()) == a_n
@@ -233,12 +244,205 @@ class TestOntoByCounting:
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 5), (5, 3), (6, 3)])
     def test_even_vectors_onto_is_set_equality(self, n, m):
         result = even_vector_quotient_check(n, m)
-        mapping, _, _ = _kernel_map(
-            _twin_pairs(n, 4 * m, "mod2_abelian", None, DEFAULT_CAP), m)
+        first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None,
+                                      DEFAULT_CAP)
+        mapping, _, _ = _kernel_map(pairs, first.rows, m)
         # images are bit masks over the n-1 generators of the twin group
         even = {v for v in range(2 ** (n - 1)) if bin(v).count("1") % 2 == 0}
         onto = set(mapping.values()) == even
         assert f"onto={onto}" in result.detail
+
+
+# ---------------------------------------------------------------------------
+# the row-tuple closure that row ids replaced, kept as a reference: an
+# element is the tuple of its residue rows, and each distinct row is
+# multiplied by a generator once
+
+
+class _RowTimesGenerator(dict):
+    """row -> row * s_(k+1) with entries mod m, each distinct row once."""
+
+    def __init__(self, bond, k0, m):
+        super().__init__()
+        self.bond, self.k0, self.m = bond, k0, m
+
+    def __missing__(self, row):
+        k0, m, v = self.k0, self.m, row[self.k0]
+        out = row
+        if v:
+            new = list(row)
+            new[k0] = -v % m
+            for j, a in self.bond:
+                new[j] = (new[j] + v * a) % m
+            out = tuple(new)
+        self[row] = out
+        return out
+
+
+def _reference_step(system, m):
+    maps = [_RowTimesGenerator(bond, k0, m).__getitem__
+            for k0, bond in enumerate(_bonds(system))]
+    return lambda rows, k0: tuple(map(maps[k0], rows))
+
+
+def _reference_orbit(start, step, ngens):
+    seen = {start}
+    elements = [start]
+    for x in elements:
+        for k in range(ngens):
+            y = step(x, k)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+def _modular_reference(system, m):
+    """The image mod m as row tuples, in discovery order."""
+    return _reference_orbit(identity_rows(system.rank),
+                            _reference_step(system, m), system.rank)
+
+
+def _reference_pairs(n, modulus, aux_start, aux_step):
+    step = _reference_step(twin(n), modulus)
+    return _reference_orbit((identity_rows(n - 1), aux_start),
+                            lambda x, k: (step(x[0], k), aux_step(x[1], k)),
+                            n - 1)
+
+
+def _reference_kernel_map(pairs, m):
+    ident = identity_rows(len(pairs[0][0]))
+    mapping = {}
+    well_defined = True
+    for g, s in pairs:
+        if all(tuple(e % m for e in row) == one
+               for row, one in zip(g, ident)):
+            if g in mapping and mapping[g] != s:
+                well_defined = False
+            mapping[g] = s
+    return mapping, well_defined, len(set(mapping.values())) == len(mapping)
+
+
+def _reference_check(kind, n, m):
+    """The ``QuotientCheck`` record as the row-tuple closure makes it."""
+    if kind == "alternating":
+        sym = quotient_map(twin(n), "symmetric")
+        pairs = _reference_pairs(n, 3 * m, sym.identity_image, sym.step)
+        mapping, well_defined, injective = _reference_kernel_map(pairs, m)
+        values = set(mapping.values())
+        even = all(is_even(s) for s in values)
+        onto = even and len(values) == math.factorial(n) // 2
+        return QuotientCheck(
+            kind, n, m, len(pairs), len(mapping), math.factorial(n) // 2,
+            well_defined and injective and even and onto,
+            f"well_defined={well_defined} injective={injective} "
+            f"even={even} onto={onto}")
+    if kind == "even-vectors":
+        bits = quotient_map(twin(n), "mod2_abelian")
+        pairs = _reference_pairs(n, 4 * m, bits.identity_image, bits.step)
+        mapping, well_defined, injective = _reference_kernel_map(pairs, m)
+        values = set(mapping.values())
+        onto = (all(bin(v).count("1") % 2 == 0 for v in values)
+                and len(values) == 2 ** (n - 2))
+        return QuotientCheck(
+            kind, n, m, len(pairs), len(mapping), 2 ** (n - 2),
+            well_defined and injective and onto,
+            f"well_defined={well_defined} injective={injective} onto={onto}")
+    alt = _reference_check("alternating", n, m)
+    vec = _reference_check("even-vectors", n, m)
+    ident = identity_rows(n - 1)
+    pairs = _reference_pairs(n, 12, ident, _reference_step(twin(n), m))
+    kernel_order = sum(1 for _, s in pairs if s == ident)
+    return QuotientCheck(
+        "product", n, m, len(pairs), kernel_order,
+        alt.expected_kernel_order * vec.expected_kernel_order,
+        alt.ok and vec.ok
+        and kernel_order == alt.kernel_order * vec.kernel_order,
+        f"alt={alt.kernel_order} vec={vec.kernel_order} "
+        f"combined={kernel_order}")
+
+
+def _seeded_right_angled(seed, vertices):
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(1, vertices + 1)
+             for j in range(i + 1, vertices + 1) if rng.random() < 0.5]
+    return racg_system(simple_graph(vertices, edges))
+
+
+_REFERENCE_SYSTEMS = (
+    [(f"{family.__name__}{n}", family(n))
+     for family in (twin, triplet, symmetric) for n in (3, 4, 5)]
+    + [(f"right-angled-seed{seed}", _seeded_right_angled(seed, 4))
+       for seed in (1, 2, 3)])
+# every system at every modulus, except triplet(5) mod 12, whose image
+# has millions of elements
+_REFERENCE_IMAGES = [(name, system, m) for name, system in _REFERENCE_SYSTEMS
+                     for m in (2, 3, 4, 5, 6, 12)
+                     if (name, m) != ("triplet5", 12)]
+
+
+class TestAgainstRowTupleReference:
+    """Row ids change how the closure stores an element, not which
+    elements it finds or their order: every image and subquotient
+    record equals what the row-tuple closure computes."""
+
+    @pytest.mark.parametrize("name,system,m", _REFERENCE_IMAGES,
+                             ids=[f"{name}-{m}"
+                                  for name, _, m in _REFERENCE_IMAGES])
+    def test_image_matches_the_reference(self, name, system, m):
+        group = enumerate_image(system, m)
+        assert group.rows == tuple(_modular_reference(system, m))
+
+    @pytest.mark.parametrize("kind,n,m", [
+        ("alternating", n, m) for n in (3, 4) for m in (2, 4, 5, 7)] + [
+        ("alternating", 5, 2), ("alternating", 5, 4),
+        ("even-vectors", 3, 3), ("even-vectors", 3, 5),
+        ("even-vectors", 4, 3), ("even-vectors", 4, 5),
+        ("even-vectors", 5, 3), ("even-vectors", 6, 3),
+        ("product", 3, 5), ("product", 3, 7), ("product", 4, 5),
+        ("product", 4, 7)])
+    def test_quotient_check_matches_the_reference(self, kind, n, m):
+        check = {"alternating": alternating_quotient_check,
+                 "even-vectors": even_vector_quotient_check,
+                 "product": product_quotient_check}[kind]
+        assert check(n, m) == _reference_check(kind, n, m)
+
+
+class TestBudgetAndLaziness:
+    @pytest.mark.parametrize("system,m,order", [
+        (twin(4), 3, 24), (triplet(5), 3, 648), (twin(5), 12, 960),
+        (_seeded_right_angled(2, 4), 12, 5184)])
+    def test_cap_equal_to_the_order_is_enough(self, system, m, order):
+        assert enumerate_image(system, m, cap=order).order == order
+        with pytest.raises(BudgetExceededError):
+            enumerate_image(system, m, cap=order - 1)
+
+    def test_row_table_grows_only_with_the_orbit(self):
+        # the universal group of rank 9 has an enormous image mod 12; the
+        # closure must stop at the cap having interned only the rows of
+        # the elements it met
+        qmap = quotient_map(universal(10), "modular", 12)
+        assert qmap.system.rank == 9
+        with pytest.raises(BudgetExceededError):
+            orbit(qmap.identity_image, qmap.step, 9, 50)
+        assert len(qmap.rows) <= 9 * (50 + 1)
+        with pytest.raises(BudgetExceededError):
+            enumerate_image(universal(10), 12, cap=50)
+
+    def test_modular_maps_leave_no_reference_cycles(self):
+        # the row tables share the row list without pointing back at
+        # themselves, so dropping a map frees it without the cycle
+        # collector
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_image(triplet(5), 3)
+            alternating_quotient_check(4, 5)
+            product_quotient_check(4, 5)
+            coset_table(quotient_map(twin(5), "modular", 3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMinimalCongruencePower:

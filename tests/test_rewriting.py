@@ -89,8 +89,11 @@ class TestQuotientMap:
             assert qmap.image_of_word((k,)) == 1 << classes[k - 1]
 
     def test_modular_on_twin(self):
+        # images are row-id tuples into the map's interned row list
         qmap = quotient_map(twin(4), "modular", 6)
-        assert qmap.image_of_word((1,)) == ((5, 2, 0), (0, 1, 0), (0, 0, 1))
+        assert qmap.identity_image == (0, 1, 2)
+        assert tuple(qmap.rows[i] for i in qmap.image_of_word((1,))) == \
+            ((5, 2, 0), (0, 1, 0), (0, 0, 1))
 
     def test_symmetric_needs_chain_family(self):
         with pytest.raises(RelationCheckError):

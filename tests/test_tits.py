@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallcox.coxeter import (INF, NonSmallSystemError, build_system,
                               symmetric, triplet, twin, universal)
-from smallcox.matrices import Matrix
+from smallcox.matrices import Matrix, identity_rows
 from smallcox.tits import (alpha, evaluate, evaluate_mod, generator_matrix,
                            generator_step, order_check_2m, pair_product_formula,
                            pair_product_square_formula, pm_coefficients,
@@ -184,16 +184,25 @@ class TestGeneratorStep:
     @pytest.mark.parametrize("family", SMALL_FAMILIES)
     @pytest.mark.parametrize("m", (2, 3, 12))
     def test_matches_product_oracle(self, family, m):
-        # the memoized row map against plain products, on random words
+        # the memoized row-id tables against plain products, on random
+        # words: ids decode through the row list to the product's rows
         system = family(5)
-        step = generator_step(system, m)
+        rows, step = generator_step(system, m)
+        assert rows == list(identity_rows(4))
         rng = random.Random(m)
         for _ in range(30):
             word = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(12)))
-            rows = evaluate_mod(system, word, m).rows
+            ids = tuple(range(4))
+            for letter in word:
+                ids = step(ids, letter - 1)
+            assert tuple(rows[i] for i in ids) == \
+                evaluate_mod(system, word, m).rows
             for k in range(1, 5):
                 expected = product_of_generators(system, word + (k,)).reduce(m)
-                assert step(rows, k - 1) == expected.rows
+                assert tuple(rows[i] for i in step(ids, k - 1)) == \
+                    expected.rows
+        # interned: each row is listed once
+        assert len(set(rows)) == len(rows)
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
