@@ -160,7 +160,7 @@ def _cmd_subgroup(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
-    inv = rewriting.abelian_invariants(_kernel_rewriter(args).presentation)
+    inv = _kernel_rewriter(args).invariants
     _emit(args, {"rank": inv.rank, "torsion": list(inv.torsion)},
           [str(inv)])
     return 0

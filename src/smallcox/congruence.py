@@ -44,9 +44,11 @@ image is the tuple of its row ids, so the identity is
 ``tuple(range(rank))`` and equal matrices have equal id tuples.  The
 closure hashes those tuples of small ints, and a step looks each id up
 in one lazily filled id -> id table per generator
-(``tits.generator_step``).  Rows are decoded once, at the end:
-``enumerate_image`` stores them in a ``FiniteMatrixGroup`` in discovery
-order, and ``_kernel_map`` reduces each distinct row mod m once.
+(``tits.generator_step``).  Rows are decoded once, and only when read:
+``enumerate_image`` hands the id tuples and the row list to a
+``FiniteMatrixGroup``, which decodes them on the first read of its
+``rows`` (``image`` without ``--dump`` prints only the order), and
+``_kernel_map`` reduces each distinct row mod m once.
 
 The default element budget is 10**7; exceeding it raises
 ``BudgetExceededError`` rather than truncating silently, since images
@@ -75,21 +77,48 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
 class FiniteMatrixGroup:
     """A finite group of matrices mod m, closed under multiplication.
 
     ``rows`` holds the row tuples of the elements in discovery order
-    (identity first, then by shortlex word in the generators).
+    (identity first, then by shortlex word in the generators).  With
+    ``row_list`` the elements come as tuples of ids into it, as
+    ``enumerate_image`` passes them, and the first read of ``rows``
+    decodes them, so a caller that reads only ``order`` decodes
+    nothing.  Two groups are equal when their modulus, dimension and
+    rows are.
     """
 
-    modulus: int
-    dimension: int
-    rows: tuple[Rows, ...]
+    def __init__(self, modulus: int, dimension: int, rows: Sequence,
+                 row_list: Optional[list] = None):
+        self.modulus = modulus
+        self.dimension = dimension
+        self._elements = rows
+        self._row_list = row_list
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self._elements)
+
+    @property
+    def rows(self) -> tuple[Rows, ...]:
+        if self._row_list is not None:
+            row, elements = self._row_list.__getitem__, self._elements
+            # in place, so each decoded element takes the memory its ids
+            # free
+            for i, ids in enumerate(elements):
+                elements[i] = tuple(map(row, ids))
+            self._elements, self._row_list = tuple(elements), None
+        return self._elements
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMatrixGroup):
+            return NotImplemented
+        return (self.modulus, self.dimension, self.rows) == \
+            (other.modulus, other.dimension, other.rows)
+
+    def __hash__(self):
+        return hash((self.modulus, self.dimension, self.rows))
 
 
 def orbit(start: Hashable, step: Callable, ngens: int,
@@ -142,14 +171,10 @@ def enumerate_image(system: CoxeterSystem, m: int,
                     cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     """The image of a small system mod m, as an explicit finite group:
     the orbit of ``quotient_map(system, "modular", m)``, its row ids
-    decoded once the orbit is closed."""
+    decoded when the group's rows are first read."""
     qmap = quotient_map(system, "modular", m)
     elements = orbit(qmap.identity_image, qmap.step, system.rank, cap)
-    row = qmap.rows.__getitem__
-    # in place, so each decoded element takes the memory its ids free
-    for i, ids in enumerate(elements):
-        elements[i] = tuple(map(row, ids))
-    return FiniteMatrixGroup(m, system.rank, tuple(elements))
+    return FiniteMatrixGroup(m, system.rank, elements, qmap.rows)
 
 
 def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:

@@ -18,7 +18,11 @@ quotient of the twin group (lattice of rank 2n-5):
 * ``holonomy_via_conjugation(qmap)`` computes the action of each
   ambient generator on the kernel of the quotient map through Schreier
   rewriting (``KernelRewriter(qmap)``; the system is ``qmap.system``),
-  with no closed form anywhere.
+  with no closed form anywhere.  The lattice is read off the cells of
+  the coset graph (one column per non-tree edge, one row per bond and
+  dihedral orbit of cosets), and one Smith form with its transform
+  gives both the basis and the rank and torsion; the kernel's full
+  presentation is never built.
 
 Both routes hand their generator matrices to one walk, ``_holonomy``,
 which carries one probe row along the breadth-first transversal tree

@@ -11,29 +11,45 @@ enumeration is ever needed:
   images are involutions, so the action table is its own inverse); it
   is the one caller that asks ``orbit`` for its action table, which the
   same breadth-first pass fills in;
-* ``KernelRewriter(qmap).presentation`` presents the kernel of the map
-  on the nontrivial Schreier generators u y (rep of uy)^-1, with one
-  rewritten relator per (coset, ``coxeter.relators`` relator) pair; the
-  rewriter builds the coset table itself (``rewriter.table``), so a
-  quotient map is the one way in to a kernel, and a rewrite reads that
-  action table and a Schreier label table laid out like it;
+* ``KernelRewriter(qmap)`` builds the coset table itself
+  (``rewriter.table``), so a quotient map is the one way in to a
+  kernel, and labels the nontrivial Schreier generators
+  u y (rep of uy)^-1; a rewrite reads the action table and a Schreier
+  label table laid out like it;
+* ``KernelRewriter.presentation`` presents the kernel on those
+  generators, with one rewritten relator per (coset,
+  ``coxeter.relators`` relator) pair.  It is built on first read, and
+  only ``subgroup`` and the ``pl4-free-rank-5`` claim read it, for its
+  text or for ``tietze_simplify``;
+* the abelianized kernel comes from the cells of the coset graph, not
+  from the presentation.  Abelianized, a square relator makes the two
+  labels of an edge negatives of each other, so there is one column per
+  non-tree edge (a fixed point c.y = c keeps its column with the row
+  2e), and one row per finite bond and orbit of that bond's dihedral
+  group on the cosets: the rewrites from the other cosets of an orbit
+  are rotations of that row or of its inverse.  PT_5 gives 90 rows over
+  121 columns where its presentation has 840 relators on 361
+  generators.  ``KernelRewriter.invariants`` reads free rank and
+  torsion off a bare Smith form of these rows;
+* ``KernelRewriter.conjugation_matrix`` computes the action that an
+  ambient word induces on the free part of the abelianized kernel, for
+  the crystallographic checks.  It reads the Smith transform of the
+  cell rows sparse: each column's free coordinates are listed once from
+  V's free columns, and free basis vector i is the combination
+  ``free_rows[i]`` of columns, each column the class of the Schreier
+  generator ``columns[t]`` that names it, so a matrix costs one
+  conjugate rewrite per column of each lift and V^-1 is never formed.
+  Torsion never raises here, and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; an index from generators to relators keeps
   each elimination to the relators it changes, and each of those takes
   one pass that substitutes and free-reduces together;
-* ``abelian_invariants`` reads free rank and torsion off the Smith
-  normal form of the relator exponent matrix, whose rows go in sparse,
-  as ``(generator, exponent)`` pairs with zero sums left out, one per
-  distinct multiset of relator letters (``_relator_rows``);
-* ``KernelRewriter.conjugation_matrix`` computes the action that an
-  ambient word induces on the free part of the abelianized kernel, for
-  the crystallographic checks.  It reads the Smith transform sparse:
-  each Schreier generator's free coordinates are listed once from V's
-  free columns, and free basis vector i is the Schreier generator
-  ``order[i]`` (the combination ``free_rows[i]`` in general), so a
-  matrix costs one conjugate rewrite per free column and V^-1 is never
-  formed.  Torsion never raises here, and ``crystallo`` reports it.
+* ``abelian_invariants`` reads free rank and torsion of any
+  presentation off the Smith normal form of its relator exponent
+  matrix, whose rows go in sparse, as ``(generator, exponent)`` pairs
+  with zero sums left out, one per distinct multiset of relator letters
+  (``_relator_rows``).
 
 ``quotient_map`` is importable from here as well: ``cli`` and ``verify``
 build their maps as ``rewriting.quotient_map``, and the perfbench
@@ -48,7 +64,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
@@ -157,25 +173,38 @@ class KernelRewriter:
     """Rewriting machinery for the kernel of a finite quotient map.
 
     Built from the map alone: ``table`` is its coset table (at most
-    ``cap`` cosets) and the ambient relators are
-    ``coxeter.relators(qmap.system)``.  The Schreier generator for a
-    pair (coset c, generator y) is the kernel element
-    u_c s_y (u_{c.y})^-1; pairs where u_c s_y is itself the chosen
-    representative (the breadth-first tree edges) are trivial: that is
-    when t = c.y is not coset 0 and u_t ends in y, since u_t extends its
-    parent t.y = c by y (``coset_table`` checks the involutions).
-    ``pairs[k]`` is the pair of generator k+1 and ``label[c][y-1]`` is
-    k+1, or 0 on a tree edge.  Rewriting scans a word letter by letter,
-    emitting the label of each pair it crosses.
+    ``cap`` cosets) and ``ambient`` is ``coxeter.relators(qmap.system)``.
+    The Schreier generator for a pair (coset c, generator y) is the
+    kernel element u_c s_y (u_{c.y})^-1; pairs where u_c s_y is itself
+    the chosen representative (the breadth-first tree edges) are
+    trivial: that is when t = c.y is not coset 0 and u_t ends in y,
+    since u_t extends its parent t.y = c by y (``coset_table`` checks
+    the involutions).  ``pairs[k]`` is the pair of generator k+1 and
+    ``label[c][y-1]`` is k+1, or 0 on a tree edge.  Rewriting scans a
+    word letter by letter, emitting the label of each pair it crosses.
 
     ``presentation`` is the Reidemeister-Schreier presentation of the
-    kernel: a kernel of index N under g ambient generators gets exactly
-    N*g - (N-1) generators and one freely reduced relator per (coset,
-    ambient relator) pair, empty rewrites dropped.
+    kernel, built on first read: a kernel of index N under g ambient
+    generators gets exactly N*g - (N-1) generators and one freely
+    reduced relator per (coset, ambient relator) pair, empty rewrites
+    dropped.
+
+    The abelianized kernel is read off the cells of the coset graph
+    instead.  Abelianized, the square s_y^2 rewritten from c says
+    k(c,y) = -k(c.y,y), so the two labels of an edge {c, c.y} fold to
+    one column, named by its end c < c.y (``columns``); both labels of
+    a tree edge vanish, since one of them is trivial, and a fixed point
+    c.y = c keeps its column with the row 2e.  ``cell_rows`` adds one
+    row per finite bond and orbit of its dihedral group on the cosets.
+    ``invariants`` reads rank and torsion off a bare Smith form of these
+    rows; ``smith`` is the one with the transform, which ``rank``,
+    ``torsion``, ``free_coordinates`` and ``conjugation_matrix`` read.
+    None of them builds ``presentation``, and it builds none of them.
     """
 
     def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
         self.table = table = coset_table(qmap, cap)
+        self.ambient = relators(qmap.system)
         words = table.transversal
         self.pairs = [(c, y) for c, row in enumerate(table.action)
                       for y, t in enumerate(row, 1)
@@ -184,14 +213,16 @@ class KernelRewriter:
         for k, (c, y) in enumerate(self.pairs, 1):
             self.label[c][y - 1] = k
         self.num_schreier = len(self.pairs)
-        ambient = relators(qmap.system)
+
+    @cached_property
+    def presentation(self) -> Presentation:
         rels = []
-        for c in range(table.count):
-            for rel in ambient:
+        for c in range(self.table.count):
+            for rel in self.ambient:
                 w = free_reduce_signed(self.rewrite(rel, start=c))
                 if w:
                     rels.append(w)
-        self.presentation = Presentation(self.num_schreier, tuple(rels))
+        return Presentation(self.num_schreier, tuple(rels))
 
     # -- rewriting -----------------------------------------------------
 
@@ -229,16 +260,114 @@ class KernelRewriter:
         ubar = self.table.transversal[self.table.action[c][y - 1]]
         return u + (y,) + tuple(reversed(ubar))
 
-    # -- abelianized kernel ---------------------------------------------
+    # -- abelianized kernel on the cells of the coset graph --------------
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """The Schreier generator (0-based) that names each column: the
+        pair (c, y) of each non-tree edge {c, c.y} with c <= c.y, in
+        label order.  A labelled pair with c < c.y is never on a tree
+        edge, since a tree child comes after its parent."""
+        action = self.table.action
+        return tuple(k for k, (c, y) in enumerate(self.pairs)
+                     if c <= action[c][y - 1])
+
+    @cached_property
+    def _fold(self) -> list[list[int]]:
+        """``_fold[c][y-1]`` is the signed column, +-(j+1), that the
+        label of (c, y) folds to, or 0 on a tree edge: +(j+1) at the end
+        that names column j, -(j+1) at the other (a fixed point has
+        only the one end)."""
+        action = self.table.action
+        fold = [[0] * len(row) for row in action]
+        for j, k in enumerate(self.columns, 1):
+            c, y = self.pairs[k]
+            fold[c][y - 1] = j
+            t = action[c][y - 1]
+            if t != c:
+                fold[t][y - 1] = -j
+        return fold
+
+    def _abelian_row(self, word: Sequence[int], start: int = 0,
+                     seen: Optional[bytearray] = None) -> dict[int, int]:
+        """The rewrite of ``word`` from coset ``start`` in the
+        abelianized kernel, as a sparse ``{column: exponent}`` row;
+        each coset the scan passes is marked in ``seen`` when given."""
+        action, fold = self.table.action, self._fold
+        c = start
+        row: dict[int, int] = {}
+        for letter in word:
+            if seen is not None:
+                seen[c] = 1
+            if letter > 0:
+                f = fold[c][letter - 1]
+                c = action[c][letter - 1]
+            else:
+                c = action[c][-letter - 1]  # involution, as in rewrite
+                f = -fold[c][-letter - 1]
+            if f:
+                j = abs(f) - 1
+                x = row.get(j, 0) + (1 if f > 0 else -1)
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if c != start:
+            raise ValueError("word does not normalize the coset: not in kernel "
+                             "(or conjugate thereof)")
+        return row
+
+    def cell_rows(self) -> Iterator[dict[int, int]]:
+        """The relation rows over ``columns``, as ``{column: exponent}``,
+        made one at a time.
+
+        First 2e for each fixed-point column.  Then, for each finite
+        bond i < j and each orbit of <s_i, s_j> on the cosets, the row
+        of (s_i s_j)^m_ij rewritten from the orbit's first coset.  That
+        walk visits the whole orbit (a cycle, or a path bent back at
+        fixed points), so marking its cosets finds the orbits; the
+        rewrites from the orbit's other cosets are rotations of that row
+        or of its inverse, so the row lattice, rank and torsion are
+        those of the full presentation.  Empty rows are left out.
+        """
+        action, n = self.table.action, self.table.count
+        for j, k in enumerate(self.columns):
+            c, y = self.pairs[k]
+            if action[c][y - 1] == c:
+                yield {j: 2}  # the square k(c,y)^2 of a fixed point
+        for rel in self.ambient:
+            if rel[0] == rel[1]:
+                continue  # a square: folded into the columns
+            seen = bytearray(n)
+            for c in range(n):
+                if not seen[c]:
+                    row = self._abelian_row(rel, c, seen)
+                    if row:
+                        yield row
+
+    def _cell_smith(self, want_transform: bool) -> SmithForm:
+        # a list, though the Smith form reads the rows once: the span
+        # counters of perfbench/spans.py read them again after the call
+        return smith_normal_form([row.items() for row in self.cell_rows()],
+                                 len(self.columns),
+                                 want_transform=want_transform)
 
     @cached_property
     def smith(self) -> SmithForm:
-        return smith_normal_form(_relator_rows(self.presentation),
-                                 self.num_schreier, want_transform=True)
+        """Smith form of the cell rows, with its column transform."""
+        return self._cell_smith(True)
+
+    @cached_property
+    def invariants(self) -> AbelianInvariants:
+        """Free rank and torsion of the abelianized kernel, off a bare
+        Smith form of the cell rows (no transform)."""
+        sm = self._cell_smith(False)
+        return AbelianInvariants(sm.ncols - len(sm.divisors), sm.torsion)
 
     @property
     def rank(self) -> int:
-        return self.smith.ncols - len(self.smith.divisors)
+        """Rank of the free part, in the basis ``smith`` picks."""
+        return len(self.smith.free_rows)
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -246,11 +375,10 @@ class KernelRewriter:
 
     @cached_property
     def _coordinates(self) -> list[list[tuple[int, int]]]:
-        """Each Schreier generator's free coordinates as sparse
-        ``(free index, value)`` pairs, read off V's free columns."""
+        """Each column's free coordinates as sparse ``(free index,
+        value)`` pairs, read off V's free columns."""
         sm = self.smith
-        coords: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.num_schreier)]
+        coords: list[list[tuple[int, int]]] = [[] for _ in self.columns]
         for i, col in enumerate(sm.columns[len(sm.divisors):]):
             for t, x in col.items():
                 coords[t].append((i, x))
@@ -261,7 +389,7 @@ class KernelRewriter:
         abelianized kernel (the basis the Smith column transform picks)."""
         coords = self._coordinates
         out = [0] * self.rank
-        for t, x in _exponent_row(self.rewrite(word)).items():
+        for t, x in self._abelian_row(word).items():
             for i, y in coords[t]:
                 out[i] += x * y
         return tuple(out)
@@ -275,15 +403,16 @@ class KernelRewriter:
         """
         word = tuple(word)
         word_inv = invert_signed(word)
-        # basis vector i is the combination free_rows[i] of Schreier
-        # generators, so its image is that combination of the images of
-        # their conjugates
+        # basis vector i is the combination free_rows[i] of columns,
+        # and column t is the class of Schreier generator columns[t],
+        # so its image is that combination of the images of their
+        # conjugates
         cols = []
         for lift in self.smith.free_rows:
             col = [0] * self.rank
             for t, x in lift.items():
                 image = self.free_coordinates(
-                    word + self.schreier_word(t) + word_inv)
+                    word + self.schreier_word(self.columns[t]) + word_inv)
                 col = [c + x * y for c, y in zip(col, image)]
             cols.append(col)
         return Matrix.canonical(tuple(zip(*cols)))
@@ -315,7 +444,11 @@ def _relator_rows(pres: Presentation) -> list:
     multisets and each distinct row goes in once (none is the negative
     of another); the rewrites of one ambient relator along its cycle of
     cosets are rotations of each other, so PT_5's 840 relators give 420
-    rows.
+    rows.  The package builds that presentation only where its text or
+    its Tietze simplification is wanted (``subgroup``, the
+    ``pl4-free-rank-5`` claim): a kernel's own invariants come from
+    ``KernelRewriter.cell_rows``, which fold the squares away as well
+    (PT_5: 90 rows), so this is the route for other presentations.
     """
     letters = dict.fromkeys(tuple(sorted(rel)) for rel in pres.relators)
     return [_exponent_row(word).items() for word in letters]

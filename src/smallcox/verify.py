@@ -263,13 +263,12 @@ def _suite_congruence() -> list[Claim]:
     return claims
 
 
-def _kernel_presentation(system: CoxeterSystem, kind: str, m=None):
-    qmap = rewriting.quotient_map(system, kind, m)
-    return rewriting.KernelRewriter(qmap).presentation
+def _kernel_rewriter(system: CoxeterSystem, kind: str, m=None):
+    return rewriting.KernelRewriter(rewriting.quotient_map(system, kind, m))
 
 
 def _kernel_invariants(system: CoxeterSystem, kind: str, m=None):
-    return rewriting.abelian_invariants(_kernel_presentation(system, kind, m))
+    return _kernel_rewriter(system, kind, m).invariants
 
 
 def _suite_rewriting() -> list[Claim]:
@@ -293,7 +292,7 @@ def _suite_rewriting() -> list[Claim]:
 
     def pl4_free():
         simp = rewriting.tietze_simplify(
-            _kernel_presentation(triplet(4), "symmetric"))
+            _kernel_rewriter(triplet(4), "symmetric").presentation)
         return f"gens={simp.generators} relators={len(simp.relators)}"
 
     _claim(claims, "pl4-free-rank-5",

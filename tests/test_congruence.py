@@ -417,6 +417,16 @@ class TestBudgetAndLaziness:
         with pytest.raises(BudgetExceededError):
             enumerate_image(system, m, cap=order - 1)
 
+    def test_order_decodes_nothing(self):
+        # the image holds row-id tuples until its rows are first read,
+        # then decodes each element once
+        group = enumerate_image(triplet(5), 3)
+        assert group.order == 648
+        assert all(type(i) is int for i in group._elements[1])
+        rows = group.rows
+        assert rows == tuple(_modular_reference(triplet(5), 3))
+        assert group.rows is rows and group.order == 648
+
     def test_row_table_grows_only_with_the_orbit(self):
         # the universal group of rank 9 has an enormous image mod 12; the
         # closure must stop at the cap having interned only the rows of

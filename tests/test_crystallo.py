@@ -1,12 +1,14 @@
 import pytest
 
-from smallcox import crystallo
+from smallcox import crystallo, rewriting
 from smallcox.coxeter import triplet, twin
 from smallcox.crystallo import (_holonomy, beta_word, holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
-from smallcox.matrices import Matrix
-from smallcox.rewriting import KernelRewriter, coset_table, quotient_map
+from smallcox.congruence import FiniteQuotientMap
+from smallcox.matrices import Matrix, smith_normal_form
+from smallcox.rewriting import (KernelRewriter, _exponent_row, _relator_rows,
+                                coset_table, quotient_map)
 
 
 class TestThetaGeneratorMatrix:
@@ -114,6 +116,42 @@ class TestHolonomyViaConjugation:
         assert rewriter.smith.columns is not None
         assert "v" not in rewriter.smith.__dict__
 
+    def test_never_builds_the_presentation(self, monkeypatch):
+        # the lattice comes from the cells of the coset graph, and its
+        # rank and torsion from the one Smith form with the transform
+        made, smith_calls = [], []
+
+        class Recorded(KernelRewriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def counted(*args, **kwargs):
+            smith_calls.append(kwargs.get("want_transform", False))
+            return smith_normal_form(*args, **kwargs)
+
+        monkeypatch.setattr(crystallo, "KernelRewriter", Recorded)
+        monkeypatch.setattr(rewriting, "smith_normal_form", counted)
+        assert holonomy_via_conjugation(
+            quotient_map(twin(5), "symmetric")).faithful
+        (rewriter,) = made
+        assert "presentation" not in rewriter.__dict__
+        assert smith_calls == [True]
+
+    @pytest.mark.parametrize("qmap", [
+        quotient_map(twin(3), "symmetric"), quotient_map(twin(4), "symmetric"),
+        quotient_map(twin(5), "symmetric"),
+        quotient_map(triplet(4), "symmetric"),
+        quotient_map(triplet(5), "symmetric"),
+        quotient_map(twin(4), "modular", 3), quotient_map(twin(3), "modular", 2),
+        quotient_map(twin(4), "trivial"), quotient_map(twin(5), "mod2_abelian"),
+        quotient_map(triplet(4), "mod2_abelian"),
+        FiniteQuotientMap(twin(4), "custom", 0, lambda x, k: x ^ (k < 2))],
+        ids=["PT3", "PT4", "PT5", "PL4", "PL5", "T4-mod3", "T3-mod2",
+             "T4-trivial", "T5-mod2", "L4-mod2", "T4-onto-Z2"])
+    def test_matches_the_presentation_reference(self, qmap):
+        assert holonomy_via_conjugation(qmap) == _holonomy_reference(qmap)
+
     def test_pure_triplet_four(self):
         report = holonomy_via_conjugation(
             quotient_map(triplet(4), "symmetric"))
@@ -128,6 +166,41 @@ class TestHolonomyViaConjugation:
             quotient_map(twin(4), "modular", 3))
         assert report.faithful and report.dimension == 7
         assert report.quotient == "T4/T4[3]'"
+
+
+def _holonomy_reference(qmap):
+    """``holonomy_via_conjugation`` with the lattice read off the full
+    presentation: the Smith transform of its distinct relator rows, one
+    column per Schreier generator, and each conjugate rewritten into
+    those columns."""
+    rewriter = KernelRewriter(qmap)
+    pres = rewriter.presentation
+    sm = smith_normal_form(_relator_rows(pres), pres.generators,
+                           want_transform=True)
+    rank = len(sm.free_rows)
+    coords = [[] for _ in range(pres.generators)]
+    for i, col in enumerate(sm.columns[len(sm.divisors):]):
+        for t, x in col.items():
+            coords[t].append((i, x))
+
+    def free(word):
+        out = [0] * rank
+        for t, x in _exponent_row(rewriter.rewrite(word)).items():
+            for i, v in coords[t]:
+                out[i] += x * v
+        return out
+
+    gens = []
+    for y in range(1, qmap.system.rank + 1):
+        cols = []
+        for lift in sm.free_rows:
+            col = [0] * rank
+            for t, x in lift.items():
+                image = free((y,) + rewriter.schreier_word(t) + (-y,))
+                col = [c + x * v for c, v in zip(col, image)]
+            cols.append(col)
+        gens.append(tuple(zip(*cols)))
+    return _holonomy(qmap, rewriter.table, gens, rank, sm.torsion)
 
 
 class TestProbeWalk:

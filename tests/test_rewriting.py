@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from smallcox import cli, rewriting
 from smallcox.congruence import (BudgetExceededError, FiniteQuotientMap,
                                  odd_bond_classes)
 from smallcox.coxeter import (racg_system, relators, simple_graph, symmetric,
@@ -297,6 +298,134 @@ class TestReidemeisterSchreier:
         assert row == {k: x for k, x in enumerate(dense) if x}
 
 
+def _seeded_right_angled(seed, vertices):
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(1, vertices + 1)
+             for j in range(i + 1, vertices + 1) if rng.random() < 0.5]
+    return racg_system(simple_graph(vertices, edges))
+
+
+def _onto_z2_with_s3_trivial():
+    """twin(4) onto Z_2 with s_1, s_2 the generator and s_3 trivial: each
+    coset is a fixed point of s_3, and the graph has two cosets."""
+    return FiniteQuotientMap(twin(4), "custom", 0, lambda x, k: x ^ (k < 2))
+
+
+_CELL_MAPS = [
+    *TestReidemeisterSchreier.fixtures,
+    (twin(3), "modular", 2), (twin(4), "trivial", None),
+    (triplet(4), "trivial", None), (twin(5), "symmetric", None),
+    (triplet(5), "symmetric", None), (twin(6), "mod2_abelian", None),
+    (triplet(5), "mod2_abelian", None), (symmetric(5), "modular", 3),
+    *[(_seeded_right_angled(seed, vertices), kind, m)
+      for seed, vertices in ((1, 4), (2, 4), (3, 5), (4, 5))
+      for kind, m in (("mod2_abelian", None), ("modular", 3),
+                      ("modular", 4), ("trivial", None))],
+]
+
+
+class TestCellRoute:
+    """The abelianized kernel from the cells of the coset graph (one
+    column per non-tree edge, one row per bond and dihedral orbit)
+    against ``abelian_invariants`` of the full presentation."""
+
+    @pytest.mark.parametrize("system,kind,m", _CELL_MAPS)
+    def test_invariants_match_the_presentation(self, system, kind, m):
+        rewriter = KernelRewriter(quotient_map(system, kind, m), cap=2000)
+        assert rewriter.invariants == \
+            abelian_invariants(rewriter.presentation)
+        assert (rewriter.rank, rewriter.torsion) == \
+            (rewriter.invariants.rank, rewriter.invariants.torsion)
+
+    def test_fixed_points_keep_a_column_with_row_two(self):
+        rewriter = KernelRewriter(_onto_z2_with_s3_trivial())
+        action = rewriter.table.action
+        ends = [rewriter.pairs[k] for k in rewriter.columns]
+        fixed = [j for j, (c, y) in enumerate(ends) if action[c][y - 1] == c]
+        assert len(fixed) == 2
+        assert [{j: 2} for j in fixed] == list(rewriter.cell_rows())[:2]
+        assert rewriter.invariants == \
+            abelian_invariants(rewriter.presentation)
+
+    def test_trivial_map_has_only_loops(self):
+        # one coset: every generator is a loop, so three columns, their
+        # squares, and the commuting bond (1,3) walked once
+        rewriter = KernelRewriter(quotient_map(twin(4), "trivial"))
+        assert len(rewriter.columns) == 3
+        assert list(rewriter.cell_rows()) == \
+            [{0: 2}, {1: 2}, {2: 2}, {0: 2, 2: 2}]
+
+    @pytest.mark.parametrize("system,rows,columns,rank", [
+        (twin(5), 90, 121, 31), (triplet(5), 60, 121, 61)])
+    def test_cell_counts_of_rank_five_kernels(self, system, rows, columns,
+                                              rank):
+        # S_5 acts freely: 120 * 4 / 2 - 119 = 121 non-tree edges; PT_5
+        # has three commuting bonds with 30 square orbits each, PL_5
+        # three bonds of order 3 with 20 hexagon orbits each
+        rewriter = KernelRewriter(quotient_map(system, "symmetric"))
+        assert (len(list(rewriter.cell_rows())), len(rewriter.columns)) == \
+            (rows, columns)
+        assert rewriter.rank == rank
+
+    @pytest.mark.parametrize("system", [twin(4), twin(5), triplet(4),
+                                        triplet(5)],
+                             ids=["PT4", "PT5", "PL4", "PL5"])
+    def test_free_kernels_have_independent_rows(self, system):
+        rewriter = KernelRewriter(quotient_map(system, "symmetric"))
+        assert rewriter.torsion == ()
+        assert rewriter.rank == len(rewriter.columns) - \
+            len(list(rewriter.cell_rows()))
+
+    def test_columns_fold_both_labels_of_an_edge(self):
+        # a column's Schreier generator is the pair at its lower end;
+        # the other end folds to the negative, a tree edge to nothing
+        rewriter = KernelRewriter(quotient_map(triplet(4), "symmetric"))
+        action, fold = rewriter.table.action, rewriter._fold
+        for j, k in enumerate(rewriter.columns, 1):
+            c, y = rewriter.pairs[k]
+            assert fold[c][y - 1] == j
+            assert fold[action[c][y - 1]][y - 1] == -j
+        tree = sum(row.count(0) for row in fold)
+        assert tree == 2 * (rewriter.table.count - 1)
+
+
+class TestLazyPresentation:
+    """``abelianize`` never builds the presentation, and ``subgroup``
+    never builds the cells."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        made = []
+
+        class Recorded(KernelRewriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(rewriting, "KernelRewriter", Recorded)
+        return made
+
+    def test_abelianize_never_builds_the_presentation(self, monkeypatch,
+                                                      capsys):
+        made = self._recorded(monkeypatch)
+        assert cli.dispatch(["abelianize", "--family", "twin", "-n", "5",
+                             "--map", "symmetric"]) == 0
+        assert capsys.readouterr().out == "Z^31\n"
+        (rewriter,) = made
+        assert "presentation" not in rewriter.__dict__
+        assert "smith" not in rewriter.__dict__  # a bare Smith form
+
+    def test_subgroup_never_builds_the_cells(self, monkeypatch, capsys):
+        made = self._recorded(monkeypatch)
+        assert cli.dispatch(["subgroup", "--family", "triplet", "-n", "4",
+                             "--map", "symmetric", "--simplify"]) == 0
+        assert capsys.readouterr().out == "cosets 24\ngens 5\n"
+        (rewriter,) = made
+        assert "presentation" in rewriter.__dict__
+        for cell in ("columns", "_fold", "smith", "invariants"):
+            assert cell not in rewriter.__dict__
+
+
 def invert(system, word):
     return evaluate(system, tuple(reversed(word)))
 
@@ -560,27 +689,35 @@ class TestConjugation:
             assert rewriter.conjugation_matrix(word) == product
 
     def test_pure_twin_five_transform(self):
-        # the 840 x 361 relator matrix of PT_5: Z^31, and every relator
-        # row times V vanishes on the free columns
+        # the 90 x 121 cell matrix of PT_5: Z^31; every cell row, and
+        # every relator of the full 840-relator presentation folded onto
+        # the columns, times V vanishes on the free columns
         table, rewriter = kernel_rewriter(twin(5), "symmetric")
         relators = rewriter.presentation.relators
         assert (len(relators), rewriter.num_schreier) == (840, 361)
         sm = rewriter.smith
+        assert (len(list(rewriter.cell_rows())), sm.ncols) == (90, 121)
         assert len(sm.free_columns) == 31 and sm.torsion == ()
-        free = sm.free_columns
+        free = [sm.columns[j] for j in sm.free_columns]
+        folded = []
         for rel in relators:
-            row = [0] * rewriter.num_schreier
+            row = {}
             for letter in rel:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
-            support = [t for t, x in enumerate(row) if x]
-            assert all(sum(row[t] * sm.v[t][j] for t in support) == 0
-                       for j in free)
+                c, y = rewriter.pairs[abs(letter) - 1]
+                f = rewriter._fold[c][y - 1] * (1 if letter > 0 else -1)
+                if f:
+                    row[abs(f) - 1] = row.get(abs(f) - 1, 0) + \
+                        (1 if f > 0 else -1)
+            folded.append(row)
+        for row in folded + list(rewriter.cell_rows()):
+            assert all(sum(row.get(t, 0) * x for t, x in col.items()) == 0
+                       for col in free)
 
     def test_rewrites_one_schreier_generator_per_free_column(self, monkeypatch):
-        # no column of PT_5's relator matrix is demoted from pivot, so
-        # basis vector i is the Schreier generator order[i] itself and
-        # each generator's matrix rewrites the conjugates of exactly
-        # those 31 of the 361 generators
+        # no column of PT_5's cell matrix is demoted from pivot, so basis
+        # vector i is the column order[i] itself and each generator's
+        # matrix rewrites the conjugates of exactly the 31 Schreier
+        # generators that name those of the 121 columns
         table, rewriter = kernel_rewriter(twin(5), "symmetric")
         sm = rewriter.smith
         free = [sm.order[i] for i in sm.free_columns]
@@ -597,7 +734,7 @@ class TestConjugation:
         for y in range(1, 5):
             calls.clear()
             rewriter.conjugation_matrix((y,))
-            assert calls == free
+            assert calls == [rewriter.columns[t] for t in free]
 
     def test_torsion_reported(self):
         # L_4'/L_4'' is Z_3 + Z_3: the report carries the torsion and the
