@@ -29,8 +29,7 @@ from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          product_quotient_check, quotient_map)
 from .rewriting import (AbelianInvariants, CosetTable, KernelRewriter,
                         Presentation, abelian_invariants, coset_table,
-                        coxeter_presentation, format_presentation,
-                        tietze_simplify)
+                        format_presentation, tietze_simplify)
 from .crystallo import (BasisSpanError, HolonomyReport, LatticeTorsionError,
                         beta_word, holonomy_via_conjugation,
                         theta_cross_check, theta_faithfulness,

@@ -328,9 +328,10 @@ def _kernel_map(pairs, rows: list, m: int):
     taken mod a multiple of m.  Each distinct row is reduced mod m once,
     to the i with row = e_i mod m (or -1), and a matrix is trivial mod m
     exactly when that sends its ids to (0, 1, ..., rank-1).  Returns
-    (mapping, well_defined, injective): well-defined means no matrix
-    appears with two distinct auxiliaries, injective means no auxiliary
-    appears for two distinct matrices.
+    (mapping, values, well_defined, injective), values the set of the
+    mapping's auxiliaries: well-defined means no matrix appears with two
+    distinct auxiliaries, injective means no auxiliary appears for two
+    distinct matrices.
     """
     ident = identity_rows(len(pairs[0][0]))
     unit = {row: i for i, row in enumerate(ident)}
@@ -345,8 +346,7 @@ def _kernel_map(pairs, rows: list, m: int):
                 well_defined = False
             mapping[g] = s
     values = set(mapping.values())
-    injective = len(values) == len(mapping)
-    return mapping, well_defined, injective
+    return mapping, values, well_defined, len(values) == len(mapping)
 
 
 def alternating_quotient_check(n: int, m: int,
@@ -361,13 +361,13 @@ def alternating_quotient_check(n: int, m: int,
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if m % 3 == 0:
-        raise ValueError(f"need 3 not dividing m, got {m}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
+    if m % 3 == 0:
+        raise ValueError(f"need 3 not dividing m, got {m}")
     first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
-    values = set(mapping.values())
+    mapping, values, well_defined, injective = _kernel_map(pairs, first.rows,
+                                                           m)
     all_even = all(perms.is_even(s) for s in values)
     # a set of n!/2 even permutations is A_n
     onto = all_even and len(values) == math.factorial(n) // 2
@@ -393,8 +393,8 @@ def even_vector_quotient_check(n: int, m: int,
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
     first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
-    mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
-    values = set(mapping.values())
+    mapping, values, well_defined, injective = _kernel_map(pairs, first.rows,
+                                                           m)
     # a set of 2^(n-2) even-weight vectors in Z_2^(n-1) is all of them
     onto = (all(v.bit_count() % 2 == 0 for v in values)
             and len(values) == 2 ** (n - 2))

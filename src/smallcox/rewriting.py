@@ -14,8 +14,9 @@ enumeration is ever needed:
 * ``KernelRewriter(qmap)`` builds the coset table itself
   (``rewriter.table``), so a quotient map is the one way in to a
   kernel, and labels the nontrivial Schreier generators
-  u y (rep of uy)^-1; a rewrite reads the action table and a Schreier
-  label table laid out like it;
+  u y (rep of uy)^-1.  One scan walks a word over the action table and
+  reads a label table laid out like it: the Schreier labels for a
+  rewrite, or the columns they fold to for an abelianized row;
 * ``KernelRewriter.presentation`` presents the kernel on those
   generators, with one rewritten relator per (coset,
   ``coxeter.relators`` relator) pair.  It is built on first read, and
@@ -37,9 +38,11 @@ enumeration is ever needed:
   cell rows sparse: each column's free coordinates are listed once from
   V's free columns, and free basis vector i is the combination
   ``free_rows[i]`` of columns, each column the class of the Schreier
-  generator ``columns[t]`` that names it, so a matrix costs one
-  conjugate rewrite per column of each lift and V^-1 is never formed.
-  Torsion never raises here, and ``crystallo`` reports it;
+  generator ``columns[t]`` that names it, so a matrix costs one scan
+  per column of each lift and V^-1 is never formed.  Abelianized, the
+  conjugate w g w^-1 is the kernel word g scanned from the coset of w,
+  since the scans of w and of w^-1 cancel.  Torsion never raises here,
+  and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; an index from generators to relators keeps
@@ -69,7 +72,7 @@ from typing import Iterator, Optional, Sequence
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
                          orbit, quotient_map)
-from .coxeter import CoxeterSystem, Word, relators
+from .coxeter import Word, relators
 from .matrices import Matrix, SmithForm, smith_normal_form
 
 SignedWord = tuple[int, ...]
@@ -91,11 +94,6 @@ def format_presentation(pres: Presentation) -> str:
     lines = [f"gens {pres.generators}"]
     lines.extend(" ".join(str(x) for x in rel) for rel in pres.relators)
     return "\n".join(lines) + "\n"
-
-
-def coxeter_presentation(system: CoxeterSystem) -> Presentation:
-    """``coxeter.relators`` on rank-many generators."""
-    return Presentation(system.rank, relators(system))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,9 @@ class KernelRewriter:
     trivial: that is when t = c.y is not coset 0 and u_t ends in y,
     since u_t extends its parent t.y = c by y (``coset_table`` checks
     the involutions).  ``pairs[k]`` is the pair of generator k+1 and
-    ``label[c][y-1]`` is k+1, or 0 on a tree edge.  Rewriting scans a
-    word letter by letter, emitting the label of each pair it crosses.
+    ``label[c][y-1]`` is k+1, or 0 on a tree edge.  ``_scan`` walks a
+    word letter by letter, emitting the label of each pair it crosses
+    (``label`` for ``rewrite``, ``_fold`` for the abelianized rows).
 
     ``presentation`` is the Reidemeister-Schreier presentation of the
     kernel, built on first read: a kernel of index N under g ambient
@@ -200,6 +199,8 @@ class KernelRewriter:
     rows; ``smith`` is the one with the transform, which ``rank``,
     ``torsion``, ``free_coordinates`` and ``conjugation_matrix`` read.
     None of them builds ``presentation``, and it builds none of them.
+    A conjugate w g w^-1 is abelianized as the kernel word g scanned
+    from the coset of w.
     """
 
     def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
@@ -219,12 +220,45 @@ class KernelRewriter:
         rels = []
         for c in range(self.table.count):
             for rel in self.ambient:
-                w = free_reduce_signed(self.rewrite(rel, start=c))
+                w = free_reduce_signed(self._scan(rel, self.label, c)[0])
                 if w:
                     rels.append(w)
         return Presentation(self.num_schreier, tuple(rels))
 
     # -- rewriting -----------------------------------------------------
+
+    def _letters(self, word: Sequence[int]) -> Sequence[int]:
+        """``word``, checked to hold only the letters +-1 .. +-rank."""
+        r = len(self.table.action[0])
+        if any(not 0 < abs(letter) <= r for letter in word):
+            raise ValueError(f"word letters must be +-1 .. +-{r}: {word}")
+        return word
+
+    def _scan(self, word: Sequence[int], labels: list[list[int]],
+              start: int = 0, seen: Optional[bytearray] = None,
+              closed: bool = True) -> tuple[list[int], int]:
+        """Walk ``word`` from coset ``start``, reading +-``labels``
+        at the pair each letter +-y crosses; return the nonzero readings
+        and the end coset (``start`` when ``closed``).  Each coset the
+        walk passes is marked in ``seen`` when given."""
+        action = self.table.action
+        c = start
+        out: list[int] = []
+        for letter in word:
+            if seen is not None:
+                seen[c] = 1
+            if letter > 0:
+                k = labels[c][letter - 1]
+                c = action[c][letter - 1]
+            else:
+                c = action[c][-letter - 1]  # involution: s_y^-1 acts like s_y
+                k = -labels[c][-letter - 1]
+            if k:
+                out.append(k)
+        if closed and c != start:
+            raise ValueError("word does not normalize the coset: not in kernel "
+                             "(or conjugate thereof)")
+        return out, c
 
     def rewrite(self, word: Sequence[int], start: int = 0) -> SignedWord:
         """Signed Schreier-generator word for an ambient (signed) word.
@@ -233,25 +267,7 @@ class KernelRewriter:
         conjugate u r u^-1 for u the representative of ``start``: the
         representative's own letters only cross tree edges.
         """
-        action, label = self.table.action, self.label
-        c = start
-        out: list[int] = []
-        for letter in word:
-            if letter > 0:
-                k = label[c][letter - 1]
-                if k:
-                    out.append(k)
-                c = action[c][letter - 1]
-            else:
-                y = -letter - 1
-                c = action[c][y]  # involution: s_y^-1 acts like s_y
-                k = label[c][y]
-                if k:
-                    out.append(-k)
-        if c != start:
-            raise ValueError("word does not normalize the coset: not in kernel "
-                             "(or conjugate thereof)")
-        return tuple(out)
+        return tuple(self._scan(self._letters(word), self.label, start)[0])
 
     def schreier_word(self, k: int) -> Word:
         """Ambient word (positive letters) for Schreier generator k+1."""
@@ -291,31 +307,9 @@ class KernelRewriter:
     def _abelian_row(self, word: Sequence[int], start: int = 0,
                      seen: Optional[bytearray] = None) -> dict[int, int]:
         """The rewrite of ``word`` from coset ``start`` in the
-        abelianized kernel, as a sparse ``{column: exponent}`` row;
-        each coset the scan passes is marked in ``seen`` when given."""
-        action, fold = self.table.action, self._fold
-        c = start
-        row: dict[int, int] = {}
-        for letter in word:
-            if seen is not None:
-                seen[c] = 1
-            if letter > 0:
-                f = fold[c][letter - 1]
-                c = action[c][letter - 1]
-            else:
-                c = action[c][-letter - 1]  # involution, as in rewrite
-                f = -fold[c][-letter - 1]
-            if f:
-                j = abs(f) - 1
-                x = row.get(j, 0) + (1 if f > 0 else -1)
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-        if c != start:
-            raise ValueError("word does not normalize the coset: not in kernel "
-                             "(or conjugate thereof)")
-        return row
+        abelianized kernel, as a sparse ``{column: exponent}`` row: the
+        exponent sums of its scan over ``_fold``."""
+        return _exponent_row(self._scan(word, self._fold, start, seen)[0])
 
     def cell_rows(self) -> Iterator[dict[int, int]]:
         """The relation rows over ``columns``, as ``{column: exponent}``,
@@ -384,12 +378,16 @@ class KernelRewriter:
                 coords[t].append((i, x))
         return coords
 
-    def free_coordinates(self, word: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a kernel word in the free part of the
-        abelianized kernel (the basis the Smith column transform picks)."""
+    def free_coordinates(self, word: Sequence[int],
+                         start: int = 0) -> tuple[int, ...]:
+        """Coordinates of a kernel word rewritten from coset ``start``
+        in the free part of the abelianized kernel (the Smith basis)."""
+        return self._free(self._abelian_row(self._letters(word), start))
+
+    def _free(self, row: dict[int, int]) -> tuple[int, ...]:
         coords = self._coordinates
         out = [0] * self.rank
-        for t, x in self._abelian_row(word).items():
+        for t, x in row.items():
             for i, y in coords[t]:
                 out[i] += x * y
         return tuple(out)
@@ -401,8 +399,10 @@ class KernelRewriter:
         a homomorphism in ambient words: M(uv) = M(u) M(v).  The free
         part is well defined with or without torsion.
         """
-        word = tuple(word)
-        word_inv = invert_signed(word)
+        # abelianized, the scans of w from coset 0 and of w^-1 back from
+        # the coset d of w cross the same edges with opposite signs, so
+        # a conjugate w g w^-1 is the kernel word g scanned from d
+        d = self._scan(self._letters(word), self._fold, closed=False)[1]
         # basis vector i is the combination free_rows[i] of columns,
         # and column t is the class of Schreier generator columns[t],
         # so its image is that combination of the images of their
@@ -411,8 +411,8 @@ class KernelRewriter:
         for lift in self.smith.free_rows:
             col = [0] * self.rank
             for t, x in lift.items():
-                image = self.free_coordinates(
-                    word + self.schreier_word(self.columns[t]) + word_inv)
+                image = self._free(self._abelian_row(
+                    self.schreier_word(self.columns[t]), d))
                 col = [c + x * y for c, y in zip(col, image)]
             cols.append(col)
         return Matrix.canonical(tuple(zip(*cols)))

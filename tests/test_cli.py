@@ -74,6 +74,12 @@ def test_non_positive_cap_exits_one(line, capsys):
     assert "cap must be positive" in capsys.readouterr().err
 
 
+def test_alternating_level_zero_names_the_level_bound(capsys):
+    # 3 divides 0 as well, but m >= 2 is the bound that m = 0 misses
+    assert dispatch("quotient --check alternating -n 4 -m 0".split()) == 1
+    assert "need m >= 2, got 0" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         dispatch(["image", "--family", "twin", "-n", "4"])

@@ -161,11 +161,13 @@ class TestQuotientChecks:
                                                        m):
         # oracle: decode each matrix and reduce it as a Matrix
         first, _, pairs = _twin_pairs(n, factor * m, kind, None, 10 ** 6)
-        mapping, well_defined, injective = _kernel_map(pairs, first.rows, m)
+        mapping, values, well_defined, injective = _kernel_map(
+            pairs, first.rows, m)
         kernel = {g: s for g, s in pairs
                   if Matrix.canonical(_decode(first.rows, g), factor * m)
                   .reduce(m).is_identity()}
         assert mapping == kernel
+        assert values == set(kernel.values())
         assert well_defined and injective
 
     @pytest.mark.parametrize("n,m,kernel", [(4, 4, 12), (4, 5, 12), (5, 4, 60)])
@@ -235,7 +237,7 @@ class TestOntoByCounting:
         result = alternating_quotient_check(n, m)
         first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None,
                                       DEFAULT_CAP)
-        mapping, _, _ = _kernel_map(pairs, first.rows, m)
+        mapping, _, _, _ = _kernel_map(pairs, first.rows, m)
         a_n = {p for p in itertools.permutations(range(n))
                if _inversions(p) % 2 == 0}
         onto = set(mapping.values()) == a_n
@@ -246,7 +248,7 @@ class TestOntoByCounting:
         result = even_vector_quotient_check(n, m)
         first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None,
                                       DEFAULT_CAP)
-        mapping, _, _ = _kernel_map(pairs, first.rows, m)
+        mapping, _, _, _ = _kernel_map(pairs, first.rows, m)
         # images are bit masks over the n-1 generators of the twin group
         even = {v for v in range(2 ** (n - 1)) if bin(v).count("1") % 2 == 0}
         onto = set(mapping.values()) == even

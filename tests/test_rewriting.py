@@ -17,8 +17,7 @@ from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
                                 Presentation, RelationCheckError,
                                 _exponent_row, _relator_rows,
-                                abelian_invariants,
-                                coset_table, coxeter_presentation,
+                                abelian_invariants, coset_table,
                                 cyclically_reduce, format_presentation,
                                 invert_signed, quotient_map,
                                 tietze_simplify)
@@ -32,30 +31,20 @@ def kernel_rewriter(system, kind, m=None):
 
 class TestCoxeterPresentation:
     def test_twin_rank_two(self):
-        pres = coxeter_presentation(twin(3))
-        assert pres.generators == 2
-        assert set(pres.relators) == {(1, 1), (2, 2)}
+        assert twin(3).rank == 2
+        assert set(relators(twin(3))) == {(1, 1), (2, 2)}
 
     def test_symmetric_rank_two(self):
-        pres = coxeter_presentation(symmetric(3))
-        assert set(pres.relators) == {(1, 1), (2, 2), (1, 2, 1, 2, 1, 2)}
+        assert set(relators(symmetric(3))) == {(1, 1), (2, 2),
+                                               (1, 2, 1, 2, 1, 2)}
 
     def test_triplet_four_strands(self):
-        pres = coxeter_presentation(triplet(4))
-        assert pres.generators == 3
-        assert set(pres.relators) == {(1, 1), (2, 2), (3, 3),
-                                      (1, 2) * 3, (2, 3) * 3}
+        assert triplet(4).rank == 3
+        assert set(relators(triplet(4))) == {(1, 1), (2, 2), (3, 3),
+                                             (1, 2) * 3, (2, 3) * 3}
 
     def test_universal_has_only_squares(self):
-        pres = coxeter_presentation(universal(5))
-        assert set(pres.relators) == {(i, i) for i in range(1, 5)}
-
-    @pytest.mark.parametrize("system", [twin(4), triplet(4), symmetric(4),
-                                        universal(4)])
-    def test_wraps_the_one_relator_list(self, system):
-        pres = coxeter_presentation(system)
-        assert pres.generators == system.rank
-        assert pres.relators == relators(system)
+        assert set(relators(universal(5))) == {(i, i) for i in range(1, 5)}
 
 
 class TestQuotientMap:
@@ -163,6 +152,14 @@ class TestCosetTable:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             coset_table(quotient_map(triplet(4), "symmetric"), cap=5)
+
+    def test_involution_check_of_the_coset_table(self):
+        # s_1 sends both 2 and 3 to 3; the relator check from the
+        # identity passes, and the table's own check does not
+        T = [{0: 1, 1: 0, 2: 3, 3: 3}, {0: 2, 2: 0, 1: 1, 3: 3}]
+        qmap = FiniteQuotientMap(twin(3), "hand", 0, lambda x, k: T[k][x])
+        with pytest.raises(RelationCheckError, match="not an involution"):
+            coset_table(qmap)
 
 
 class TestReidemeisterSchreier:
@@ -287,6 +284,17 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError):
             rewriter.rewrite((1,))
 
+    @pytest.mark.parametrize("letter", [0, 4, -4, 7])
+    def test_letters_outside_the_rank_are_rejected(self, letter):
+        # a 0 once indexed generator -1 and read as s_3, so (0, 0)
+        # rewrote like (-3, -3); |letter| > rank indexed past the table
+        table, rewriter = kernel_rewriter(twin(4), "symmetric")
+        for method in (rewriter.rewrite, rewriter.free_coordinates,
+                       rewriter.conjugation_matrix):
+            with pytest.raises(ValueError, match=r"letters must be \+-1"):
+                method((letter, letter))
+        assert rewriter.rewrite((-3, -3)) == (-4,)
+
     @given(st.lists(st.integers(1, 6).flatmap(
         lambda g: st.sampled_from((g, -g))), max_size=30))
     def test_exponent_row_is_sparse_dense_count(self, word):
@@ -322,6 +330,18 @@ _CELL_MAPS = [
       for kind, m in (("mod2_abelian", None), ("modular", 3),
                       ("modular", 4), ("trivial", None))],
 ]
+
+
+def _coset(table, word):
+    c = 0
+    for letter in word:
+        c = table.action[c][abs(letter) - 1]
+    return c
+
+
+def _random_signed_word(rng, rank, length):
+    return tuple(rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                 for _ in range(length))
 
 
 class TestCellRoute:
@@ -735,6 +755,34 @@ class TestConjugation:
             calls.clear()
             rewriter.conjugation_matrix((y,))
             assert calls == [rewriter.columns[t] for t in free]
+
+    @pytest.mark.parametrize("qmap", [
+        quotient_map(twin(4), "symmetric"),
+        quotient_map(triplet(4), "symmetric"),
+        quotient_map(twin(3), "modular", 2),
+        quotient_map(twin(4), "trivial"),
+        _onto_z2_with_s3_trivial()],
+        ids=["PT_4", "PL_4", "twin3-mod2", "twin4-trivial", "onto-z2"])
+    def test_conjugate_is_the_kernel_word_scanned_from_the_coset_of_w(
+            self, qmap):
+        # abelianized, the scans of w and of w^-1 cancel, so w g w^-1
+        # reads as the kernel word g scanned from the coset d of w, and
+        # the matrix of w sends the coordinates of g to those
+        rewriter = KernelRewriter(qmap)
+        table, r, rng = rewriter.table, qmap.system.rank, random.Random(19)
+        for _ in range(40):
+            w = _random_signed_word(rng, r, rng.randrange(0, 9))
+            v = _random_signed_word(rng, r, rng.randrange(0, 9))
+            g = v + invert_signed(table.transversal[_coset(table, v)])
+            d = _coset(table, w)
+            assert rewriter._abelian_row(w + g + invert_signed(w)) == \
+                rewriter._abelian_row(g, d)
+            coords = rewriter.free_coordinates(g, start=d)
+            assert rewriter.free_coordinates(w + g + invert_signed(w)) == \
+                coords
+            x = rewriter.free_coordinates(g)
+            assert tuple(sum(a * b for a, b in zip(row, x)) for row in
+                         rewriter.conjugation_matrix(w).rows) == coords
 
     def test_torsion_reported(self):
         # L_4'/L_4'' is Z_3 + Z_3: the report carries the torsion and the
