@@ -190,6 +190,13 @@ class RelationCheckError(ValueError):
     """Proposed generator images violate a defining relation."""
 
 
+def checked_letters(word: Sequence[int], rank: int) -> Sequence[int]:
+    """``word``, checked to hold only the letters +-1 .. +-rank."""
+    if any(not 0 < abs(letter) <= rank for letter in word):
+        raise ValueError(f"word letters must be +-1 .. +-{rank}: {word}")
+    return word
+
+
 @dataclass(frozen=True)
 class FiniteQuotientMap:
     """A map of a Coxeter system onto a finite group.
@@ -223,7 +230,7 @@ class FiniteQuotientMap:
         """Image of a word; a signed letter -y maps like y, since every
         generator image is an involution."""
         out = self.identity_image
-        for letter in word:
+        for letter in checked_letters(word, self.system.rank):
             out = self.step(out, abs(letter) - 1)
         return out
 

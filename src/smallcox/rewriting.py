@@ -45,9 +45,9 @@ enumeration is ever needed:
   and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
-  this package cares about; an index from generators to relators keeps
-  each elimination to the relators it changes, and each of those takes
-  one pass that substitutes and free-reduces together;
+  this package cares about; each generator lists the relators that may
+  hold it (a superset that only grows), and a heap of (length,
+  position) keys finds the next relator, its lone generator read then;
 * ``abelian_invariants`` reads free rank and torsion of any
   presentation off the Smith normal form of its relator exponent
   matrix, whose rows go in sparse, as ``(generator, exponent)`` pairs
@@ -65,13 +65,14 @@ line as signed generator indices (``1 2 -1 -2``).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
-                         orbit, quotient_map)
+                         checked_letters, orbit, quotient_map)
 from .coxeter import Word, relators
 from .matrices import Matrix, SmithForm, smith_normal_form
 
@@ -228,11 +229,7 @@ class KernelRewriter:
     # -- rewriting -----------------------------------------------------
 
     def _letters(self, word: Sequence[int]) -> Sequence[int]:
-        """``word``, checked to hold only the letters +-1 .. +-rank."""
-        r = len(self.table.action[0])
-        if any(not 0 < abs(letter) <= r for letter in word):
-            raise ValueError(f"word letters must be +-1 .. +-{r}: {word}")
-        return word
+        return checked_letters(word, len(self.table.action[0]))
 
     def _scan(self, word: Sequence[int], labels: list[list[int]],
               start: int = 0, seen: Optional[bytearray] = None,
@@ -464,60 +461,54 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     Each round picks the shortest relator containing a generator exactly
     once (the earliest on ties, and its first such generator), solves
     for that generator and substitutes through; relators are kept freely
-    and cyclically reduced, empty ones dropped.  An index from each
-    generator to the relators that contain it limits the substitution
-    to those relators, and a heap keyed by (length, position) finds the
-    next relator.  Each changed relator takes one pass: substitution
-    and free reduction run in the same loop, the cyclic strip follows,
-    and the index moves only by the generators the relator gained or
-    lost.  Terminates because each elimination removes a generator.
-    This is deliberately modest; it suffices to expose freeness for the
-    kernels this package computes, and it preserves abelian invariants
-    exactly.
+    and cyclically reduced, empty ones dropped.  ``holders[g]`` lists
+    the relators that may hold g, a superset that only grows: a
+    rewritten relator joins the lists of the replacement's generators,
+    and an elimination skips the relators that went or lost g.  The
+    heap holds (length, position) keys, pushed on every change; a pop is
+    live while the relator there keeps that length, and only then is
+    its lone generator found.  Each changed relator takes one pass of
+    substitution and free reduction, then a cyclic strip.  Terminates
+    because each elimination removes a generator.  This is deliberately
+    modest; it suffices to expose freeness for the kernels this package
+    computes, and it preserves abelian invariants exactly.
     """
     relators: dict[int, SignedWord] = {}  # by position, gaps for the dropped
-    # generator -> the positions of the relators that contain it; its
-    # keys are the generators not yet eliminated
-    holders = {g: set() for g in range(1, pres.generators + 1)}
-    heap: list = []  # (length, position, lone generator, relator)
-
-    def put(ri, rel) -> set[int]:
-        """Store ``rel`` at ``ri``, push it when some generator occurs
-        once in it (the one of the first such letter), and return its
-        generators."""
-        relators[ri] = rel
-        once: dict[int, bool] = {}  # in the order of first occurrence
-        for g in map(abs, rel):
-            once[g] = g not in once
-        for g, single in once.items():
-            if single:
-                heapq.heappush(heap, (len(rel), ri, g, rel))
-                break
-        return set(once)
-
+    # generator -> the positions of the relators that may contain it;
+    # its keys are the generators not yet eliminated
+    holders = {g: [] for g in range(1, pres.generators + 1)}
     for ri, rel in enumerate(pres.relators):
         rel = cyclically_reduce(rel)
         if rel:
-            for g in put(ri, rel):
-                holders[g].add(ri)
+            relators[ri] = rel
+            for g in set(map(abs, rel)):
+                holders[g].append(ri)
+    heap = [(len(rel), ri) for ri, rel in relators.items()]
+    heapq.heapify(heap)
     while heap:
-        _, ri, g, rel = heapq.heappop(heap)
-        if relators.get(ri) != rel:
+        length, ri = heapq.heappop(heap)
+        rel = relators.get(ri)
+        if rel is None or len(rel) != length:
             continue  # stale: the relator changed or went since the push
+        counts = Counter(map(abs, rel))
+        g = next((h for h in map(abs, rel) if counts[h] == 1), 0)
+        if not g:
+            continue
         del relators[ri]
-        for h in set(map(abs, rel)):
-            holders[h].discard(ri)
         at = rel.index(g) if g in rel else rel.index(-g)
         spun = rel[at:] + rel[:at]
         # spun = g^e * w, so g = w^-1 when e = +1 and g = w when e = -1
         replacement = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
         inverse = invert_signed(replacement)
-        for other in sorted(holders[g]):
+        gained = set(map(abs, replacement))
+        for other in holders.pop(g):
+            word = relators.get(other)
+            if word is None or (g not in word and -g not in word):
+                continue
             # out is freely reduced as it grows; the reduction step is
             # written out for a substituted piece and again for a plain
             # letter, since this loop is the simplifier's hot path
             out: list[int] = []
-            word = relators.pop(other)
             for letter in word:
                 if letter == g or letter == -g:
                     for x in replacement if letter == g else inverse:
@@ -532,13 +523,13 @@ def tietze_simplify(pres: Presentation) -> Presentation:
             i, j = 0, len(out) - 1
             while i < j and out[i] == -out[j]:
                 i, j = i + 1, j - 1
-            old = set(map(abs, word))
-            new = put(other, tuple(out[i:j + 1])) if out else set()
-            for h in old - new:
-                holders[h].discard(other)
-            for h in new - old:
-                holders[h].add(other)
-        del holders[g]
+            if out:
+                relators[other] = tuple(out[i:j + 1])
+                heapq.heappush(heap, (j + 1 - i, other))
+                for h in gained:
+                    holders[h].append(other)
+            else:
+                del relators[other]
     renumber = {g: i for i, g in enumerate(holders, 1)}
     final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
                         for letter in relators[ri]) for ri in sorted(relators))

@@ -97,6 +97,25 @@ class TestQuotientMap:
         with pytest.raises(ValueError):
             quotient_map(twin(4), "nonsense")
 
+    @pytest.mark.parametrize("word", [(0,), (4,), (-4,), (1, 2, 0), (2, 7)])
+    @pytest.mark.parametrize("kind,m", [("symmetric", None),
+                                        ("mod2_abelian", None),
+                                        ("modular", 3)])
+    def test_letters_outside_the_rank_are_rejected(self, kind, m, word):
+        # a 0 once read as s_3, the last generator, and a 4 indexed past
+        # the generator images; the check runs before the first step
+        qmap = quotient_map(twin(4), kind, m)
+        steps = []
+        counted = FiniteQuotientMap(
+            qmap.system, kind, qmap.identity_image,
+            lambda x, k: steps.append(k) or qmap.step(x, k), m, qmap.rows)
+        steps.clear()  # construction steps through the relators
+        with pytest.raises(ValueError,
+                           match=r"letters must be \+-1 \.\. \+-3"):
+            counted.image_of_word(word)
+        assert steps == []
+        assert qmap.image_of_word((-3, 2)) == qmap.image_of_word((3, 2))
+
     def test_step_breaking_a_bond_is_rejected(self):
         # s_1 and s_3 commute in the twin group, but (0 1) and (1 2) do not
         swaps = [adjacent_transposition(4, i) for i in (1, 2, 2)]
@@ -504,6 +523,42 @@ class TestTietze:
             assert simp == _tietze_reference(pres)
             stuck += simp.generators == g and any(rels)
         assert stuck >= 20
+
+    def test_larger_random_presentations_match_both_references(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            g = rng.randrange(1, 13)
+            rels = tuple(tuple(rng.choice((1, -1)) * rng.randrange(1, g + 1)
+                               for _ in range(rng.randrange(0, 13)))
+                         for _ in range(rng.randrange(0, 21)))
+            pres = Presentation(g, rels)
+            simp = tietze_simplify(pres)
+            assert simp == _tietze_reference(pres)
+            assert simp == _tietze_full_rescan(pres)
+
+    def test_relator_that_loses_a_generator_and_regains_it(self):
+        # 1 = 3^-1 cancels the 3 of the third relator, 2 = 5^-1 3 puts
+        # it back, and eliminating 3 must rewrite that relator once
+        # although the lists of relators that may hold 3 name it thrice
+        pres = Presentation(5, ((1, 3), (2, -3, 5), (1, 3, 2, 4, 4, 2),
+                                (3, 5, 5, 4)))
+        simp = tietze_simplify(pres)
+        assert simp == _tietze_reference(pres) == _tietze_full_rescan(pres)
+        assert simp == Presentation(
+            2, ((-2, -1, -2, -2, 1, 1, -2, -1, -2, -2),))
+
+    def test_relator_rewritten_to_the_same_length_before_its_pop(self):
+        # 1 = 2 turns the second relator into (2, 3, 3) while its first
+        # heap entry, pushed for (1, 3, 3), is still waiting: the pop
+        # must solve the word it finds for 2, not the one pushed for 1
+        pres = Presentation(5, ((1, -2), (1, 3, 3), (2, 2, 4, 4, 3, 5)))
+        simp = tietze_simplify(pres)
+        assert simp == _tietze_reference(pres) == _tietze_full_rescan(pres)
+        assert simp == Presentation(2, ())
+
+    def test_pure_twin_six_matches_the_reference(self):
+        pres = KernelRewriter(quotient_map(twin(6), "symmetric")).presentation
+        assert tietze_simplify(pres) == _tietze_reference(pres)
 
     def test_preserves_abelian_invariants(self):
         rng = random.Random(5)
