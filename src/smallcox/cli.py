@@ -11,6 +11,18 @@ structured output.
 rest of the process, so a caller that dispatches many command lines in
 one interpreter parses each without rebuilding the tree.
 
+``import smallcox.cli`` loads the package's modules and the standard
+modules they use, among them ``argparse``, ``json``, ``pathlib``,
+``random`` and ``typing``.  With warm bytecode, on Python 3.11 on a
+shared 2-vCPU VM where ``site`` had loaded the last three, that took
+12 ms: 5 ms for the package, 2 for ``argparse`` and 3 for ``json``.
+The package defines no class with the ``@dataclass`` decorator: the
+stdlib module behind it pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``, and it then compiles the methods of each class; for 13
+frozen records that was 20 of the 32 ms this import took.  Records are
+``NamedTuple`` classes, and the types that validate, cache or are
+hashed in sets are plain classes.
+
 Exit status: 0 on success, 1 on a computation error (validation
 failure, exceeded budget, unreadable input file) or a failed ``verify``
 claim, 2 on usage errors.
@@ -57,6 +69,8 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _system_from_args(args) -> CoxeterSystem:
+    if args.bond is not None and args.family != "w_nm":
+        raise CoxeterError("--bond is only for --family w_nm")
     if args.matrix is not None:
         return parse_coxeter_matrix(args.matrix.read_text())
     if not args.family or args.n is None:
@@ -138,10 +152,11 @@ def _kernel_rewriter(args) -> rewriting.KernelRewriter:
     system = _system_from_args(args)
     kind = {"symmetric": "symmetric", "mod2": "mod2_abelian",
             "modular": "modular"}[args.map]
-    m = args.map_mod if kind == "modular" else None
-    if kind == "modular" and m is None:
+    if kind == "modular" and args.map_mod is None:
         raise CoxeterError("--map modular needs --map-mod M")
-    qmap = rewriting.quotient_map(system, kind, m)
+    if kind != "modular" and args.map_mod is not None:
+        raise CoxeterError("--map-mod is only for --map modular")
+    qmap = rewriting.quotient_map(system, kind, args.map_mod)
     return rewriting.KernelRewriter(qmap, args.cap)
 
 
@@ -171,9 +186,10 @@ def _cmd_holonomy(args) -> int:
         report = crystallo.theta_faithfulness(args.n)
     else:
         # pure-twin and pure-triplet: the kernel onto S_n
-        system = named_system(args.quotient.removeprefix("pure-"), args.n)
-        qmap = rewriting.quotient_map(system, "symmetric")
-        report = crystallo.holonomy_via_conjugation(qmap)
+        family = args.quotient.removeprefix("pure-")
+        qmap = rewriting.quotient_map(named_system(family, args.n),
+                                      "symmetric")
+        report = crystallo.holonomy_via_conjugation(qmap, family)
     record = report.to_record()
     lines = [f"quotient {report.quotient}",
              f"dimension {report.dimension}",

@@ -58,8 +58,7 @@ of infinite Coxeter groups can be arbitrarily large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from . import perms
 from .coxeter import INF, CoxeterSystem, Word, family_of, relators, twin
@@ -197,7 +196,6 @@ def checked_letters(word: Sequence[int], rank: int) -> Sequence[int]:
     return word
 
 
-@dataclass(frozen=True)
 class FiniteQuotientMap:
     """A map of a Coxeter system onto a finite group.
 
@@ -210,15 +208,20 @@ class FiniteQuotientMap:
     index into; it grows as steps meet new rows.
     """
 
-    system: CoxeterSystem
-    kind: str
-    identity_image: Hashable
-    step: Callable[[Hashable, int], Hashable]
-    modulus: Optional[int] = None
-    rows: Optional[list] = field(default=None, compare=False, repr=False)
+    __slots__ = ("system", "kind", "identity_image", "step", "modulus",
+                 "rows")
 
-    def __post_init__(self):
-        for rel in relators(self.system):
+    def __init__(self, system: CoxeterSystem, kind: str,
+                 identity_image: Hashable,
+                 step: Callable[[Hashable, int], Hashable],
+                 modulus: Optional[int] = None, rows: Optional[list] = None):
+        self.system = system
+        self.kind = kind
+        self.identity_image = identity_image
+        self.step = step
+        self.modulus = modulus
+        self.rows = rows
+        for rel in relators(system):
             if self.image_of_word(rel) != self.identity_image:
                 i, j = rel[:2]
                 raise RelationCheckError(
@@ -298,8 +301,7 @@ def quotient_map(system: CoxeterSystem, kind: str,
 # subquotients: the closure carries a second image along the matrix
 
 
-@dataclass(frozen=True)
-class QuotientCheck:
+class QuotientCheck(NamedTuple):
     """Outcome of one subquotient identification."""
 
     kind: str

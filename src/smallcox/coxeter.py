@@ -18,8 +18,7 @@ over the integers (see :mod:`smallcox.tits`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 INF = None  # infinite exponent marker; text token "inf"
 
@@ -47,11 +46,32 @@ class NonSmallSystemError(CoxeterError):
     operation that only makes sense over the integers."""
 
 
-@dataclass(frozen=True)
 class CoxeterSystem:
-    """A finite-rank Coxeter system, determined by its exponent matrix."""
+    """A finite-rank Coxeter system, determined by its exponent matrix.
 
+    Immutable and hashable; two systems are equal when their exponent
+    matrices are."""
+
+    __slots__ = ("exponents",)
     exponents: tuple[tuple[Optional[int], ...], ...]
+
+    def __init__(self, exponents: tuple[tuple[Optional[int], ...], ...]):
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of a CoxeterSystem")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
+    def __repr__(self) -> str:
+        return f"CoxeterSystem(exponents={self.exponents!r})"
 
     @property
     def rank(self) -> int:
@@ -196,8 +216,7 @@ def require_small(system: CoxeterSystem) -> None:
 # simple graphs and the right-angled virtually-abelian criterion
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     """Undirected graph on vertices 1..vertices, no loops."""
 
     vertices: int

@@ -44,8 +44,7 @@ is always reported on the ``HolonomyReport``, never raised; only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
@@ -65,8 +64,7 @@ class LatticeTorsionError(ValueError):
         self.torsion = torsion
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(NamedTuple):
     """Faithfulness certificate for one crystallographic quotient."""
 
     quotient: str
@@ -146,9 +144,11 @@ def theta_faithfulness(n: int) -> HolonomyReport:
                      mats[0].dimension)
 
 
-def _quotient_label(qmap: FiniteQuotientMap) -> str:
+def _quotient_label(qmap: FiniteQuotientMap, family: Optional[str]) -> str:
+    """The report's name for the quotient; ``family`` names the system's
+    family, or None to read it off the system with ``family_of``."""
     system = qmap.system
-    family = family_of(system)
+    family = family or family_of(system)
     n = system.rank + 1
     stem = {"twin": f"T{n}", "triplet": f"L{n}", "symmetric": f"S{n}"}.get(
         family, f"W(rank {system.rank})")
@@ -162,7 +162,8 @@ def _quotient_label(qmap: FiniteQuotientMap) -> str:
 
 
 def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
-              dim: int, torsion: tuple[int, ...] = ()) -> HolonomyReport:
+              dim: int, torsion: tuple[int, ...] = (),
+              family: Optional[str] = None) -> HolonomyReport:
     """The action of every coset of ``table``, from the row tuples of
     the generator matrices ``gens``, as a faithfulness report.
 
@@ -175,7 +176,7 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
     that acts trivially fixes every row, so only a coset that fixes the
     probe can be in the kernel; its full matrix is multiplied out along
     its word and compared with the identity.  Kernel witnesses come in
-    table order.
+    table order.  ``family`` is passed on to the quotient's label.
     """
     gens = [_listed(rows) for rows in gens]
     ident = identity_rows(dim)
@@ -192,7 +193,7 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
             if mat == ident:
                 witnesses.append(word)
     return HolonomyReport(
-        quotient=_quotient_label(qmap),
+        quotient=_quotient_label(qmap, family),
         dimension=dim,
         holonomy_order=table.count,
         faithful=not witnesses,
@@ -201,19 +202,23 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
     )
 
 
-def holonomy_via_conjugation(qmap: FiniteQuotientMap) -> HolonomyReport:
+def holonomy_via_conjugation(qmap: FiniteQuotientMap,
+                             family: Optional[str] = None) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
     abelianization, over every coset.
 
     Only the generator matrices come from Schreier rewriting; the walk
     over the cosets is ``_holonomy``.  Torsion of the abelianization
-    goes on the report as ``lattice_torsion``.
+    goes on the report as ``lattice_torsion``.  ``family`` names the
+    family the system was built as, for the report's label; without it
+    the label follows ``coxeter.family_of``, which cannot tell the
+    rank-1 systems apart and names them all twin.
     """
     rewriter = KernelRewriter(qmap)
     gens = (rewriter.conjugation_matrix((y,)).rows
             for y in range(1, qmap.system.rank + 1))
     return _holonomy(qmap, rewriter.table, gens, rewriter.rank,
-                     rewriter.torsion)
+                     rewriter.torsion, family)
 
 
 def beta_word(n: int, j: int, p: int) -> Word:

@@ -15,7 +15,6 @@ A modular matrix carries an extra first line ``mod m``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -69,7 +68,6 @@ def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class Matrix:
     """A square matrix over Z, or over Z/m when ``modulus`` is m.
 
@@ -80,18 +78,33 @@ class Matrix:
     per-matrix attribute dict.
     """
 
+    __slots__ = ("rows", "modulus")
     rows: Rows
-    modulus: Optional[int] = None
+    modulus: Optional[int]
 
-    def __post_init__(self):
-        m = self.modulus
-        if m is None:
-            rows = _freeze(self.rows)
-        elif m < 2:
-            raise ValueError(f"modulus {m} < 2")
+    def __init__(self, rows, modulus: Optional[int] = None):
+        if modulus is None:
+            rows = _freeze(rows)
+        elif modulus < 2:
+            raise ValueError(f"modulus {modulus} < 2")
         else:
-            rows = tuple(tuple(int(e) % m for e in row) for row in self.rows)
+            rows = tuple(tuple(int(e) % modulus for e in row) for row in rows)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Matrix")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, modulus={self.modulus!r})"
 
     @property
     def dimension(self) -> int:
@@ -189,7 +202,6 @@ def det_rows(rows: Rows) -> int:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """U * A * V = diag(divisors) with U, V unimodular.
 
@@ -216,11 +228,23 @@ class SmithForm:
     reads ``columns``.
     """
 
-    divisors: tuple[int, ...]
-    ncols: int
-    columns: Optional[tuple[dict[int, int], ...]] = None
-    order: Optional[tuple[int, ...]] = None
-    free_rows: Optional[tuple[dict[int, int], ...]] = None
+    def __init__(self, divisors: tuple[int, ...], ncols: int,
+                 columns: Optional[tuple[dict[int, int], ...]] = None,
+                 order: Optional[tuple[int, ...]] = None,
+                 free_rows: Optional[tuple[dict[int, int], ...]] = None):
+        self.divisors = divisors
+        self.ncols = ncols
+        self.columns = columns
+        self.order = order
+        self.free_rows = free_rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.divisors, self.ncols, self.columns, self.order,
+                self.free_rows) == (other.divisors, other.ncols,
+                                    other.columns, other.order,
+                                    other.free_rows)
 
     @property
     def free_columns(self) -> tuple[int, ...]:

@@ -35,13 +35,12 @@ group on n strands is free of rank 1 - chi = 1 + n!(2n-7)/6 for n >= 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_STRANDS = 20  # 20! ~ 2.4e18 vertices, counted in milliseconds
 
 
-@dataclass(frozen=True)
-class FaceCensus:
+class FaceCensus(NamedTuple):
     n: int
     vertices: int
     edges: int

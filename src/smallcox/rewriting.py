@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
@@ -79,16 +78,29 @@ from .matrices import Matrix, SmithForm, smith_normal_form
 SignedWord = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: int
-    relators: tuple[SignedWord, ...]
+    """Generators 1..generators and relators as signed words in them;
+    two presentations are equal when both parts are."""
 
-    def __post_init__(self):
-        for rel in self.relators:
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators: int, relators: tuple[SignedWord, ...]):
+        for rel in relators:
             for letter in rel:
-                if letter == 0 or abs(letter) > self.generators:
+                if letter == 0 or abs(letter) > generators:
                     raise ValueError(f"relator letter {letter} outside range")
+        self.generators = generators
+        self.relators = relators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators == other.generators
+                and self.relators == other.relators)
+
+    def __repr__(self) -> str:
+        return (f"Presentation(generators={self.generators!r}, "
+                f"relators={self.relators!r})")
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -101,7 +113,6 @@ def format_presentation(pres: Presentation) -> str:
 # coset tables
 
 
-@dataclass(frozen=True)
 class CosetTable:
     """Cosets of a kernel, one per image element.
 
@@ -112,8 +123,18 @@ class CosetTable:
     self-inverse permutation of the cosets.
     """
 
-    transversal: tuple[Word, ...]
-    action: tuple[tuple[int, ...], ...]
+    __slots__ = ("transversal", "action")
+
+    def __init__(self, transversal: tuple[Word, ...],
+                 action: tuple[tuple[int, ...], ...]):
+        self.transversal = transversal
+        self.action = action
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.transversal == other.transversal
+                and self.action == other.action)
 
     @property
     def count(self) -> int:
@@ -540,8 +561,7 @@ def tietze_simplify(pres: Presentation) -> Presentation:
 # abelianization
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Free rank plus the torsion divisor chain d_1 | d_2 | ..."""
 
     rank: int

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import congruence, crystallo, permutahedron, rewriting, tits
 from .coxeter import CoxeterSystem, symmetric, triplet, twin, universal
@@ -22,8 +22,7 @@ from .coxeter import CoxeterSystem, symmetric, triplet, twin, universal
 SEED = 20240913
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     description: str
     expected: str
@@ -42,8 +41,7 @@ class Claim:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     claims: tuple[Claim, ...]
 

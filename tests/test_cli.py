@@ -80,6 +80,32 @@ def test_alternating_level_zero_names_the_level_bound(capsys):
     assert "need m >= 2, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("abelianize --family twin -n 4 --map mod2 --map-mod 3",
+     "--map-mod is only for --map modular"),
+    ("subgroup --family twin -n 4 --map symmetric --map-mod 3",
+     "--map-mod is only for --map modular"),
+    ("image --family twin -n 4 --bond 3 -m 3",
+     "--bond is only for --family w_nm"),
+    ("tits --family triplet -n 3 --bond 2 --word 1",
+     "--bond is only for --family w_nm")])
+def test_stray_flags_exit_one(line, message, capsys):
+    # each flag was once read only with --map modular or --family w_nm,
+    # and silently dropped otherwise
+    assert dispatch(line.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("quotient,label", [("pure-twin", "T2/PT2'"),
+                                            ("pure-triplet", "L2/PL2'")])
+def test_rank_one_holonomy_names_the_family_asked_for(quotient, label, capsys):
+    assert dispatch(["holonomy", "--quotient", quotient, "-n", "2",
+                     "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["quotient"] == label
+
+
 def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         dispatch(["image", "--family", "twin", "-n", "4"])

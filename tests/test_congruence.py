@@ -11,7 +11,8 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
                                  even_vector_quotient_check, format_group_dump,
                                  minimal_congruence_power, orbit,
                                  product_quotient_check, quotient_map)
-from smallcox.congruence import (FiniteMatrixGroup, QuotientCheck,
+from smallcox.congruence import (FiniteMatrixGroup, FiniteQuotientMap,
+                                 QuotientCheck, RelationCheckError,
                                  _kernel_map, _twin_pairs)
 from smallcox.coxeter import (all_graphs, build_system, racg_system,
                               simple_graph, symmetric, triplet, twin,
@@ -151,6 +152,21 @@ class TestOrbit:
         qmap = quotient_map(twin(4), "symmetric")
         with pytest.raises(ValueError, match="^cap must be positive$"):
             orbit(qmap.identity_image, qmap.step, 3, cap)
+
+
+class TestRecords:
+    def test_quotient_check_detail_defaults_to_empty(self):
+        check = QuotientCheck("alternating", 4, 5, 60, 1, 1, True)
+        assert check.detail == ""
+        assert check == QuotientCheck(kind="alternating", n=4, m=5,
+                                      image_order=60, kernel_order=1,
+                                      expected_kernel_order=1, ok=True,
+                                      detail="")
+
+    def test_quotient_map_with_a_bad_step_is_rejected(self):
+        # x + 1 squares no generator to the identity image 0
+        with pytest.raises(RelationCheckError, match="not an involution"):
+            FiniteQuotientMap(twin(3), "custom", 0, lambda x, k: x + 1)
 
 
 class TestQuotientChecks:

@@ -42,6 +42,18 @@ class TestBuildSystem:
         with pytest.raises(CoxeterError):
             build_system([[1, 2, 2], [2, 1, 2]])
 
+    def test_equal_systems_hash_alike_and_dedupe(self):
+        a, b = twin(4), build_system(twin(4).exponents)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, triplet(4)}) == 2
+        assert a != a.exponents
+
+    def test_exponents_are_read_only(self):
+        system = twin(3)
+        with pytest.raises(AttributeError):
+            system.exponents = triplet(3).exponents
+        assert system == twin(3)
+
 
 class TestNamedFamilies:
     def test_twin_exponents(self):

@@ -1,8 +1,9 @@
 import pytest
 
 from smallcox import crystallo, rewriting
-from smallcox.coxeter import triplet, twin
-from smallcox.crystallo import (_holonomy, beta_word, holonomy_via_conjugation,
+from smallcox.coxeter import named_system, triplet, twin
+from smallcox.crystallo import (HolonomyReport, _holonomy, beta_word,
+                                holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
 from smallcox.congruence import FiniteQuotientMap
@@ -86,6 +87,23 @@ class TestHolonomyViaConjugation:
         assert report.faithful and report.dimension == 7
         assert report.holonomy_order == 24
         assert report.quotient == "T4/PT4'"
+
+    def test_report_builds_by_keyword(self):
+        report = HolonomyReport(quotient="T4/PT4'", dimension=7,
+                                holonomy_order=24, faithful=True,
+                                kernel_witnesses=())
+        assert report.lattice_torsion == ()
+        assert report == holonomy_via_conjugation(
+            quotient_map(twin(4), "symmetric"))
+
+    @pytest.mark.parametrize("family,label", [("twin", "T2/PT2'"),
+                                              ("triplet", "L2/PL2'"),
+                                              ("symmetric", "S2/PS2'")])
+    def test_rank_one_label_follows_the_family_asked_for(self, family, label):
+        # the three rank-1 systems are one system, which family_of names twin
+        qmap = quotient_map(named_system(family, 2), "symmetric")
+        assert holonomy_via_conjugation(qmap, family).quotient == label
+        assert holonomy_via_conjugation(qmap).quotient == "T2/PT2'"
 
     def test_rewrites_generators_only(self, monkeypatch):
         calls = []

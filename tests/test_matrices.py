@@ -29,6 +29,23 @@ class TestIntMatrix:
         a = Matrix(((5, -4), (4, -3)))
         assert a.reduce(3).rows == ((2, 2), (1, 0))
 
+    def test_equal_matrices_hash_alike_and_dedupe(self):
+        built = Matrix([[1, 2], [3, 4]])
+        wrapped = Matrix.canonical(((1, 2), (3, 4)))
+        assert built == wrapped and hash(built) == hash(wrapped)
+        reduced = Matrix(((6, 2), (3, 4)), 5)
+        assert reduced == Matrix(((1, 2), (3, 4)), 5) != built
+        assert len({built, wrapped, reduced,
+                    Matrix(((1, 2), (3, 4)), 5)}) == 2
+        assert built != built.rows
+
+    @pytest.mark.parametrize("field", ["rows", "modulus"])
+    def test_fields_are_read_only(self, field):
+        mat = Matrix.identity(2, 3)
+        with pytest.raises(AttributeError):
+            setattr(mat, field, None)
+        assert mat == Matrix.identity(2, 3)
+
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                     min_size=3, max_size=3))
     def test_det_matches_fraction_elimination(self, rows):

@@ -1,6 +1,10 @@
-"""Static checks over the package sources, built on the stdlib ``ast``."""
+"""Checks over the package as a whole: static ones over its sources,
+built on the stdlib ``ast``, and what importing the command line loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,17 @@ def test_every_import_is_used(module):
     unused = [(name, line) for name, line in _imported_names(tree)
               if name not in read and name not in reexported]
     assert not unused, f"{module}.py imports names it never uses: {unused}"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # ``dataclasses``, with the ``inspect`` it imports, and the code it
+    # generates were two thirds of the time ``import smallcox.cli`` took;
+    # ``site`` may load modules first, so only new ones count
+    code = ("import sys; before = set(sys.modules); import smallcox.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & "
+            "(set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -876,3 +876,14 @@ class TestPresentationFormat:
     def test_letter_range_checked(self):
         with pytest.raises(ValueError):
             Presentation(2, ((3,),))
+
+    @pytest.mark.parametrize("rel", [(0,), (1, 0), (-3,)])
+    def test_letter_zero_and_negative_letters_checked(self, rel):
+        with pytest.raises(ValueError, match="outside range"):
+            Presentation(2, (rel,))
+
+    def test_equality_reads_both_parts(self):
+        pres = Presentation(2, ((1, 2),))
+        assert pres == Presentation(2, ((1, 2),))
+        assert pres != Presentation(3, ((1, 2),))
+        assert pres != Presentation(2, ((1, -2),))
