@@ -4,10 +4,10 @@ A Coxeter system is *small* when every exponent lies in {1, 2, 3, inf};
 precisely then its reflection representation is a group of integer
 matrices.  This package computes with that integral picture: finite
 congruence images and principal congruence subgroups, presentations and
-abelianizations of finite-index kernels by Schreier rewriting, holonomy
-representations of crystallographic quotients of twin and triplet
-groups, and the permutahedron complex that controls the free rank of
-the pure triplet group.
+abelianizations of finite-index kernels on the cells of their coset
+graphs, holonomy representations of crystallographic quotients of twin
+and triplet groups, and the permutahedron complex that controls the
+free rank of the pure triplet group.
 """
 
 from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,

@@ -72,6 +72,8 @@ def _system_from_args(args) -> CoxeterSystem:
     if args.bond is not None and args.family != "w_nm":
         raise CoxeterError("--bond is only for --family w_nm")
     if args.matrix is not None:
+        if args.family is not None or args.n is not None:
+            raise CoxeterError("--family and -n are not for --matrix")
         return parse_coxeter_matrix(args.matrix.read_text())
     if not args.family or args.n is None:
         raise CoxeterError("give --family with -n, or --matrix FILE")
@@ -148,7 +150,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _kernel_rewriter(args) -> rewriting.KernelRewriter:
-    """Schreier rewriting for the kernel of the ``--map`` quotient."""
+    """The kernel of the ``--map`` quotient, on its coset graph."""
     system = _system_from_args(args)
     kind = {"symmetric": "symmetric", "mod2": "mod2_abelian",
             "modular": "modular"}[args.map]
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quotient)
 
     p = add_parser("subgroup",
-                       help="Schreier presentation of a kernel")
+                   help="presentation of a kernel on the cells of its "
+                        "coset graph")
     _add_map_flags(p)
     p.add_argument("--simplify", action="store_true",
                    help="run Tietze simplification on the result")

@@ -15,9 +15,9 @@ images:
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
   an identity image and ``step(x, k)`` = x times generator k+1, checked
   against every relator of ``coxeter.relators``, the one list of Coxeter
-  relators that the Schreier presentations of :mod:`smallcox.rewriting`
-  rewrite as well.  ``quotient_map`` builds adjacent
-  transpositions in S_n (``symmetric``), the reflection matrices mod m
+  relators, whose dihedral ones :mod:`smallcox.rewriting` also walks
+  around the cells of a kernel's coset graph.  ``quotient_map`` builds
+  adjacent transpositions in S_n (``symmetric``), the reflection matrices mod m
   as tuples of row ids (``modular``), vectors over Z_2 indexed by
   odd-bond classes (``mod2_abelian``, the mod-2 abelianization) and
   ``trivial``.

@@ -149,7 +149,14 @@ def named_system(family: str, n: int = 0, m: Optional[int] = None,
     w_nm       consecutive bonds m, distant bonds 2 (needs m >= 2)
     racg       right-angled group of a simple graph: bond 2 on edges,
                inf on non-edges (rank = vertex count)
+
+    ``m`` is only for w_nm and ``graph`` only for racg.
     """
+    if m is not None and family != "w_nm":
+        raise CoxeterError(f"m is only for the w_nm family, not {family!r}")
+    if graph is not None and family != "racg":
+        raise CoxeterError(
+            f"a graph is only for the racg family, not {family!r}")
     if family == "racg":
         if graph is None:
             raise CoxeterError("racg family needs a graph")

@@ -16,12 +16,12 @@ quotient of the twin group (lattice of rank 2n-5):
   ``theta_faithfulness`` runs these over the coset table of the mod-2
   abelianization of the twin group, one coset per subset of classes;
 * ``holonomy_via_conjugation(qmap)`` computes the action of each
-  ambient generator on the kernel of the quotient map through Schreier
-  rewriting (``KernelRewriter(qmap)``; the system is ``qmap.system``),
+  ambient generator on the kernel of the quotient map through its
+  coset graph (``KernelRewriter(qmap)``; the system is ``qmap.system``),
   with no closed form anywhere.  The lattice is read off the cells of
   the coset graph (one column per non-tree edge, one row per bond and
   dihedral orbit of cosets), and one Smith form with its transform
-  gives both the basis and the rank and torsion; the kernel's full
+  gives both the basis and the rank and torsion; the kernel's
   presentation is never built.
 
 Both routes hand their generator matrices to one walk, ``_holonomy``,

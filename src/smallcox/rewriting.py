@@ -1,4 +1,4 @@
-"""Subgroup presentations by Schreier rewriting, and abelianization.
+"""Kernel presentations on the cells of the coset graph, and abelianization.
 
 Every subgroup handled here is the kernel of a finite quotient map
 (``congruence.FiniteQuotientMap``, built by ``congruence.quotient_map``),
@@ -13,32 +13,31 @@ enumeration is ever needed:
   same breadth-first pass fills in;
 * ``KernelRewriter(qmap)`` builds the coset table itself
   (``rewriter.table``), so a quotient map is the one way in to a
-  kernel, and labels the nontrivial Schreier generators
-  u y (rep of uy)^-1.  One scan walks a word over the action table and
-  reads a label table laid out like it: the Schreier labels for a
-  rewrite, or the columns they fold to for an abelianized row;
+  kernel, and names one generator per non-tree edge of the coset graph
+  (``columns``): the square s_y^2 makes the two Schreier generators
+  u y (rep of uy)^-1 of an edge inverse to each other, and those of a
+  tree edge trivial.  One scan walks a word over the action table and
+  reads the signed column of each edge it crosses;
 * ``KernelRewriter.presentation`` presents the kernel on those
-  generators, with one rewritten relator per (coset,
-  ``coxeter.relators`` relator) pair.  It is built on first read, and
-  only ``subgroup`` and the ``pl4-free-rank-5`` claim read it, for its
-  text or for ``tietze_simplify``;
-* the abelianized kernel comes from the cells of the coset graph, not
-  from the presentation.  Abelianized, a square relator makes the two
-  labels of an edge negatives of each other, so there is one column per
-  non-tree edge (a fixed point c.y = c keeps its column with the row
-  2e), and one row per finite bond and orbit of that bond's dihedral
-  group on the cosets: the rewrites from the other cosets of an orbit
-  are rotations of that row or of its inverse.  PT_5 gives 90 rows over
-  121 columns where its presentation has 840 relators on 361
-  generators.  ``KernelRewriter.invariants`` reads free rank and
-  torsion off a bare Smith form of these rows;
+  generators with one relator per cell of the coset graph: x^2 for
+  each fixed point c.y = c, and one scanned word per finite bond and
+  orbit of that bond's dihedral group on the cosets.  It is a Tietze
+  transform of the Reidemeister-Schreier presentation, whose other
+  relators are cyclic conjugates of these or of their inverses; PT_5
+  gets 90 relators on 121 generators instead of 840 on 361.  It is
+  built on first read, and only ``subgroup`` and the
+  ``pl4-free-rank-5`` claim read it, for its text or for
+  ``tietze_simplify``;
+* the abelianized kernel comes from the exponent sums of the same cell
+  words (``KernelRewriter.cell_rows``): ``KernelRewriter.invariants``
+  reads free rank and torsion off a bare Smith form of these rows;
 * ``KernelRewriter.conjugation_matrix`` computes the action that an
   ambient word induces on the free part of the abelianized kernel, for
   the crystallographic checks.  It reads the Smith transform of the
   cell rows sparse: each column's free coordinates are listed once from
   V's free columns, and free basis vector i is the combination
-  ``free_rows[i]`` of columns, each column the class of the Schreier
-  generator ``columns[t]`` that names it, so a matrix costs one scan
+  ``free_rows[i]`` of columns, each column the class of the generator
+  ``schreier_word(t)`` that names it, so a matrix costs one scan
   per column of each lift and V^-1 is never formed.  Abelianized, the
   conjugate w g w^-1 is the kernel word g scanned from the coset of w,
   since the scans of w and of w^-1 cancel.  Torsion never raises here,
@@ -186,37 +185,46 @@ def invert_signed(word: Sequence[int]) -> SignedWord:
 
 
 # ---------------------------------------------------------------------------
-# Reidemeister-Schreier
+# kernels on the cells of the coset graph
 
 
 class KernelRewriter:
-    """Rewriting machinery for the kernel of a finite quotient map.
+    """The kernel of a finite quotient map, on the cells of its coset graph.
 
     Built from the map alone: ``table`` is its coset table (at most
     ``cap`` cosets) and ``ambient`` is ``coxeter.relators(qmap.system)``.
-    The Schreier generator for a pair (coset c, generator y) is the
-    kernel element u_c s_y (u_{c.y})^-1; pairs where u_c s_y is itself
-    the chosen representative (the breadth-first tree edges) are
-    trivial: that is when t = c.y is not coset 0 and u_t ends in y,
-    since u_t extends its parent t.y = c by y (``coset_table`` checks
-    the involutions).  ``pairs[k]`` is the pair of generator k+1 and
-    ``label[c][y-1]`` is k+1, or 0 on a tree edge.  ``_scan`` walks a
-    word letter by letter, emitting the label of each pair it crosses
-    (``label`` for ``rewrite``, ``_fold`` for the abelianized rows).
+    The Schreier generator of a pair (coset c, generator y) is the
+    kernel element u_c s_y (u_{c.y})^-1, trivial on a tree edge, where
+    u_c s_y is itself the chosen representative: that is when t = c.y
+    is not coset 0 and u_t ends in y, since u_t extends its parent
+    t.y = c by y (``coset_table`` checks the involutions).  A kernel of
+    index N under g ambient generators has ``num_schreier`` = N*g - (N-1)
+    of them.
 
-    ``presentation`` is the Reidemeister-Schreier presentation of the
-    kernel, built on first read: a kernel of index N under g ambient
-    generators gets exactly N*g - (N-1) generators and one freely
-    reduced relator per (coset, ambient relator) pair, empty rewrites
-    dropped.
+    The square s_y^2 rewritten from c says k(c,y) = k(c.y,y)^-1, so the
+    two generators of an edge {c, c.y} are one up to sign, and both
+    vanish on a tree edge.  ``columns[j]`` is the pair (c, y) that names
+    the j-th non-tree edge, at its end c <= c.y, in (coset, letter)
+    order; a fixed point c.y = c is an edge whose generator squares to
+    1.  ``_fold[c][y-1]`` is the signed column +-(j+1) that (c, y)
+    crosses: + at the end that names column j, - at the other (a fixed
+    point has only the one end), 0 on a tree edge.  ``_scan`` walks a
+    word letter by letter, reading ``_fold``.
 
-    The abelianized kernel is read off the cells of the coset graph
-    instead.  Abelianized, the square s_y^2 rewritten from c says
-    k(c,y) = -k(c.y,y), so the two labels of an edge {c, c.y} fold to
-    one column, named by its end c < c.y (``columns``); both labels of
-    a tree edge vanish, since one of them is trivial, and a fixed point
-    c.y = c keeps its column with the row 2e.  ``cell_rows`` adds one
-    row per finite bond and orbit of its dihedral group on the cosets.
+    ``presentation`` presents the kernel on one generator per column,
+    with the words of ``_cell_words``: x_j^2 for each fixed-point
+    column, then one word per finite bond and orbit of its dihedral
+    group on the cosets.  The rewrites of that bond's relator from the
+    orbit's other cosets are cyclic conjugates of that word or of its
+    inverse, so this is a Tietze transform of the Reidemeister-Schreier
+    presentation, one relator per (coset, ambient relator) pair: the
+    2-skeleton of the Davis complex is simply connected, and these are
+    its cells modulo the kernel.  PT_5 gets 90 relators on 121
+    generators where that presentation has 840 on 361.  It is built on
+    first read; only ``subgroup`` and the ``pl4-free-rank-5`` claim read
+    it, for its text or for ``tietze_simplify``.
+
+    ``cell_rows`` are the exponent sums of the same words.
     ``invariants`` reads rank and torsion off a bare Smith form of these
     rows; ``smith`` is the one with the transform, which ``rank``,
     ``torsion``, ``free_coordinates`` and ``conjugation_matrix`` read.
@@ -228,49 +236,42 @@ class KernelRewriter:
     def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
         self.table = table = coset_table(qmap, cap)
         self.ambient = relators(qmap.system)
-        words = table.transversal
-        self.pairs = [(c, y) for c, row in enumerate(table.action)
-                      for y, t in enumerate(row, 1)
-                      if not (t and words[t][-1] == y)]
-        self.label = [[0] * len(row) for row in table.action]
-        for k, (c, y) in enumerate(self.pairs, 1):
-            self.label[c][y - 1] = k
-        self.num_schreier = len(self.pairs)
-
-    @cached_property
-    def presentation(self) -> Presentation:
-        rels = []
-        for c in range(self.table.count):
-            for rel in self.ambient:
-                w = free_reduce_signed(self._scan(rel, self.label, c)[0])
-                if w:
-                    rels.append(w)
-        return Presentation(self.num_schreier, tuple(rels))
-
-    # -- rewriting -----------------------------------------------------
+        n, words, action = table.count, table.transversal, table.action
+        self.num_schreier = n * qmap.system.rank - (n - 1)
+        # a pair names its edge from the end c <= t; with c < t it is a
+        # tree edge when u_t ends in y, as u_t then extends u_c by y
+        self.columns = tuple((c, y) for c, row in enumerate(action)
+                             for y, t in enumerate(row, 1)
+                             if c == t or (c < t and words[t][-1] != y))
+        self._fold = fold = [[0] * len(row) for row in action]
+        for j, (c, y) in enumerate(self.columns, 1):
+            fold[c][y - 1] = j
+            t = action[c][y - 1]
+            if t != c:
+                fold[t][y - 1] = -j
 
     def _letters(self, word: Sequence[int]) -> Sequence[int]:
         return checked_letters(word, len(self.table.action[0]))
 
-    def _scan(self, word: Sequence[int], labels: list[list[int]],
-              start: int = 0, seen: Optional[bytearray] = None,
+    def _scan(self, word: Sequence[int], start: int = 0,
+              seen: Optional[bytearray] = None,
               closed: bool = True) -> tuple[list[int], int]:
-        """Walk ``word`` from coset ``start``, reading +-``labels``
-        at the pair each letter +-y crosses; return the nonzero readings
-        and the end coset (``start`` when ``closed``).  Each coset the
-        walk passes is marked in ``seen`` when given."""
-        action = self.table.action
+        """Walk ``word`` from coset ``start``, reading +-``_fold`` at the
+        pair each letter +-y crosses; return the nonzero readings and
+        the end coset (``start`` when ``closed``).  Each coset the walk
+        passes is marked in ``seen`` when given."""
+        action, fold = self.table.action, self._fold
         c = start
         out: list[int] = []
         for letter in word:
             if seen is not None:
                 seen[c] = 1
             if letter > 0:
-                k = labels[c][letter - 1]
+                k = fold[c][letter - 1]
                 c = action[c][letter - 1]
             else:
                 c = action[c][-letter - 1]  # involution: s_y^-1 acts like s_y
-                k = -labels[c][-letter - 1]
+                k = -fold[c][-letter - 1]
             if k:
                 out.append(k)
         if closed and c != start:
@@ -278,88 +279,61 @@ class KernelRewriter:
                              "(or conjugate thereof)")
         return out, c
 
-    def rewrite(self, word: Sequence[int], start: int = 0) -> SignedWord:
-        """Signed Schreier-generator word for an ambient (signed) word.
-
-        Scanning from coset ``start`` computes the rewrite of the
-        conjugate u r u^-1 for u the representative of ``start``: the
-        representative's own letters only cross tree edges.
-        """
-        return tuple(self._scan(self._letters(word), self.label, start)[0])
-
-    def schreier_word(self, k: int) -> Word:
-        """Ambient word (positive letters) for Schreier generator k+1."""
-        c, y = self.pairs[k]
+    def schreier_word(self, j: int) -> Word:
+        """Ambient word (positive letters) for the generator of column j."""
+        c, y = self.columns[j]
         u = self.table.transversal[c]
         ubar = self.table.transversal[self.table.action[c][y - 1]]
         return u + (y,) + tuple(reversed(ubar))
 
-    # -- abelianized kernel on the cells of the coset graph --------------
+    def _cell_words(self) -> Iterator[list[int]]:
+        """The relator of each cell, as signed columns, made one at a time.
 
-    @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """The Schreier generator (0-based) that names each column: the
-        pair (c, y) of each non-tree edge {c, c.y} with c <= c.y, in
-        label order.  A labelled pair with c < c.y is never on a tree
-        edge, since a tree child comes after its parent."""
-        action = self.table.action
-        return tuple(k for k, (c, y) in enumerate(self.pairs)
-                     if c <= action[c][y - 1])
-
-    @cached_property
-    def _fold(self) -> list[list[int]]:
-        """``_fold[c][y-1]`` is the signed column, +-(j+1), that the
-        label of (c, y) folds to, or 0 on a tree edge: +(j+1) at the end
-        that names column j, -(j+1) at the other (a fixed point has
-        only the one end)."""
-        action = self.table.action
-        fold = [[0] * len(row) for row in action]
-        for j, k in enumerate(self.columns, 1):
-            c, y = self.pairs[k]
-            fold[c][y - 1] = j
-            t = action[c][y - 1]
-            if t != c:
-                fold[t][y - 1] = -j
-        return fold
-
-    def _abelian_row(self, word: Sequence[int], start: int = 0,
-                     seen: Optional[bytearray] = None) -> dict[int, int]:
-        """The rewrite of ``word`` from coset ``start`` in the
-        abelianized kernel, as a sparse ``{column: exponent}`` row: the
-        exponent sums of its scan over ``_fold``."""
-        return _exponent_row(self._scan(word, self._fold, start, seen)[0])
-
-    def cell_rows(self) -> Iterator[dict[int, int]]:
-        """The relation rows over ``columns``, as ``{column: exponent}``,
-        made one at a time.
-
-        First 2e for each fixed-point column.  Then, for each finite
-        bond i < j and each orbit of <s_i, s_j> on the cosets, the row
-        of (s_i s_j)^m_ij rewritten from the orbit's first coset.  That
-        walk visits the whole orbit (a cycle, or a path bent back at
-        fixed points), so marking its cosets finds the orbits; the
-        rewrites from the orbit's other cosets are rotations of that row
-        or of its inverse, so the row lattice, rank and torsion are
-        those of the full presentation.  Empty rows are left out.
+        First x_j^2 for each fixed-point column j.  Then, for each finite
+        bond i < j and each orbit of <s_i, s_j> on the cosets,
+        (s_i s_j)^m_ij scanned from the orbit's first coset.  That walk
+        visits the whole orbit (a cycle, or a path bent back at fixed
+        points), so marking its cosets finds the orbits.
         """
         action, n = self.table.action, self.table.count
-        for j, k in enumerate(self.columns):
-            c, y = self.pairs[k]
+        for j, (c, y) in enumerate(self.columns, 1):
             if action[c][y - 1] == c:
-                yield {j: 2}  # the square k(c,y)^2 of a fixed point
+                yield [j, j]
         for rel in self.ambient:
             if rel[0] == rel[1]:
                 continue  # a square: folded into the columns
             seen = bytearray(n)
             for c in range(n):
                 if not seen[c]:
-                    row = self._abelian_row(rel, c, seen)
-                    if row:
-                        yield row
+                    yield self._scan(rel, c, seen)[0]
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        """The cell words freely reduced, empty ones dropped, over one
+        generator per column."""
+        words = map(free_reduce_signed, self._cell_words())
+        return Presentation(len(self.columns), tuple(w for w in words if w))
+
+    # -- abelianized kernel ----------------------------------------------
+
+    def _abelian_row(self, word: Sequence[int],
+                     start: int = 0) -> dict[int, int]:
+        """The rewrite of ``word`` from coset ``start`` in the
+        abelianized kernel, as a sparse ``{column: exponent}`` row: the
+        exponent sums of its scan."""
+        return _exponent_row(self._scan(word, start)[0])
+
+    def cell_rows(self) -> Iterator[dict[int, int]]:
+        """The exponent sums of the cell words over ``columns``, as
+        ``{column: exponent}``, made one at a time; empty rows are left
+        out.  Their row lattice is that of the Reidemeister-Schreier
+        relators, so rank and torsion are the kernel's."""
+        return filter(None, map(_exponent_row, self._cell_words()))
 
     def _cell_smith(self, want_transform: bool) -> SmithForm:
-        # a list, though the Smith form reads the rows once: the span
-        # counters of perfbench/spans.py read them again after the call
+        # the cell rows go in as a list, though the Smith form reads
+        # them once: the span counters of perfbench/spans.py read them
+        # again after the call
         return smith_normal_form([row.items() for row in self.cell_rows()],
                                  len(self.columns),
                                  want_transform=want_transform)
@@ -420,17 +394,16 @@ class KernelRewriter:
         # abelianized, the scans of w from coset 0 and of w^-1 back from
         # the coset d of w cross the same edges with opposite signs, so
         # a conjugate w g w^-1 is the kernel word g scanned from d
-        d = self._scan(self._letters(word), self._fold, closed=False)[1]
-        # basis vector i is the combination free_rows[i] of columns,
-        # and column t is the class of Schreier generator columns[t],
-        # so its image is that combination of the images of their
-        # conjugates
+        d = self._scan(self._letters(word), closed=False)[1]
+        # basis vector i is the combination free_rows[i] of columns, and
+        # column t is the class of the generator schreier_word(t), so its
+        # image is that combination of the images of their conjugates
         cols = []
         for lift in self.smith.free_rows:
             col = [0] * self.rank
             for t, x in lift.items():
-                image = self._free(self._abelian_row(
-                    self.schreier_word(self.columns[t]), d))
+                image = self._free(
+                    self._abelian_row(self.schreier_word(t), d))
                 col = [c + x * y for c, y in zip(col, image)]
             cols.append(col)
         return Matrix.canonical(tuple(zip(*cols)))
@@ -457,16 +430,9 @@ def _relator_rows(pres: Presentation) -> list:
 
     Relators with the same letters in any order have the same row, so
     the row lattice, and with it rank and torsion, is what every
-    relator gives.  A ``KernelRewriter`` presentation rewrites the
-    positive words of ``coxeter.relators``, so its rows are its letter
-    multisets and each distinct row goes in once (none is the negative
-    of another); the rewrites of one ambient relator along its cycle of
-    cosets are rotations of each other, so PT_5's 840 relators give 420
-    rows.  The package builds that presentation only where its text or
-    its Tietze simplification is wanted (``subgroup``, the
-    ``pl4-free-rank-5`` claim): a kernel's own invariants come from
-    ``KernelRewriter.cell_rows``, which fold the squares away as well
-    (PT_5: 90 rows), so this is the route for other presentations.
+    relator gives.  A kernel's own invariants come from
+    ``KernelRewriter.cell_rows``, so this is the route for any other
+    presentation, a Tietze-simplified one for instance.
     """
     letters = dict.fromkeys(tuple(sorted(rel)) for rel in pres.relators)
     return [_exponent_row(word).items() for word in letters]

@@ -12,7 +12,7 @@ from smallcox import cli, crystallo
 from smallcox import verify as verify_module
 from smallcox.cli import dispatch
 from smallcox.coxeter import INF, racg_system, simple_graph, triplet, twin
-from smallcox.rewriting import quotient_map
+from smallcox.rewriting import Presentation, abelian_invariants, quotient_map
 from smallcox.matrices import format_matrix
 from smallcox.tits import evaluate
 from smallcox.verify import Claim, verify
@@ -88,11 +88,20 @@ def test_alternating_level_zero_names_the_level_bound(capsys):
     ("image --family twin -n 4 --bond 3 -m 3",
      "--bond is only for --family w_nm"),
     ("tits --family triplet -n 3 --bond 2 --word 1",
-     "--bond is only for --family w_nm")])
-def test_stray_flags_exit_one(line, message, capsys):
-    # each flag was once read only with --map modular or --family w_nm,
-    # and silently dropped otherwise
-    assert dispatch(line.split()) == 1
+     "--bond is only for --family w_nm"),
+    ("image --matrix M --family triplet -n 7 -m 3",
+     "--family and -n are not for --matrix"),
+    ("subgroup --matrix M -n 4 --map symmetric",
+     "--family and -n are not for --matrix"),
+    ("tits --matrix M --family twin --word 1",
+     "--family and -n are not for --matrix")])
+def test_stray_flags_exit_one(line, message, capsys, tmp_path):
+    # each flag was once read only with --map modular, --family w_nm or
+    # without --matrix, and silently dropped otherwise
+    matrix = tmp_path / "twin4.txt"
+    matrix.write_text("3\n1 inf 2\ninf 1 inf\n2 inf 1\n")
+    argv = [str(matrix) if a == "M" else a for a in line.split()]
+    assert dispatch(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -218,16 +227,16 @@ def test_json_is_byte_identical(capsys):
 
 
 # sha256 of stdout for command lines that cover every quotient kind and
-# the Schreier, Tietze, Smith normal form, holonomy, subquotient and
-# face census layers; the n = 3 holonomy lines print kernel witnesses
+# the cell presentation, Tietze, Smith normal form, holonomy, subquotient
+# and face census layers; the n = 3 holonomy lines print kernel witnesses
 # and a dimension-0 lattice; a refactor must leave these bytes as they are
 PINNED_STDOUT = {
     "subgroup --family triplet -n 5 --map symmetric --simplify":
         "f174bd9882749531b45ac76ee809cb3435ce6dc98c5cda3bd1ed3f373986a349",
     "subgroup --family twin -n 4 --map modular --map-mod 3":
-        "6cbb00f05800077e21439b52d29aed984ca8eb600dc5938c2c3592b1678e4a5f",
+        "a117ca38f944f9fec28a585cf1207374d51dfbf0133f5ccdb5014394fd9dfe88",
     "subgroup --family twin -n 5 --map mod2 --json":
-        "1a105557b6043905c229a5873285b62765f2b5d47554f32daa124ca769555adf",
+        "e0cd58b7503be516f8ec9e8e467ead608d30194ae6bb43f69a125b817d5d4040",
     "abelianize --family twin -n 5 --map symmetric":
         "17c3650afa3601fec90ff7913021bf51917251a164cf88fa4a5886abfd3ed268",
     "abelianize --family triplet -n 6 --map mod2":
@@ -265,7 +274,7 @@ PINNED_STDOUT = {
     "subgroup --family twin -n 5 --map symmetric --simplify":
         "8ddc92b53070405bdd4ff5cbc43efc3e9a54bf4260ef178fff52c5575949aaee",
     "subgroup --family twin -n 6 --map mod2 --simplify":
-        "ee92162ddded1b0cd00a95671ad98e54d0c3e710726f06da233d6e41de918711",
+        "6629d1f6dae12d265ea566c929c98883d5ef2e0f5474244d36fcffab7655e4b7",
     "permutahedron -n 8":
         "2a36e36e70cf63c75e1bc011f4284b62f1074e26fd3ebe46cf389334dd6682de",
     "permutahedron -n 8 --json":
@@ -290,6 +299,45 @@ def test_stdout_is_pinned(line, capsys):
     assert dispatch(line.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[line]
+
+
+def _printed_presentation(out: str, as_json: bool) -> Presentation:
+    """The presentation that ``subgroup`` printed, read back."""
+    if as_json:
+        record = json.loads(out)
+        return Presentation(record["generators"],
+                            tuple(map(tuple, record["relators"])))
+    cosets, gens, *rels = out.splitlines()
+    assert cosets.startswith("cosets ") and gens.startswith("gens ")
+    return Presentation(int(gens.split()[1]), tuple(
+        tuple(int(tok) for tok in rel.split()) for rel in rels))
+
+
+@pytest.mark.parametrize("line", [line for line in PINNED_STDOUT
+                                  if line.startswith("subgroup ")])
+def test_subgroup_pin_has_the_abelianize_invariants(line, capsys):
+    # the printed cell presentation, simplified or not, has the abelian
+    # invariants that abelianize prints for the same kernel
+    argv = line.split()
+    assert dispatch(argv) == 0
+    pres = _printed_presentation(capsys.readouterr().out, "--json" in argv)
+    kernel = [a for a in argv[1:] if a not in ("--simplify", "--json")]
+    assert dispatch(["abelianize"] + kernel) == 0
+    assert f"{abelian_invariants(pres)}\n" == capsys.readouterr().out
+
+
+def test_right_angled_matrix_subgroup_matches_abelianize(tmp_path, capsys):
+    matrix = tmp_path / "racg.txt"
+    matrix.write_text(_right_angled_matrix(3, 5))
+    kernel = ["--matrix", str(matrix), "--map", "modular", "--map-mod", "3"]
+    assert dispatch(["subgroup", "--json"] + kernel) == 0
+    pres = _printed_presentation(capsys.readouterr().out, True)
+    assert dispatch(["subgroup", "--json", "--simplify"] + kernel) == 0
+    simp = _printed_presentation(capsys.readouterr().out, True)
+    assert dispatch(["abelianize"] + kernel) == 0
+    printed = capsys.readouterr().out
+    assert f"{abelian_invariants(pres)}\n" == printed
+    assert f"{abelian_invariants(simp)}\n" == printed
 
 
 def _random_word(seed: int, rank: int, length: int) -> list[int]:

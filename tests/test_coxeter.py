@@ -117,6 +117,20 @@ class TestNamedFamilies:
         with pytest.raises(CoxeterError):
             named_system("racg")
 
+    @pytest.mark.parametrize("family", ["twin", "triplet", "symmetric",
+                                        "universal", "racg"])
+    def test_bond_is_only_for_w_nm(self, family):
+        # named_system("twin", 4, m=5) once returned twin(4)
+        graph = simple_graph(3, [(1, 3)]) if family == "racg" else None
+        with pytest.raises(CoxeterError, match="m is only for the w_nm"):
+            named_system(family, 4, m=5, graph=graph)
+
+    @pytest.mark.parametrize("family,m", [("twin", None), ("w_nm", 3),
+                                          ("universal", None)])
+    def test_graph_is_only_for_racg(self, family, m):
+        with pytest.raises(CoxeterError, match="graph is only for the racg"):
+            named_system(family, 4, m=m, graph=simple_graph(3, [(1, 3)]))
+
     def test_racg_from_graph(self):
         graph = simple_graph(3, [(1, 3)])
         system = named_system("racg", graph=graph)

@@ -10,6 +10,7 @@ from smallcox.congruence import FiniteQuotientMap
 from smallcox.matrices import Matrix, smith_normal_form
 from smallcox.rewriting import (KernelRewriter, _exponent_row, _relator_rows,
                                 coset_table, quotient_map)
+from test_rewriting import _reidemeister_schreier
 
 
 class TestThetaGeneratorMatrix:
@@ -188,11 +189,11 @@ class TestHolonomyViaConjugation:
 
 def _holonomy_reference(qmap):
     """``holonomy_via_conjugation`` with the lattice read off the full
-    presentation: the Smith transform of its distinct relator rows, one
-    column per Schreier generator, and each conjugate rewritten into
-    those columns."""
-    rewriter = KernelRewriter(qmap)
-    pres = rewriter.presentation
+    Reidemeister-Schreier presentation: the Smith transform of its
+    distinct relator rows, one column per Schreier generator, and each
+    conjugate rewritten into those columns."""
+    table = coset_table(qmap)
+    pres, pairs, rewrite = _reidemeister_schreier(qmap)
     sm = smith_normal_form(_relator_rows(pres), pres.generators,
                            want_transform=True)
     rank = len(sm.free_rows)
@@ -203,10 +204,15 @@ def _holonomy_reference(qmap):
 
     def free(word):
         out = [0] * rank
-        for t, x in _exponent_row(rewriter.rewrite(word)).items():
+        for t, x in _exponent_row(rewrite(word)).items():
             for i, v in coords[t]:
                 out[i] += x * v
         return out
+
+    def schreier_word(t):
+        c, y = pairs[t]
+        ubar = table.transversal[table.action[c][y - 1]]
+        return table.transversal[c] + (y,) + tuple(reversed(ubar))
 
     gens = []
     for y in range(1, qmap.system.rank + 1):
@@ -214,11 +220,11 @@ def _holonomy_reference(qmap):
         for lift in sm.free_rows:
             col = [0] * rank
             for t, x in lift.items():
-                image = free((y,) + rewriter.schreier_word(t) + (-y,))
+                image = free((y,) + schreier_word(t) + (-y,))
                 col = [c + x * v for c, v in zip(col, image)]
             cols.append(col)
         gens.append(tuple(zip(*cols)))
-    return _holonomy(qmap, rewriter.table, gens, rank, sm.torsion)
+    return _holonomy(qmap, table, gens, rank, sm.torsion)
 
 
 class TestProbeWalk:
