@@ -16,12 +16,12 @@ modules they use, among them ``argparse``, ``json``, ``pathlib``,
 ``random`` and ``typing``.  With warm bytecode, on Python 3.11 on a
 shared 2-vCPU VM where ``site`` had loaded the last three, that took
 12 ms: 5 ms for the package, 2 for ``argparse`` and 3 for ``json``.
-The package defines no class with the ``@dataclass`` decorator: the
-stdlib module behind it pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``, and it then compiles the methods of each class; for 13
-frozen records that was 20 of the 32 ms this import took.  Records are
-``NamedTuple`` classes, and the types that validate, cache or are
-hashed in sets are plain classes.
+Records are ``NamedTuple`` classes, and the types that validate, cache
+or are hashed in sets are plain classes; the package defines no
+``@dataclass``, whose module pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize`` and compiles the methods of each class.  The ``--json``
+records of ``abelianize`` and ``holonomy`` are the ``_asdict()`` of
+their results, tuples printed as arrays.
 
 Exit status: 0 on success, 1 on a computation error (validation
 failure, exceeded budget, unreadable input file) or a failed ``verify``
@@ -40,7 +40,6 @@ from typing import Optional
 from . import congruence, crystallo, permutahedron, rewriting, tits, verify
 from .coxeter import (CoxeterError, CoxeterSystem, format_word,
                       named_system, parse_coxeter_matrix, parse_word)
-from .matrices import format_matrix
 
 COMPUTE_ERRORS = (CoxeterError, ValueError, RuntimeError, OSError)
 
@@ -103,12 +102,8 @@ def _cmd_tits(args) -> int:
     else:
         mat = tits.evaluate_mod(system, word, args.mod)
         record = {"matrix": [list(r) for r in mat.rows], "mod": args.mod}
-    lines = []  # the text form is only formatted when it is printed
-    if not args.json:
-        lines = [format_matrix(mat.rows).rstrip("\n")]
-        if args.mod is not None:
-            lines.insert(0, f"mod {args.mod}")
-    _emit(args, record, lines)
+    # the text form is only formatted when it is printed
+    _emit(args, record, [] if args.json else [str(mat).rstrip("\n")])
     return 0
 
 
@@ -178,8 +173,7 @@ def _cmd_subgroup(args) -> int:
 
 def _cmd_abelianize(args) -> int:
     inv = _kernel_rewriter(args).invariants
-    _emit(args, {"rank": inv.rank, "torsion": list(inv.torsion)},
-          [str(inv)])
+    _emit(args, inv._asdict(), [str(inv)])
     return 0
 
 
@@ -192,7 +186,6 @@ def _cmd_holonomy(args) -> int:
         qmap = rewriting.quotient_map(named_system(family, args.n),
                                       "symmetric")
         report = crystallo.holonomy_via_conjugation(qmap, family)
-    record = report.to_record()
     lines = [f"quotient {report.quotient}",
              f"dimension {report.dimension}",
              f"holonomy_order {report.holonomy_order}",
@@ -203,7 +196,7 @@ def _cmd_holonomy(args) -> int:
     if report.kernel_witnesses:
         lines.append("kernel_witnesses " + "; ".join(
             map(format_word, report.kernel_witnesses)))
-    _emit(args, record, lines)
+    _emit(args, report._asdict(), lines)
     return 0
 
 

@@ -51,8 +51,9 @@ in one lazily filled id -> id table per generator
 ``_kernel_map`` reduces each distinct row mod m once.
 
 The default element budget is 10**7; exceeding it raises
-``BudgetExceededError`` rather than truncating silently, since images
-of infinite Coxeter groups can be arbitrarily large.
+``BudgetExceededError``, which names how many elements were expanded,
+rather than truncating silently, since images of infinite Coxeter
+groups can be arbitrarily large.
 """
 
 from __future__ import annotations
@@ -69,11 +70,14 @@ DEFAULT_CAP = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration outgrew its element budget."""
+    """Enumeration outgrew its element budget; ``expanded`` elements had
+    all their generator steps taken when it did."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"image exceeds element budget {budget}")
+    def __init__(self, budget: int, expanded: int):
+        super().__init__(f"image exceeds element budget {budget} "
+                         f"({expanded} elements expanded)")
         self.budget = budget
+        self.expanded = expanded
 
 
 class FiniteMatrixGroup:
@@ -145,7 +149,8 @@ def orbit(start: Hashable, step: Callable, ngens: int,
                 y = step(x, k)
                 if y not in seen:
                     if len(elements) >= cap:
-                        raise BudgetExceededError(cap)
+                        # the elements before x are the expanded ones
+                        raise BudgetExceededError(cap, elements.index(x))
                     seen.add(y)
                     elements.append(y)
         return elements
@@ -158,7 +163,7 @@ def orbit(start: Hashable, step: Callable, ngens: int,
             at = index.get(y)
             if at is None:
                 if len(elements) >= cap:
-                    raise BudgetExceededError(cap)
+                    raise BudgetExceededError(cap, len(action))
                 at = index[y] = len(elements)
                 elements.append(y)
             row.append(at)
@@ -187,13 +192,6 @@ def congruence_member(system: CoxeterSystem, word: Word, m: int) -> bool:
 
 class RelationCheckError(ValueError):
     """Proposed generator images violate a defining relation."""
-
-
-def checked_letters(word: Sequence[int], rank: int) -> Sequence[int]:
-    """``word``, checked to hold only the letters +-1 .. +-rank."""
-    if any(not 0 < abs(letter) <= rank for letter in word):
-        raise ValueError(f"word letters must be +-1 .. +-{rank}: {word}")
-    return word
 
 
 class FiniteQuotientMap:
@@ -230,11 +228,11 @@ class FiniteQuotientMap:
                          "in the image")
 
     def image_of_word(self, word: Sequence[int]):
-        """Image of a word; a signed letter -y maps like y, since every
-        generator image is an involution."""
+        """Image of a word in the generators 1..rank, checked by
+        ``CoxeterSystem.check_word``."""
         out = self.identity_image
-        for letter in checked_letters(word, self.system.rank):
-            out = self.step(out, abs(letter) - 1)
+        for letter in self.system.check_word(word):
+            out = self.step(out, letter - 1)
         return out
 
 
@@ -291,9 +289,11 @@ _QUOTIENT_BUILDERS = {"symmetric": _symmetric_map, "modular": _modular_map,
 def quotient_map(system: CoxeterSystem, kind: str,
                  m: Optional[int] = None) -> FiniteQuotientMap:
     """Build one of the standard finite quotients; ``m`` is the modulus
-    of the ``modular`` kind and is ignored by the others."""
+    of the ``modular`` kind, and only of that kind."""
     if kind not in _QUOTIENT_BUILDERS:
         raise ValueError(f"unknown quotient kind {kind!r}")
+    if m is not None and kind != "modular":
+        raise ValueError(f"m is only for the modular quotient, not {kind!r}")
     return _QUOTIENT_BUILDERS[kind](system, m)
 
 

@@ -82,6 +82,8 @@ class CoxeterSystem:
         return self.exponents[i - 1][j - 1]
 
     def check_word(self, word: Iterable[int]) -> Word:
+        """The word as a tuple, every letter in 1..rank, else
+        ``CoxeterError``: the one check on words in the generators."""
         word = tuple(word)
         rank = self.rank
         for letter in word:
@@ -138,8 +140,7 @@ _CHAIN_BONDS = {"twin": (INF, 2), "triplet": (3, INF), "symmetric": (3, 2),
                 "universal": (INF, INF)}
 
 
-def named_system(family: str, n: int = 0, m: Optional[int] = None,
-                 graph: "Optional[SimpleGraph]" = None) -> CoxeterSystem:
+def named_system(family: str, n: int, m: Optional[int] = None) -> CoxeterSystem:
     """One of the named families, with n >= 2 strands (rank n - 1).
 
     twin       consecutive bonds inf, distant bonds 2
@@ -147,20 +148,12 @@ def named_system(family: str, n: int = 0, m: Optional[int] = None,
     symmetric  consecutive bonds 3, distant bonds 2 (this is S_n)
     universal  every bond inf
     w_nm       consecutive bonds m, distant bonds 2 (needs m >= 2)
-    racg       right-angled group of a simple graph: bond 2 on edges,
-               inf on non-edges (rank = vertex count)
 
-    ``m`` is only for w_nm and ``graph`` only for racg.
+    ``m`` is only for w_nm.  Right-angled systems come from a graph,
+    through ``racg_system``.
     """
     if m is not None and family != "w_nm":
         raise CoxeterError(f"m is only for the w_nm family, not {family!r}")
-    if graph is not None and family != "racg":
-        raise CoxeterError(
-            f"a graph is only for the racg family, not {family!r}")
-    if family == "racg":
-        if graph is None:
-            raise CoxeterError("racg family needs a graph")
-        return racg_system(graph)
     if n < 2:
         raise CoxeterError(f"need n >= 2, got {n}")
     if family == "w_nm":

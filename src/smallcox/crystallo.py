@@ -74,16 +74,6 @@ class HolonomyReport(NamedTuple):
     kernel_witnesses: tuple[Word, ...]
     lattice_torsion: tuple[int, ...] = ()
 
-    def to_record(self) -> dict:
-        return {
-            "quotient": self.quotient,
-            "dimension": self.dimension,
-            "holonomy_order": self.holonomy_order,
-            "faithful": self.faithful,
-            "kernel_witnesses": [list(w) for w in self.kernel_witnesses],
-            "lattice_torsion": list(self.lattice_torsion),
-        }
-
 
 def _basis(n: int) -> list[tuple[int, int]]:
     """The (j, p) of each basis class b_p(j), in basis order."""

@@ -15,8 +15,7 @@ A modular matrix carries an extra first line ``mod m``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -202,7 +201,7 @@ def det_rows(rows: Rows) -> int:
 # Smith normal form
 
 
-class SmithForm:
+class SmithForm(NamedTuple):
     """U * A * V = diag(divisors) with U, V unimodular.
 
     ``divisors`` is the nonzero diagonal, each dividing the next.  Only
@@ -223,28 +222,16 @@ class SmithForm:
     demoted from pivot, and that ends free, has a longer row.
 
     ``v`` is V as dense row tuples (None without the transform), built
-    from ``columns`` on first read and then cached.  It is ncols x ncols
-    and kept only for readers outside this package; the package itself
-    reads ``columns``.
+    from ``columns`` on every read.  It is ncols x ncols and kept only
+    for readers outside this package; the package itself reads
+    ``columns``.
     """
 
-    def __init__(self, divisors: tuple[int, ...], ncols: int,
-                 columns: Optional[tuple[dict[int, int], ...]] = None,
-                 order: Optional[tuple[int, ...]] = None,
-                 free_rows: Optional[tuple[dict[int, int], ...]] = None):
-        self.divisors = divisors
-        self.ncols = ncols
-        self.columns = columns
-        self.order = order
-        self.free_rows = free_rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.divisors, self.ncols, self.columns, self.order,
-                self.free_rows) == (other.divisors, other.ncols,
-                                    other.columns, other.order,
-                                    other.free_rows)
+    divisors: tuple[int, ...]
+    ncols: int
+    columns: Optional[tuple[dict[int, int], ...]] = None
+    order: Optional[tuple[int, ...]] = None
+    free_rows: Optional[tuple[dict[int, int], ...]] = None
 
     @property
     def free_columns(self) -> tuple[int, ...]:
@@ -254,7 +241,7 @@ class SmithForm:
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.divisors if d > 1)
 
-    @cached_property
+    @property
     def v(self) -> Optional[Rows]:
         if self.columns is None:
             return None

@@ -34,7 +34,6 @@ group on n strands is free of rank 1 - chi = 1 + n!(2n-7)/6 for n >= 4.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 MAX_STRANDS = 20  # 20! ~ 2.4e18 vertices, counted in milliseconds
@@ -108,15 +107,9 @@ def face_census(n: int) -> FaceCensus:
 
 
 def pl_rank(n: int) -> int:
-    """Free rank of the pure triplet group on n strands.
-
-    Computed from the Euler characteristic of the hexagon complex for
-    n up to MAX_STRANDS, and from the resulting closed form
-    n!(2n-7)/6 + 1 beyond the census range.  Returns 0 for n = 3 (the
-    pure group there is trivial).
+    """Free rank of the pure triplet group on n strands, 1 - chi of the
+    hexagon complex that ``face_census`` counts, so n runs over
+    3..MAX_STRANDS as there.  Returns 0 for n = 3 (the pure group there
+    is trivial).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if n <= MAX_STRANDS:
-        return face_census(n).rank
-    return 1 + math.factorial(n) * (2 * n - 7) // 6
+    return face_census(n).rank

@@ -17,14 +17,16 @@ enumeration is ever needed:
   (``columns``): the square s_y^2 makes the two Schreier generators
   u y (rep of uy)^-1 of an edge inverse to each other, and those of a
   tree edge trivial.  One scan walks a word over the action table and
-  reads the signed column of each edge it crosses;
+  reads the signed column of each edge it crosses.  Ambient words are
+  positive, as generators are involutions, and the words that callers
+  pass in are checked by ``CoxeterSystem.check_word``; only kernel
+  letters are signed;
 * ``KernelRewriter.presentation`` presents the kernel on those
   generators with one relator per cell of the coset graph: x^2 for
   each fixed point c.y = c, and one scanned word per finite bond and
   orbit of that bond's dihedral group on the cosets.  It is a Tietze
   transform of the Reidemeister-Schreier presentation, whose other
-  relators are cyclic conjugates of these or of their inverses; PT_5
-  gets 90 relators on 121 generators instead of 840 on 361.  It is
+  relators are cyclic conjugates of these or of their inverses.  It is
   built on first read, and only ``subgroup`` and the
   ``pl4-free-rank-5`` claim read it, for its text or for
   ``tietze_simplify``;
@@ -70,7 +72,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 # quotient_map is re-exported (see the module docstring)
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
-                         checked_letters, orbit, quotient_map)
+                         orbit, quotient_map)
 from .coxeter import Word, relators
 from .matrices import Matrix, SmithForm, smith_normal_form
 
@@ -112,28 +114,19 @@ def format_presentation(pres: Presentation) -> str:
 # coset tables
 
 
-class CosetTable:
+class CosetTable(NamedTuple):
     """Cosets of a kernel, one per image element.
 
     ``transversal[c]`` is the shortlex-least word whose image lands in
     coset c (coset 0 is the kernel itself, with the empty word), and
     ``action[c][y-1]`` is the coset of (representative of c) * s_y.
     Generator images are involutions, so each action column is a
-    self-inverse permutation of the cosets.
+    self-inverse permutation of the cosets.  ``count``, the number of
+    cosets, shadows ``tuple.count``.
     """
 
-    __slots__ = ("transversal", "action")
-
-    def __init__(self, transversal: tuple[Word, ...],
-                 action: tuple[tuple[int, ...], ...]):
-        self.transversal = transversal
-        self.action = action
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.transversal == other.transversal
-                and self.action == other.action)
+    transversal: tuple[Word, ...]
+    action: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -192,7 +185,8 @@ class KernelRewriter:
     """The kernel of a finite quotient map, on the cells of its coset graph.
 
     Built from the map alone: ``table`` is its coset table (at most
-    ``cap`` cosets) and ``ambient`` is ``coxeter.relators(qmap.system)``.
+    ``cap`` cosets), ``system`` is ``qmap.system`` and ``ambient`` is
+    ``coxeter.relators(qmap.system)``.
     The Schreier generator of a pair (coset c, generator y) is the
     kernel element u_c s_y (u_{c.y})^-1, trivial on a tree edge, where
     u_c s_y is itself the chosen representative: that is when t = c.y
@@ -209,7 +203,9 @@ class KernelRewriter:
     1.  ``_fold[c][y-1]`` is the signed column +-(j+1) that (c, y)
     crosses: + at the end that names column j, - at the other (a fixed
     point has only the one end), 0 on a tree edge.  ``_scan`` walks a
-    word letter by letter, reading ``_fold``.
+    word letter by letter, reading ``_fold``; ambient words are
+    positive, and ``free_coordinates`` and ``conjugation_matrix`` check
+    theirs with ``system.check_word``.
 
     ``presentation`` presents the kernel on one generator per column,
     with the words of ``_cell_words``: x_j^2 for each fixed-point
@@ -219,9 +215,7 @@ class KernelRewriter:
     inverse, so this is a Tietze transform of the Reidemeister-Schreier
     presentation, one relator per (coset, ambient relator) pair: the
     2-skeleton of the Davis complex is simply connected, and these are
-    its cells modulo the kernel.  PT_5 gets 90 relators on 121
-    generators where that presentation has 840 on 361.  It is built on
-    first read; only ``subgroup`` and the ``pl4-free-rank-5`` claim read
+    its cells modulo the kernel.  It is built on first read; only ``subgroup`` and the ``pl4-free-rank-5`` claim read
     it, for its text or for ``tietze_simplify``.
 
     ``cell_rows`` are the exponent sums of the same words.
@@ -235,6 +229,7 @@ class KernelRewriter:
 
     def __init__(self, qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP):
         self.table = table = coset_table(qmap, cap)
+        self.system = qmap.system
         self.ambient = relators(qmap.system)
         n, words, action = table.count, table.transversal, table.action
         self.num_schreier = n * qmap.system.rank - (n - 1)
@@ -250,28 +245,21 @@ class KernelRewriter:
             if t != c:
                 fold[t][y - 1] = -j
 
-    def _letters(self, word: Sequence[int]) -> Sequence[int]:
-        return checked_letters(word, len(self.table.action[0]))
-
     def _scan(self, word: Sequence[int], start: int = 0,
               seen: Optional[bytearray] = None,
               closed: bool = True) -> tuple[list[int], int]:
-        """Walk ``word`` from coset ``start``, reading +-``_fold`` at the
-        pair each letter +-y crosses; return the nonzero readings and
-        the end coset (``start`` when ``closed``).  Each coset the walk
-        passes is marked in ``seen`` when given."""
+        """Walk the positive ``word`` from coset ``start``, reading
+        ``_fold`` at the pair each letter crosses; return the nonzero
+        readings and the end coset (``start`` when ``closed``).  Each
+        coset the walk passes is marked in ``seen`` when given."""
         action, fold = self.table.action, self._fold
         c = start
         out: list[int] = []
         for letter in word:
             if seen is not None:
                 seen[c] = 1
-            if letter > 0:
-                k = fold[c][letter - 1]
-                c = action[c][letter - 1]
-            else:
-                c = action[c][-letter - 1]  # involution: s_y^-1 acts like s_y
-                k = -fold[c][-letter - 1]
+            k = fold[c][letter - 1]
+            c = action[c][letter - 1]
             if k:
                 out.append(k)
         if closed and c != start:
@@ -374,7 +362,8 @@ class KernelRewriter:
                          start: int = 0) -> tuple[int, ...]:
         """Coordinates of a kernel word rewritten from coset ``start``
         in the free part of the abelianized kernel (the Smith basis)."""
-        return self._free(self._abelian_row(self._letters(word), start))
+        return self._free(self._abelian_row(self.system.check_word(word),
+                                            start))
 
     def _free(self, row: dict[int, int]) -> tuple[int, ...]:
         coords = self._coordinates
@@ -394,7 +383,7 @@ class KernelRewriter:
         # abelianized, the scans of w from coset 0 and of w^-1 back from
         # the coset d of w cross the same edges with opposite signs, so
         # a conjugate w g w^-1 is the kernel word g scanned from d
-        d = self._scan(self._letters(word), closed=False)[1]
+        d = self._scan(self.system.check_word(word), closed=False)[1]
         # basis vector i is the combination free_rows[i] of columns, and
         # column t is the class of the generator schreier_word(t), so its
         # image is that combination of the images of their conjugates

@@ -212,14 +212,6 @@ def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:
     return Matrix(tuple(map(tuple, rows)))
 
 
-def _gamma(system: CoxeterSystem, k0: int, l0: int, j0: int) -> int:
-    # row-k entry of s_k s_l away from column l
-    exps = system.exponents
-    if j0 == k0:
-        return _alpha(exps, l0, k0) ** 2 - 1
-    return _alpha(exps, k0, j0) + _alpha(exps, l0, j0) * _alpha(exps, k0, l0)
-
-
 def pair_product_square_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:
     """Entries of (s_k s_l)^2 in closed form.
 
@@ -244,8 +236,10 @@ def pair_product_square_formula(system: CoxeterSystem, k: int, l: int) -> Matrix
             rows[k0][j0] = -(a ** 3) + 2 * a
             rows[l0][j0] = -(a ** 2) + 1
         else:
-            g = _gamma(system, k0, l0, j0)
-            rows[k0][j0] = g * a ** 2 - a * _alpha(exps, l0, j0)
+            # g is the row-k entry of s_k s_l in column j
+            b = _alpha(exps, l0, j0)
+            g = _alpha(exps, k0, j0) + b * a
+            rows[k0][j0] = g * a ** 2 - a * b
             rows[l0][j0] = a * g
     return Matrix(tuple(map(tuple, rows)))
 

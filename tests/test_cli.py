@@ -47,6 +47,14 @@ def test_suite_passes(suite):
         SUITE_RECORD_SHA256[suite]
 
 
+def test_verify_json_prints_the_pinned_record(capsys):
+    assert dispatch(["verify", "--suite", "tits", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == \
+        SUITE_RECORD_SHA256["tits"]
+
+
 def test_suites_are_the_builder_table():
     assert verify_module.SUITES == ("tits", "congruence", "rewriting",
                                     "crystallo", "complexes", "all")
@@ -105,6 +113,13 @@ def test_stray_flags_exit_one(line, message, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_modular_map_needs_its_modulus(capsys):
+    assert dispatch("abelianize --family twin -n 4 --map modular".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --map modular needs --map-mod M\n"
 
 
 @pytest.mark.parametrize("quotient,label", [("pure-twin", "T2/PT2'"),

@@ -147,6 +147,17 @@ class TestOrbit:
         assert action == [tuple(position[qmap.step(x, k)] for k in range(4))
                           for x in bare]
 
+    @pytest.mark.parametrize("with_action", [False, True])
+    def test_budget_error_names_the_elements_expanded(self, with_action):
+        # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6: the sixth element turns up
+        # while 2 is expanded, after 0 and 1 were
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit(0, lambda x, k: 2 * x + k + 1, 2, 5,
+                  with_action=with_action)
+        assert (exc.value.budget, exc.value.expanded) == (5, 2)
+        assert str(exc.value) == \
+            "image exceeds element budget 5 (2 elements expanded)"
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_non_positive_cap_is_rejected(self, cap):
         qmap = quotient_map(twin(4), "symmetric")
@@ -185,6 +196,15 @@ class TestQuotientChecks:
         assert mapping == kernel
         assert values == set(kernel.values())
         assert well_defined and injective
+
+    def test_kernel_map_flags_a_matrix_with_two_auxiliaries(self):
+        # the identity (row ids 0, 1) paired with two auxiliaries is no
+        # map; its one auxiliary left stays injective
+        pairs = [((0, 1), "a"), ((0, 1), "b")]
+        _, values, well_defined, injective = _kernel_map(
+            pairs, list(identity_rows(2)), 5)
+        assert values == {"b"}
+        assert not well_defined and injective
 
     @pytest.mark.parametrize("n,m,kernel", [(4, 4, 12), (4, 5, 12), (5, 4, 60)])
     def test_alternating_above_level_two(self, n, m, kernel):

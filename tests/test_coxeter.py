@@ -113,28 +113,18 @@ class TestNamedFamilies:
         assert family_of(universal(3)) == "twin"
         assert family_of(symmetric(3)) == "triplet"
 
-    def test_racg_needs_graph(self):
-        with pytest.raises(CoxeterError):
-            named_system("racg")
-
     @pytest.mark.parametrize("family", ["twin", "triplet", "symmetric",
-                                        "universal", "racg"])
+                                        "universal"])
     def test_bond_is_only_for_w_nm(self, family):
         # named_system("twin", 4, m=5) once returned twin(4)
-        graph = simple_graph(3, [(1, 3)]) if family == "racg" else None
         with pytest.raises(CoxeterError, match="m is only for the w_nm"):
-            named_system(family, 4, m=5, graph=graph)
-
-    @pytest.mark.parametrize("family,m", [("twin", None), ("w_nm", 3),
-                                          ("universal", None)])
-    def test_graph_is_only_for_racg(self, family, m):
-        with pytest.raises(CoxeterError, match="graph is only for the racg"):
-            named_system(family, 4, m=m, graph=simple_graph(3, [(1, 3)]))
+            named_system(family, 4, m=5)
 
     def test_racg_from_graph(self):
-        graph = simple_graph(3, [(1, 3)])
-        system = named_system("racg", graph=graph)
-        assert system == twin(4)
+        # racg_system is the one way in; named_system has no racg family
+        assert racg_system(simple_graph(3, [(1, 3)])) == twin(4)
+        with pytest.raises(CoxeterError, match="unknown family 'racg'"):
+            named_system("racg", 4)
 
 
 class TestRelators:

@@ -2,12 +2,13 @@ import pytest
 
 from smallcox import crystallo, rewriting
 from smallcox.coxeter import named_system, triplet, twin
-from smallcox.crystallo import (HolonomyReport, _holonomy, beta_word,
+from smallcox.crystallo import (BasisSpanError, HolonomyReport,
+                                LatticeTorsionError, _holonomy, beta_word,
                                 holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
 from smallcox.congruence import FiniteQuotientMap
-from smallcox.matrices import Matrix, smith_normal_form
+from smallcox.matrices import Matrix, SmithForm, smith_normal_form
 from smallcox.rewriting import (KernelRewriter, _exponent_row, _relator_rows,
                                 coset_table, quotient_map)
 from test_rewriting import _reidemeister_schreier
@@ -120,8 +121,9 @@ class TestHolonomyViaConjugation:
 
     def test_never_builds_the_dense_transform(self, monkeypatch):
         # the PT_5 holonomy reads V's sparse columns only, so the dense
-        # ncols x ncols view is never made
-        made = []
+        # ncols x ncols view is never read
+        made, reads = [], []
+        dense = SmithForm.v
 
         class Recorded(KernelRewriter):
             def __init__(self, *args):
@@ -129,11 +131,13 @@ class TestHolonomyViaConjugation:
                 made.append(self)
 
         monkeypatch.setattr(crystallo, "KernelRewriter", Recorded)
+        monkeypatch.setattr(SmithForm, "v", property(
+            lambda sm: reads.append(sm) or dense.fget(sm)))
         assert holonomy_via_conjugation(
             quotient_map(twin(5), "symmetric")).faithful
         (rewriter,) = made
         assert rewriter.smith.columns is not None
-        assert "v" not in rewriter.smith.__dict__
+        assert reads == []
 
     def test_never_builds_the_presentation(self, monkeypatch):
         # the lattice comes from the cells of the coset graph, and its
@@ -258,3 +262,48 @@ class TestProbeWalk:
 @pytest.mark.parametrize("n", [4, 5])
 def test_theta_cross_check(n):
     assert theta_cross_check(n)
+
+
+class TestThetaFailures:
+    """Each way the closed-form route can fail, forced by monkeypatching
+    on n = 4, whose lattice has rank 3."""
+
+    def test_cross_check_reports_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(crystallo, "theta_generator_matrix",
+                            lambda n, k: Matrix.identity(2 * n - 5))
+        assert theta_cross_check(4) is False
+
+    def test_cross_check_rejects_a_basis_of_another_rank(self, monkeypatch):
+        basis = crystallo._basis
+        monkeypatch.setattr(crystallo, "_basis", lambda n: basis(n)[:-1])
+        with pytest.raises(BasisSpanError, match="rank 3, expected 2"):
+            theta_cross_check(4)
+
+    def test_cross_check_rejects_a_dictionary_that_spans_less(
+            self, monkeypatch):
+        monkeypatch.setattr(crystallo, "beta_word",
+                            lambda n, j, p: (2, 1, 2, 1))
+        with pytest.raises(BasisSpanError, match="not a lattice basis"):
+            theta_cross_check(4)
+
+    def test_cross_check_rejects_torsion(self, monkeypatch):
+        # the commutator subgroup of L_4 abelianizes to Z_3 + Z_3
+        monkeypatch.setattr(crystallo, "twin", triplet)
+        with pytest.raises(LatticeTorsionError) as exc:
+            theta_cross_check(4)
+        assert exc.value.torsion == (3, 3)
+
+    def test_faithfulness_rejects_a_non_involution(self, monkeypatch):
+        monkeypatch.setattr(crystallo, "theta_generator_matrix",
+                            lambda n, k: Matrix(((1, 1), (0, 1))))
+        with pytest.raises(ArithmeticError,
+                           match="class 1 is not an involution"):
+            theta_faithfulness(4)
+
+    def test_faithfulness_rejects_classes_that_do_not_commute(
+            self, monkeypatch):
+        swap, flip = Matrix(((0, 1), (1, 0))), Matrix(((-1, 0), (0, 1)))
+        monkeypatch.setattr(crystallo, "theta_generator_matrix",
+                            lambda n, k: swap if k == 1 else flip)
+        with pytest.raises(ArithmeticError, match="fail to commute"):
+            theta_faithfulness(4)

@@ -49,6 +49,9 @@ def test_face_census_range(n):
         face_census(n)
 
 
-def test_pl_rank_past_the_census_uses_the_closed_form():
-    n = MAX_STRANDS + 1
-    assert pl_rank(n) == 1 + math.factorial(n) * (2 * n - 7) // 6
+@pytest.mark.parametrize("n", (2, MAX_STRANDS + 1))
+def test_pl_rank_only_counts(n):
+    # past the census range pl_rank once returned the closed form
+    # n!(2n-7)/6 + 1; it now raises as face_census does
+    with pytest.raises(ValueError, match=f"need 3 <= n <= {MAX_STRANDS}"):
+        pl_rank(n)

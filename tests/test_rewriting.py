@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from smallcox import cli, rewriting
 from smallcox.congruence import (BudgetExceededError, FiniteQuotientMap,
                                  odd_bond_classes)
-from smallcox.coxeter import (parse_coxeter_matrix, racg_system, relators,
-                              simple_graph, symmetric, triplet, twin,
-                              universal)
+from smallcox.coxeter import (CoxeterError, parse_coxeter_matrix,
+                              racg_system, relators, simple_graph,
+                              symmetric, triplet, twin, universal)
 from smallcox.crystallo import holonomy_via_conjugation
 from smallcox.matrices import Matrix, smith_normal_form
 from smallcox.perms import adjacent_transposition, identity, multiply
@@ -130,28 +130,34 @@ class TestQuotientMap:
         with pytest.raises(ValueError):
             quotient_map(twin(4), "modular")
 
+    @pytest.mark.parametrize("kind", ["symmetric", "mod2_abelian", "trivial"])
+    def test_modulus_is_only_for_modular(self, kind):
+        # quotient_map(twin(4), "symmetric", 5) once dropped the 5
+        with pytest.raises(ValueError, match="m is only for the modular"):
+            quotient_map(twin(4), kind, 5)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             quotient_map(twin(4), "nonsense")
 
-    @pytest.mark.parametrize("word", [(0,), (4,), (-4,), (1, 2, 0), (2, 7)])
+    @pytest.mark.parametrize("word", [(0,), (4,), (-4,), (1, 2, 0), (2, 7),
+                                      (-1,), (-3, 2)])
     @pytest.mark.parametrize("kind,m", [("symmetric", None),
                                         ("mod2_abelian", None),
                                         ("modular", 3)])
     def test_letters_outside_the_rank_are_rejected(self, kind, m, word):
-        # a 0 once read as s_3, the last generator, and a 4 indexed past
-        # the generator images; the check runs before the first step
+        # a 0 once read as s_3, the last generator, a 4 indexed past the
+        # generator images, and a -y read as y; the check runs before
+        # the first step
         qmap = quotient_map(twin(4), kind, m)
         steps = []
         counted = FiniteQuotientMap(
             qmap.system, kind, qmap.identity_image,
             lambda x, k: steps.append(k) or qmap.step(x, k), m, qmap.rows)
         steps.clear()  # construction steps through the relators
-        with pytest.raises(ValueError,
-                           match=r"letters must be \+-1 \.\. \+-3"):
+        with pytest.raises(CoxeterError, match=r"outside 1\.\.3"):
             counted.image_of_word(word)
         assert steps == []
-        assert qmap.image_of_word((-3, 2)) == qmap.image_of_word((3, 2))
 
     def test_step_breaking_a_bond_is_rejected(self):
         # s_1 and s_3 commute in the twin group, but (0 1) and (1 2) do not
@@ -341,15 +347,14 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError, match="not in kernel"):
             rewriter.free_coordinates((1,))
 
-    @pytest.mark.parametrize("letter", [0, 4, -4, 7])
+    @pytest.mark.parametrize("letter", [0, 4, -4, 7, -1, -3])
     def test_letters_outside_the_rank_are_rejected(self, letter):
-        # a 0 once indexed generator -1 and read as s_3, so (0, 0)
-        # rewrote like (-3, -3); |letter| > rank indexed past the table
+        # a 0 once indexed generator -1 and read as s_3, letter > rank
+        # indexed past the table, and a -y once read as y
         table, rewriter = kernel_rewriter(twin(4), "symmetric")
         for method in (rewriter.free_coordinates, rewriter.conjugation_matrix):
-            with pytest.raises(ValueError, match=r"letters must be \+-1"):
+            with pytest.raises(CoxeterError, match=r"outside 1\.\.3"):
                 method((letter, letter))
-        assert rewriter.free_coordinates((-3, -3)) == (0,) * rewriter.rank
 
     @given(st.lists(st.integers(1, 6).flatmap(
         lambda g: st.sampled_from((g, -g))), max_size=30))
@@ -391,13 +396,12 @@ _CELL_MAPS = [
 def _coset(table, word):
     c = 0
     for letter in word:
-        c = table.action[c][abs(letter) - 1]
+        c = table.action[c][letter - 1]
     return c
 
 
-def _random_signed_word(rng, rank, length):
-    return tuple(rng.choice((1, -1)) * rng.randrange(1, rank + 1)
-                 for _ in range(length))
+def _random_word(rng, rank, length):
+    return tuple(rng.randrange(1, rank + 1) for _ in range(length))
 
 
 class TestCellRoute:
@@ -946,21 +950,29 @@ class TestConjugation:
         ids=["PT_4", "PL_4", "twin3-mod2", "twin4-trivial", "onto-z2"])
     def test_conjugate_is_the_kernel_word_scanned_from_the_coset_of_w(
             self, qmap):
-        # abelianized, the scans of w and of w^-1 cancel, so w g w^-1
+        # abelianized, the scans of w and of w^-1 = reversed(w) cancel
+        # but for the squares x^2 = 1 of fixed-point columns, so w g w^-1
         # reads as the kernel word g scanned from the coset d of w, and
         # the matrix of w sends the coordinates of g to those
         rewriter = KernelRewriter(qmap)
         table, r, rng = rewriter.table, qmap.system.rank, random.Random(19)
+        fixed = {t for t, (c, y) in enumerate(rewriter.columns)
+                 if table.action[c][y - 1] == c}
+
+        def abelianized(row):  # a fixed-point column counts mod 2
+            return {t: e for t, x in row.items()
+                    if (e := x % 2 if t in fixed else x)}
+
         for _ in range(40):
-            w = _random_signed_word(rng, r, rng.randrange(0, 9))
-            v = _random_signed_word(rng, r, rng.randrange(0, 9))
-            g = v + invert_signed(table.transversal[_coset(table, v)])
+            w = _random_word(rng, r, rng.randrange(0, 9))
+            v = _random_word(rng, r, rng.randrange(0, 9))
+            g = v + tuple(reversed(table.transversal[_coset(table, v)]))
             d = _coset(table, w)
-            assert rewriter._abelian_row(w + g + invert_signed(w)) == \
-                rewriter._abelian_row(g, d)
+            conjugate = w + g + tuple(reversed(w))
+            assert abelianized(rewriter._abelian_row(conjugate)) == \
+                abelianized(rewriter._abelian_row(g, d))
             coords = rewriter.free_coordinates(g, start=d)
-            assert rewriter.free_coordinates(w + g + invert_signed(w)) == \
-                coords
+            assert rewriter.free_coordinates(conjugate) == coords
             x = rewriter.free_coordinates(g)
             assert tuple(sum(a * b for a, b in zip(row, x)) for row in
                          rewriter.conjugation_matrix(w).rows) == coords
