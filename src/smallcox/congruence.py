@@ -131,10 +131,12 @@ def orbit(start: Hashable, step: Callable, ngens: int,
     ``step(x, k)`` applies generator k (0-based) to the hashable
     element x.  Returns the list of elements in discovery order (start
     first, then by shortlex word in the generators).  With
-    ``with_action`` it returns the pair (elements, action) instead,
-    where ``action[i][k]`` is the index of step(elements[i], k); only
-    ``rewriting.coset_table`` reads that table, so only that call keeps
-    each element's position and action row; the others keep a set of
+    ``with_action`` it returns the triple (elements, action, words)
+    instead, where ``action[i][k]`` is the index of step(elements[i], k)
+    and ``words[i]`` is that shortlex-least word, letters 1..ngens,
+    recorded when element i is discovered; only
+    ``rewriting.coset_table`` reads them, so only that call keeps each
+    element's position, action row and word; the others keep a set of
     the elements seen.  Raises ``BudgetExceededError`` rather than grow
     past ``cap`` elements, and ``ValueError`` for a ``cap`` below 1.
     """
@@ -156,7 +158,8 @@ def orbit(start: Hashable, step: Callable, ngens: int,
         return elements
     index = {start: 0}
     action = []
-    for x in elements:
+    words = [()]
+    for x, word in zip(elements, words):  # both lists grow while scanned
         row = []
         for k in gens:
             y = step(x, k)
@@ -166,9 +169,10 @@ def orbit(start: Hashable, step: Callable, ngens: int,
                     raise BudgetExceededError(cap, len(action))
                 at = index[y] = len(elements)
                 elements.append(y)
+                words.append(word + (k + 1,))
             row.append(at)
         action.append(tuple(row))
-    return elements, action
+    return elements, action, words
 
 
 def enumerate_image(system: CoxeterSystem, m: int,

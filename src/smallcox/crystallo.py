@@ -22,15 +22,23 @@ quotient of the twin group (lattice of rank 2n-5):
   the coset graph (one column per non-tree edge, one row per bond and
   dihedral orbit of cosets), and one Smith form with its transform
   gives both the basis and the rank and torsion; the kernel's
-  presentation is never built.
+  presentation is never built, and neither is a dense rank x rank
+  matrix: each generator's action comes as sparse columns
+  (``KernelRewriter.conjugation_columns``).
 
 Both routes hand their generator matrices to one walk, ``_holonomy``,
-which carries one probe row along the breadth-first transversal tree
-of a coset table, v M(c) = (v M(parent)) M(s_y) (the action is a
-homomorphism, M(uv) = M(u) M(v)).  A coset in the kernel fixes every
-row, so only the cosets that fix the probe are multiplied out in full
-and compared with the identity; the witnesses are exactly the cosets
-whose full matrix is the identity.
+as lists of sparse ``{row: value}`` columns; ``theta_faithfulness``
+checks its closed forms on those same columns, with sparse column
+products (``matrices.mul_columns``).  The walk carries one probe row
+along the breadth-first transversal tree of a coset table,
+v M(c) = (v M(parent)) M(s_y) (the action is a homomorphism,
+M(uv) = M(u) M(v)), and holds only the probes of the frontier: along a
+breadth-first table the parents never decrease, so a probe is dropped
+once the walk is past its coset's last child (S_8 holds at most 3897 of
+its 40,320 probes).  A coset in the kernel fixes every row, so only the
+cosets that fix the probe are multiplied out in full and compared with
+the identity; the witnesses are exactly the cosets whose full matrix
+is the identity.
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -48,7 +56,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
-from .matrices import Matrix, _listed, _mul_listed, identity_rows
+from .matrices import Matrix, mul_columns
 from .rewriting import CosetTable, KernelRewriter, coset_table
 
 
@@ -116,22 +124,25 @@ def theta_faithfulness(n: int) -> HolonomyReport:
 
     Verifies first that the generator matrices are commuting involutions
     (so the formulas really define an action of the elementary abelian
-    group), then walks the 2^(n-1) cosets of the mod-2 abelianization
-    of the twin group (no odd bonds, so one coset per subset) and
+    group), with products of their sparse columns, then walks the
+    2^(n-1) cosets of the mod-2 abelianization of the twin group (no
+    odd bonds, so one coset per subset) with those same columns and
     reports every subset acting trivially.
     """
     if not 3 <= n <= 12:
         raise ValueError(f"need 3 <= n <= 12, got {n}")
-    mats = [theta_generator_matrix(n, k) for k in range(1, n)]
-    for i, a in enumerate(mats):
-        if not (a * a).is_identity():
+    gens = [[{i: x for i, x in enumerate(col) if x}
+             for col in zip(*theta_generator_matrix(n, k).rows)]
+            for k in range(1, n)]
+    ident = [{j: 1} for j in range(len(gens[0]))]
+    for i, a in enumerate(gens):
+        if mul_columns(a, a) != ident:
             raise ArithmeticError(f"generator class {i + 1} is not an involution")
-        for b in mats[i + 1:]:
-            if a * b != b * a:
+        for b in gens[i + 1:]:
+            if mul_columns(a, b) != mul_columns(b, a):
                 raise ArithmeticError("generator classes fail to commute")
     qmap = quotient_map(twin(n), "mod2_abelian")
-    return _holonomy(qmap, coset_table(qmap), [m.rows for m in mats],
-                     mats[0].dimension)
+    return _holonomy(qmap, coset_table(qmap), gens, len(ident))
 
 
 def _quotient_label(qmap: FiniteQuotientMap, family: Optional[str]) -> str:
@@ -154,34 +165,51 @@ def _quotient_label(qmap: FiniteQuotientMap, family: Optional[str]) -> str:
 def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
               dim: int, torsion: tuple[int, ...] = (),
               family: Optional[str] = None) -> HolonomyReport:
-    """The action of every coset of ``table``, from the row tuples of
-    the generator matrices ``gens``, as a faithfulness report.
+    """The action of every coset of ``table``, from the sparse columns
+    of the generator matrices ``gens``, as a faithfulness report.
 
-    Each generator matrix is listed once for ``matrices._mul_listed``,
-    and ``gens`` is read once, so a generator spares the dense copies.
-    The walk carries one probe row, (1, 2, ..., dim), times each coset's
-    matrix: coset c's representative is its tree parent's word plus one
-    letter y, so its row is the parent's row times M(s_y), and the
-    parent is c.y, since generator actions are involutions.  A coset
-    that acts trivially fixes every row, so only a coset that fixes the
-    probe can be in the kernel; its full matrix is multiplied out along
-    its word and compared with the identity.  Kernel witnesses come in
-    table order.  ``family`` is passed on to the quotient's label.
+    ``gens`` is read once, one list of ``{row: value}`` columns per
+    generator, and each is turned into listed rows, the nonzero
+    ``(column, value)`` pairs of each row, which is what a row vector
+    times the matrix sums over.  The walk carries one probe row,
+    (1, 2, ..., dim), times each coset's matrix: coset c's
+    representative is its tree parent's word plus one letter y, so its
+    row is the parent's row times M(s_y), and the parent is c.y, since
+    generator actions are involutions.  The table is breadth first, so
+    parents never decrease along it: a probe is dropped once the walk
+    is past its coset's last child, and only the frontier is held.  A
+    coset that acts trivially fixes every row, so only a coset that
+    fixes the probe can be in the kernel, and ``_acts_trivially``
+    multiplies its action out along its word.  Kernel witnesses come
+    in table order.  ``family`` is passed on to the quotient's label.
     """
-    gens = [_listed(rows) for rows in gens]
-    ident = identity_rows(dim)
-    probes = [(tuple(range(1, dim + 1)),)]
+    rows = []
+    for cols in gens:
+        listed: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                listed[i].append((j, x))
+        rows.append(listed)
+    action, words = table.action, table.transversal
+    start = list(range(1, dim + 1))
+    probes: list = [None] * table.count
+    probes[0] = start
+    held = 0  # the probes of the cosets before this one are dropped
     witnesses = []
     for c in range(1, table.count):
-        word = table.transversal[c]
+        word = words[c]
         y = word[-1] - 1
-        probes.append(_mul_listed(probes[table.action[c][y]], gens[y], dim))
-        if probes[c] == probes[0]:
-            mat = ident
-            for x in word:
-                mat = _mul_listed(mat, gens[x - 1], dim)
-            if mat == ident:
-                witnesses.append(word)
+        parent = action[c][y]
+        while held < parent:
+            probes[held] = None
+            held += 1
+        probe = [0] * dim
+        for x, pairs in zip(probes[parent], rows[y]):
+            for j, v in pairs:
+                probe[j] += x * v
+        probes[c] = probe
+        if probe == start and _acts_trivially(word, rows, dim):
+            witnesses.append(word)
     return HolonomyReport(
         quotient=_quotient_label(qmap, family),
         dimension=dim,
@@ -192,20 +220,40 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
     )
 
 
+def _acts_trivially(word: Word, rows: list, dim: int) -> bool:
+    """Is the product of the generator matrices along ``word`` the
+    identity?  ``rows`` are the listed rows of ``_holonomy``; each unit
+    row is carried along the word as a sparse ``{column: value}`` row,
+    and the first that comes back moved answers no."""
+    for i in range(dim):
+        row = {i: 1}
+        for letter in word:
+            gen = rows[letter - 1]
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                for j, v in gen[k]:
+                    acc[j] = acc.get(j, 0) + x * v
+            row = {j: v for j, v in acc.items() if v}
+        if row != {i: 1}:
+            return False
+    return True
+
+
 def holonomy_via_conjugation(qmap: FiniteQuotientMap,
                              family: Optional[str] = None) -> HolonomyReport:
     """Conjugation action of a finite quotient on its kernel's
     abelianization, over every coset.
 
-    Only the generator matrices come from Schreier rewriting; the walk
-    over the cosets is ``_holonomy``.  Torsion of the abelianization
-    goes on the report as ``lattice_torsion``.  ``family`` names the
-    family the system was built as, for the report's label; without it
-    the label follows ``coxeter.family_of``, which cannot tell the
-    rank-1 systems apart and names them all twin.
+    Only the generators' sparse columns come from Schreier rewriting
+    (``KernelRewriter.conjugation_columns``), one generator at a time;
+    the walk over the cosets is ``_holonomy``.  Torsion of the
+    abelianization goes on the report as ``lattice_torsion``.
+    ``family`` names the family the system was built as, for the
+    report's label; without it the label follows ``coxeter.family_of``,
+    which cannot tell the rank-1 systems apart and names them all twin.
     """
     rewriter = KernelRewriter(qmap)
-    gens = (rewriter.conjugation_matrix((y,)).rows
+    gens = (rewriter.conjugation_columns((y,))
             for y in range(1, qmap.system.rank + 1))
     return _holonomy(qmap, rewriter.table, gens, rewriter.rank,
                      rewriter.torsion, family)

@@ -29,20 +29,15 @@ def identity_rows(d: int) -> Rows:
 
 
 def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
-    """a * b (entries reduced mod ``mod`` when given)."""
-    return _mul_listed(a, _listed(b), len(b[0]) if b else 0, mod)
+    """a * b (entries reduced mod ``mod`` when given).
 
-
-def _listed(b: Rows) -> list[list[tuple[int, int]]]:
-    """Each row of b as its nonzero (col, value) pairs."""
-    return [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
-
-
-def _mul_listed(a: Rows, b_pairs: list, width: int,
-                mod: Optional[int] = None) -> Rows:
-    """a * b for b given as ``_listed(b)`` with ``width`` columns: each
-    product row sums the listed rows of b over the nonzeros of that row
-    of a, so sparse factors cost only the products of their nonzeros."""
+    The nonzeros of each row of b are listed once, as (col, value)
+    pairs, and each product row sums those lists over the nonzeros of
+    that row of a, so sparse factors cost only the products of their
+    nonzeros.
+    """
+    width = len(b[0]) if b else 0
+    b_pairs = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
     out = []
     for row in a:
         acc = [0] * width
@@ -52,6 +47,23 @@ def _mul_listed(a: Rows, b_pairs: list, width: int,
                     acc[j] += x * y
         out.append(tuple(acc) if mod is None else tuple(s % mod for s in acc))
     return tuple(out)
+
+
+def mul_columns(a: list[dict[int, int]],
+                b: list[dict[int, int]]) -> list[dict[int, int]]:
+    """a * b for matrices given as sparse columns ``{row: value}``: column
+    j of the product sums the columns of a, weighted by the entries of
+    column j of b, and leaves its zero entries out."""
+    out = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for i, x in col.items():
+            for r, y in a[i].items():
+                acc[r] = acc.get(r, 0) + x * y
+        if 0 in acc.values():  # a sum cancelled
+            acc = {r: v for r, v in acc.items() if v}
+        out.append(acc)
+    return out
 
 
 def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:

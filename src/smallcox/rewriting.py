@@ -9,8 +9,8 @@ enumeration is ever needed:
   (``congruence.orbit``), recording the shortlex-least coset
   representative word and the action of each generator (all generator
   images are involutions, so the action table is its own inverse); it
-  is the one caller that asks ``orbit`` for its action table, which the
-  same breadth-first pass fills in;
+  is the one caller that asks ``orbit`` for its action table and words,
+  which the same breadth-first pass fills in;
 * ``KernelRewriter(qmap)`` builds the coset table itself
   (``rewriter.table``), so a quotient map is the one way in to a
   kernel, and names one generator per non-tree edge of the coset graph
@@ -33,17 +33,20 @@ enumeration is ever needed:
 * the abelianized kernel comes from the exponent sums of the same cell
   words (``KernelRewriter.cell_rows``): ``KernelRewriter.invariants``
   reads free rank and torsion off a bare Smith form of these rows;
-* ``KernelRewriter.conjugation_matrix`` computes the action that an
+* ``KernelRewriter.conjugation_columns`` computes the action that an
   ambient word induces on the free part of the abelianized kernel, for
-  the crystallographic checks.  It reads the Smith transform of the
-  cell rows sparse: each column's free coordinates are listed once from
-  V's free columns, and free basis vector i is the combination
-  ``free_rows[i]`` of columns, each column the class of the generator
-  ``schreier_word(t)`` that names it, so a matrix costs one scan
-  per column of each lift and V^-1 is never formed.  Abelianized, the
-  conjugate w g w^-1 is the kernel word g scanned from the coset of w,
-  since the scans of w and of w^-1 cancel.  Torsion never raises here,
-  and ``crystallo`` reports it;
+  the crystallographic checks, as sparse ``{row: value}`` columns, one
+  per free basis vector, summed sparse so that no rank x rank array is
+  ever made.  It reads the Smith transform of the cell rows sparse:
+  each column's free coordinates are listed once from V's free columns,
+  and free basis vector i is the combination ``free_rows[i]`` of
+  columns, each column the class of the generator ``schreier_word(t)``
+  that names it, so the action costs one scan per column of each lift
+  and V^-1 is never formed.  Abelianized, the conjugate w g w^-1 is the
+  kernel word g scanned from the coset of w, since the scans of w and
+  of w^-1 cancel.  ``conjugation_matrix`` is the same action made
+  dense, for the cross-check of ``crystallo.theta_cross_check``.
+  Torsion never raises here, and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
   this package cares about; each generator lists the relators that may
@@ -134,22 +137,15 @@ class CosetTable(NamedTuple):
 
 
 def coset_table(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP) -> CosetTable:
-    r = qmap.system.rank
-    _, action = orbit(qmap.identity_image, qmap.step, r, cap,
-                      with_action=True)
-    # coset t is discovered at the first table entry that names it, and
-    # its representative extends that entry's coset by one letter
-    words: list[Word] = [()]
-    for c, row in enumerate(action):
-        for y, t in enumerate(row):
-            if t == len(words):
-                words.append(words[c] + (y + 1,))
-    table = CosetTable(tuple(words), tuple(action))
-    for c in range(table.count):
-        for y in range(r):
-            if table.action[table.action[c][y]][y] != c:
-                raise RelationCheckError("generator action is not an involution")
-    return table
+    _, action, words = orbit(qmap.identity_image, qmap.step,
+                             qmap.system.rank, cap, with_action=True)
+    # a column of the action is an involution when, read at its own
+    # entries, it gives back 0..N-1
+    cosets = list(range(len(action)))
+    for col in zip(*action):
+        if list(map(col.__getitem__, col)) != cosets:
+            raise RelationCheckError("generator action is not an involution")
+    return CosetTable(tuple(words), tuple(action))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ class KernelRewriter:
     crosses: + at the end that names column j, - at the other (a fixed
     point has only the one end), 0 on a tree edge.  ``_scan`` walks a
     word letter by letter, reading ``_fold``; ambient words are
-    positive, and ``free_coordinates`` and ``conjugation_matrix`` check
+    positive, and ``free_coordinates`` and ``conjugation_columns`` check
     theirs with ``system.check_word``.
 
     ``presentation`` presents the kernel on one generator per column,
@@ -221,7 +217,7 @@ class KernelRewriter:
     ``cell_rows`` are the exponent sums of the same words.
     ``invariants`` reads rank and torsion off a bare Smith form of these
     rows; ``smith`` is the one with the transform, which ``rank``,
-    ``torsion``, ``free_coordinates`` and ``conjugation_matrix`` read.
+    ``torsion``, ``free_coordinates`` and ``conjugation_columns`` read.
     None of them builds ``presentation``, and it builds none of them.
     A conjugate w g w^-1 is abelianized as the kernel word g scanned
     from the coset of w.
@@ -373,29 +369,43 @@ class KernelRewriter:
                 out[i] += x * y
         return tuple(out)
 
-    def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
-        """Matrix of x -> w x w^-1 on the free abelianized kernel.
+    def conjugation_columns(self, word: Sequence[int]) -> list[dict[int, int]]:
+        """Columns of x -> w x w^-1 on the free abelianized kernel, sparse.
 
-        Columns are the images of the free basis vectors, so the map is
-        a homomorphism in ambient words: M(uv) = M(u) M(v).  The free
-        part is well defined with or without torsion.
+        Column i is the image of free basis vector i, as ``{row: value}``
+        with zero entries left out, so the map is a homomorphism in
+        ambient words: M(uv) = M(u) M(v).  The free part is well defined
+        with or without torsion.
         """
         # abelianized, the scans of w from coset 0 and of w^-1 back from
         # the coset d of w cross the same edges with opposite signs, so
         # a conjugate w g w^-1 is the kernel word g scanned from d
         d = self._scan(self.system.check_word(word), closed=False)[1]
+        coords = self._coordinates
         # basis vector i is the combination free_rows[i] of columns, and
         # column t is the class of the generator schreier_word(t), so its
         # image is that combination of the images of their conjugates
         cols = []
         for lift in self.smith.free_rows:
-            col = [0] * self.rank
+            col: dict[int, int] = {}
             for t, x in lift.items():
-                image = self._free(
-                    self._abelian_row(self.schreier_word(t), d))
-                col = [c + x * y for c, y in zip(col, image)]
+                row = self._abelian_row(self.schreier_word(t), d)
+                for s, e in row.items():
+                    for i, y in coords[s]:
+                        col[i] = col.get(i, 0) + x * e * y
+            if 0 in col.values():  # a sum cancelled
+                col = {i: v for i, v in col.items() if v}
             cols.append(col)
-        return Matrix.canonical(tuple(zip(*cols)))
+        return cols
+
+    def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
+        """``conjugation_columns(word)`` as a dense matrix."""
+        cols = self.conjugation_columns(word)
+        rows = [[0] * len(cols) for _ in cols]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Matrix.canonical(tuple(map(tuple, rows)))
 
 
 def _exponent_row(word: Sequence[int]) -> dict[int, int]:

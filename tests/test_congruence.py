@@ -140,12 +140,15 @@ class TestOrbit:
     def test_action_table_leaves_the_elements_alone(self, family, kind, m):
         qmap = quotient_map(family(5), kind, m)
         bare = orbit(qmap.identity_image, qmap.step, 4)
-        elements, action = orbit(qmap.identity_image, qmap.step, 4,
-                                 with_action=True)
+        elements, action, words = orbit(qmap.identity_image, qmap.step, 4,
+                                        with_action=True)
         assert elements == bare
         position = {x: i for i, x in enumerate(bare)}
         assert action == [tuple(position[qmap.step(x, k)] for k in range(4))
                           for x in bare]
+        # each word reaches its element, and the words are shortlex
+        assert [qmap.image_of_word(w) for w in words] == bare
+        assert words == sorted(words, key=lambda w: (len(w), w))
 
     @pytest.mark.parametrize("with_action", [False, True])
     def test_budget_error_names_the_elements_expanded(self, with_action):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from smallcox import crystallo, rewriting
@@ -109,15 +111,28 @@ class TestHolonomyViaConjugation:
 
     def test_rewrites_generators_only(self, monkeypatch):
         calls = []
-        direct = KernelRewriter.conjugation_matrix
+        direct = KernelRewriter.conjugation_columns
 
         def counted(self, word):
             calls.append(tuple(word))
             return direct(self, word)
 
-        monkeypatch.setattr(KernelRewriter, "conjugation_matrix", counted)
+        monkeypatch.setattr(KernelRewriter, "conjugation_columns", counted)
         holonomy_via_conjugation(quotient_map(twin(4), "symmetric"))
         assert calls == [(1,), (2,), (3,)]
+
+    @pytest.mark.parametrize("family,rank", [(twin, 31), (triplet, 61)])
+    def test_never_builds_a_dense_conjugation_matrix(self, monkeypatch,
+                                                     family, rank):
+        # the walk reads the generators' sparse columns, so no rank x rank
+        # matrix is ever made
+        def dense(self, word):
+            raise AssertionError("dense conjugation matrix built")
+
+        monkeypatch.setattr(KernelRewriter, "conjugation_matrix", dense)
+        report = holonomy_via_conjugation(
+            quotient_map(family(5), "symmetric"))
+        assert report.faithful and report.dimension == rank
 
     def test_never_builds_the_dense_transform(self, monkeypatch):
         # the PT_5 holonomy reads V's sparse columns only, so the dense
@@ -226,37 +241,58 @@ def _holonomy_reference(qmap):
             for t, x in lift.items():
                 image = free((y,) + schreier_word(t) + (-y,))
                 col = [c + x * v for c, v in zip(col, image)]
-            cols.append(col)
-        gens.append(tuple(zip(*cols)))
+            cols.append({i: v for i, v in enumerate(col) if v})
+        gens.append(cols)
     return _holonomy(qmap, table, gens, rank, sm.torsion)
 
 
 class TestProbeWalk:
     def test_a_probe_fixer_outside_the_kernel_is_multiplied_out(self):
-        # generator 1 is an involution that fixes the probe (1, 2) but is
-        # not the identity, so cosets (1,) and (1, 2) pass the probe and
-        # only their full products reject them
+        # generator 1, with rows (-1, 0) and (1, 1), is an involution
+        # that fixes the probe (1, 2) but is not the identity, so cosets
+        # (1,) and (1, 2) pass the probe and only their full products
+        # reject them; generators go in as sparse columns
         qmap = quotient_map(twin(3), "mod2_abelian")
         report = _holonomy(qmap, coset_table(qmap),
-                           [((-1, 0), (1, 1)), ((1, 0), (0, 1))], 2)
+                           [[{0: -1, 1: 1}, {1: 1}], [{0: 1}, {1: 1}]], 2)
         assert report.kernel_witnesses == ((2,),)
         assert not report.faithful
 
     def test_faithful_actions_form_no_full_product(self, monkeypatch):
         # a faithful action moves the probe at every coset but the first,
-        # so the walk multiplies one-row matrices only
-        rows_in = []
-        listed = crystallo._mul_listed
+        # so the walk multiplies the probe only
+        words = []
+        full = crystallo._acts_trivially
 
-        def counted(a, *rest):
-            rows_in.append(len(a))
-            return listed(a, *rest)
+        def counted(word, *rest):
+            words.append(word)
+            return full(word, *rest)
 
-        monkeypatch.setattr(crystallo, "_mul_listed", counted)
+        monkeypatch.setattr(crystallo, "_acts_trivially", counted)
         assert holonomy_via_conjugation(
             quotient_map(twin(5), "symmetric")).faithful
         assert theta_faithfulness(8).faithful
-        assert rows_in == [1] * (119 + 127)
+        assert words == []
+        # the control: the rotation kernel of T_3 is multiplied out
+        assert not holonomy_via_conjugation(
+            quotient_map(twin(3), "symmetric")).faithful
+        assert words == [(1, 2), (2, 1)]
+
+    def test_only_the_frontier_of_probes_is_held(self):
+        # the walk drops each probe once it is past that coset's last
+        # child, so its peak stays below the count x dim slots that one
+        # probe row per coset of PT_6 would take (720 x 111 x 8 bytes)
+        qmap = quotient_map(twin(6), "symmetric")
+        rewriter = KernelRewriter(qmap)
+        gens = [rewriter.conjugation_columns((y,)) for y in range(1, 6)]
+        tracemalloc.start()
+        try:
+            report = _holonomy(qmap, rewriter.table, gens, rewriter.rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.faithful
+        assert peak < rewriter.table.count * rewriter.rank * 8
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -307,3 +343,13 @@ class TestThetaFailures:
                             lambda n, k: swap if k == 1 else flip)
         with pytest.raises(ArithmeticError, match="fail to commute"):
             theta_faithfulness(4)
+
+    def test_faithfulness_checks_every_pair(self, monkeypatch):
+        # only classes 3 and 5 fail to commute, so a check that stopped
+        # at the pairs of class 1 would let this through
+        mats = {3: Matrix(((0, 1), (1, 0))), 5: Matrix(((-1, 0), (0, 1)))}
+        monkeypatch.setattr(crystallo, "theta_generator_matrix",
+                            lambda n, k: mats.get(k, Matrix.identity(2)))
+        with pytest.raises(ArithmeticError,
+                           match="^generator classes fail to commute$"):
+            theta_faithfulness(6)

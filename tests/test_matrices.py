@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcox.matrices import (Matrix, det_rows, format_matrix, mul_rows,
-                               parse_matrix, pow_rows, smith_normal_form)
+from smallcox.matrices import (Matrix, det_rows, format_matrix, mul_columns,
+                               mul_rows, parse_matrix, pow_rows,
+                               smith_normal_form)
 
 
 class TestIntMatrix:
@@ -100,6 +101,36 @@ class TestIntMatrix:
         for m in (2, 7, 1000):
             assert mul_rows(a, b, m) == tuple(
                 tuple(e % m for e in row) for row in expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_product_matches_the_row_product(self, seed):
+        # the same seeded factors as sparse {row: value} columns, zero
+        # entries left out of the factors and of the product
+        rng = random.Random(seed)
+        rows, inner, cols = (rng.randint(1, 30) for _ in range(3))
+        zero_share = 0.9 if seed % 2 else 0.3
+
+        def draw(r, c):
+            return tuple(tuple(0 if rng.random() < zero_share
+                               else rng.randint(-3, 3) for _ in range(c))
+                         for _ in range(r))
+
+        def columns(m):
+            return [{i: x for i, x in enumerate(col) if x}
+                    for col in zip(*m)]
+
+        a, b = draw(rows, inner), draw(inner, cols)
+        assert mul_columns(columns(a), columns(b)) == \
+            columns(mul_rows(a, b))
+
+    def test_column_product_of_involutions_is_the_identity(self):
+        swap = [{1: 1}, {0: 1}]
+        flip = [{0: -1}, {1: 1}]
+        assert mul_columns(swap, swap) == mul_columns(flip, flip) == \
+            [{0: 1}, {1: 1}]
+        assert mul_columns(swap, flip) == [{1: -1}, {0: 1}]
+        assert mul_columns(flip, swap) == [{1: 1}, {0: -1}]
+        assert mul_columns([], []) == []
 
     def test_text_round_trip(self):
         a = Matrix(((7, -6, 24), (6, -5, 18), (0, 0, 1)))

@@ -13,7 +13,7 @@ from smallcox.coxeter import (CoxeterError, parse_coxeter_matrix,
                               racg_system, relators, simple_graph,
                               symmetric, triplet, twin, universal)
 from smallcox.crystallo import holonomy_via_conjugation
-from smallcox.matrices import Matrix, smith_normal_form
+from smallcox.matrices import Matrix, mul_columns, smith_normal_form
 from smallcox.perms import adjacent_transposition, identity, multiply
 from smallcox.rewriting import (AbelianInvariants, KernelRewriter,
                                 Presentation, RelationCheckError,
@@ -214,6 +214,20 @@ class TestCosetTable:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             coset_table(quotient_map(triplet(4), "symmetric"), cap=5)
+
+    @pytest.mark.parametrize("family", [twin, triplet])
+    @pytest.mark.parametrize("kind,m", [("symmetric", None),
+                                        ("mod2_abelian", None),
+                                        ("modular", 4)])
+    def test_parents_never_decrease(self, family, kind, m):
+        # coset c's parent is c.y for its last letter y; the holonomy
+        # walk drops each probe past its coset's last child on this
+        table = coset_table(quotient_map(family(5), kind, m))
+        parents = [table.action[c][word[-1] - 1]
+                   for c, word in enumerate(table.transversal) if word]
+        assert parents == sorted(parents)
+        assert all(table.transversal[p] + word[-1:] == word for p, word in
+                   zip(parents, table.transversal[1:]))
 
     def test_involution_check_of_the_coset_table(self):
         # s_1 sends both 2 and 3 to 3; the relator check from the
@@ -853,6 +867,16 @@ class TestAbelianInvariants:
         assert str(AbelianInvariants(2, (2, 4))) == "Z^2 + Z_2 + Z_4"
 
 
+_COLUMN_MAPS = [
+    quotient_map(twin(4), "symmetric"), quotient_map(twin(5), "symmetric"),
+    quotient_map(triplet(4), "symmetric"),
+    quotient_map(triplet(5), "symmetric"),
+    quotient_map(twin(4), "modular", 3), quotient_map(twin(5), "mod2_abelian"),
+    _onto_z2_with_s3_trivial()]
+_COLUMN_IDS = ["PT_4", "PT_5", "PL_4", "PL_5", "twin4-mod3", "twin5-mod2",
+               "onto-z2"]
+
+
 class TestConjugation:
     def test_rank_one_kernel_inverted_by_generator(self):
         mat = KernelRewriter(quotient_map(twin(3), "symmetric")) \
@@ -976,6 +1000,41 @@ class TestConjugation:
             x = rewriter.free_coordinates(g)
             assert tuple(sum(a * b for a, b in zip(row, x)) for row in
                          rewriter.conjugation_matrix(w).rows) == coords
+
+    @pytest.mark.parametrize("qmap", _COLUMN_MAPS, ids=_COLUMN_IDS)
+    def test_columns_are_the_columns_of_the_matrix(self, qmap):
+        # and each column is, independently, the free coordinates of the
+        # conjugates w g w^-1 of the generators that lift its basis
+        # vector, each rewritten whole from coset 0
+        rewriter = KernelRewriter(qmap)
+        r, rng = qmap.system.rank, random.Random(23)
+        words = [(y,) for y in range(1, r + 1)] + [
+            _random_word(rng, r, rng.randrange(0, 9)) for _ in range(12)]
+        for w in words:
+            cols = rewriter.conjugation_columns(w)
+            assert len(cols) == rewriter.rank
+            assert all(0 not in col.values() for col in cols)
+            assert cols == [{i: x for i, x in enumerate(col) if x} for col in
+                            zip(*rewriter.conjugation_matrix(w).rows)]
+            for col, lift in zip(cols, rewriter.smith.free_rows):
+                image = [0] * rewriter.rank
+                for t, x in lift.items():
+                    conjugate = w + rewriter.schreier_word(t) + w[::-1]
+                    image = [a + x * b for a, b in zip(
+                        image, rewriter.free_coordinates(conjugate))]
+                assert col == {i: v for i, v in enumerate(image) if v}
+
+    @pytest.mark.parametrize("qmap", _COLUMN_MAPS, ids=_COLUMN_IDS)
+    def test_columns_multiply_along_the_word(self, qmap):
+        # M(uv) = M(u) M(v), as sparse column products
+        rewriter = KernelRewriter(qmap)
+        r, rng = qmap.system.rank, random.Random(29)
+        for _ in range(12):
+            u = _random_word(rng, r, rng.randrange(0, 6))
+            v = _random_word(rng, r, rng.randrange(0, 6))
+            assert rewriter.conjugation_columns(u + v) == mul_columns(
+                rewriter.conjugation_columns(u),
+                rewriter.conjugation_columns(v))
 
     def test_torsion_reported(self):
         # L_4'/L_4'' is Z_3 + Z_3: the report carries the torsion and the
