@@ -36,9 +36,9 @@ M(uv) = M(u) M(v)), and holds only the probes of the frontier: along a
 breadth-first table the parents never decrease, so a probe is dropped
 once the walk is past its coset's last child (S_8 holds at most 3897 of
 its 40,320 probes).  A coset in the kernel fixes every row, so only the
-cosets that fix the probe are multiplied out in full and compared with
-the identity; the witnesses are exactly the cosets whose full matrix
-is the identity.
+cosets that fix the probe are multiplied out in full, with the same
+sparse column products, and compared with the identity; the witnesses
+are exactly the cosets whose full matrix is the identity.
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates.
@@ -52,11 +52,12 @@ is always reported on the ``HolonomyReport``, never raised; only
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, NamedTuple, Optional
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
-from .matrices import Matrix, mul_columns
+from .matrices import Matrix, mul_columns, transpose
 from .rewriting import CosetTable, KernelRewriter, coset_table
 
 
@@ -168,10 +169,10 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
     """The action of every coset of ``table``, from the sparse columns
     of the generator matrices ``gens``, as a faithfulness report.
 
-    ``gens`` is read once, one list of ``{row: value}`` columns per
-    generator, and each is turned into listed rows, the nonzero
-    ``(column, value)`` pairs of each row, which is what a row vector
-    times the matrix sums over.  The walk carries one probe row,
+    ``gens`` holds one list of ``{row: value}`` columns per generator,
+    and each is also listed by rows (``matrices.transpose``), as the
+    nonzero ``(column, value)`` pairs of each row, which is what a row
+    vector times the matrix sums over.  The walk carries one probe row,
     (1, 2, ..., dim), times each coset's matrix: coset c's
     representative is its tree parent's word plus one letter y, so its
     row is the parent's row times M(s_y), and the parent is c.y, since
@@ -179,17 +180,14 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
     parents never decrease along it: a probe is dropped once the walk
     is past its coset's last child, and only the frontier is held.  A
     coset that acts trivially fixes every row, so only a coset that
-    fixes the probe can be in the kernel, and ``_acts_trivially``
-    multiplies its action out along its word.  Kernel witnesses come
-    in table order.  ``family`` is passed on to the quotient's label.
+    fixes the probe can be in the kernel, and its action is multiplied
+    out along its word (``matrices.mul_columns``) and compared with the
+    identity.  Kernel witnesses come in table order.  ``family`` is
+    passed on to the quotient's label.
     """
-    rows = []
-    for cols in gens:
-        listed: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                listed[i].append((j, x))
-        rows.append(listed)
+    gens = list(gens)
+    rows = [[list(r.items()) for r in transpose(cols, dim)] for cols in gens]
+    ident = [{j: 1} for j in range(dim)]
     action, words = table.action, table.transversal
     start = list(range(1, dim + 1))
     probes: list = [None] * table.count
@@ -208,7 +206,8 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
             for j, v in pairs:
                 probe[j] += x * v
         probes[c] = probe
-        if probe == start and _acts_trivially(word, rows, dim):
+        if probe == start and reduce(
+                mul_columns, [gens[x - 1] for x in word]) == ident:
             witnesses.append(word)
     return HolonomyReport(
         quotient=_quotient_label(qmap, family),
@@ -218,25 +217,6 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
         kernel_witnesses=tuple(witnesses),
         lattice_torsion=torsion,
     )
-
-
-def _acts_trivially(word: Word, rows: list, dim: int) -> bool:
-    """Is the product of the generator matrices along ``word`` the
-    identity?  ``rows`` are the listed rows of ``_holonomy``; each unit
-    row is carried along the word as a sparse ``{column: value}`` row,
-    and the first that comes back moved answers no."""
-    for i in range(dim):
-        row = {i: 1}
-        for letter in word:
-            gen = rows[letter - 1]
-            acc: dict[int, int] = {}
-            for k, x in row.items():
-                for j, v in gen[k]:
-                    acc[j] = acc.get(j, 0) + x * v
-            row = {j: v for j, v in acc.items() if v}
-        if row != {i: 1}:
-            return False
-    return True
 
 
 def holonomy_via_conjugation(qmap: FiniteQuotientMap,

@@ -8,6 +8,12 @@ reduces its entries; ``Matrix.canonical(rows, m)`` takes rows that are
 already in that form, as products are, and renormalises nothing.
 ``reduce(m)`` passes to Z/m.
 
+The sparse-column form lists a matrix as its columns, each a
+``{row: value}`` dict with the zero entries left out; the Smith
+transform and the holonomy walk both compute in it, with three
+operations: ``mul_columns`` (the product), ``transpose`` (the rows, as
+sparse ``{column: value}`` dicts) and ``dense_rows`` (the dense view).
+
 Text formats: one row per line, whitespace-separated decimal integers.
 A modular matrix carries an extra first line ``mod m``.
 """
@@ -15,7 +21,7 @@ A modular matrix carries an extra first line ``mod m``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -49,11 +55,16 @@ def mul_rows(a: Rows, b: Rows, mod: Optional[int] = None) -> Rows:
     return tuple(out)
 
 
-def mul_columns(a: list[dict[int, int]],
-                b: list[dict[int, int]]) -> list[dict[int, int]]:
+Columns = Sequence[dict[int, int]]
+
+
+def mul_columns(a: Union[Columns, Mapping[int, dict[int, int]]],
+                b: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     """a * b for matrices given as sparse columns ``{row: value}``: column
     j of the product sums the columns of a, weighted by the entries of
-    column j of b, and leaves its zero entries out."""
+    column j of b, and leaves its zero entries out.  ``a`` is any
+    mapping indexed by row of b: a list, or a dict of the columns that
+    b reads."""
     out = []
     for col in b:
         acc: dict[int, int] = {}
@@ -64,6 +75,25 @@ def mul_columns(a: list[dict[int, int]],
             acc = {r: v for r, v in acc.items() if v}
         out.append(acc)
     return out
+
+
+def transpose(columns: Columns, nrows: int) -> list[dict[int, int]]:
+    """The ``nrows`` rows of a matrix given as sparse columns, as sparse
+    ``{column: value}`` dicts: the sparse columns of its transpose."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def dense_rows(columns: Columns, nrows: int) -> Rows:
+    """A matrix given as sparse columns, as ``nrows`` dense row tuples."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return tuple(map(tuple, rows))
 
 
 def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
@@ -257,11 +287,7 @@ class SmithForm(NamedTuple):
     def v(self) -> Optional[Rows]:
         if self.columns is None:
             return None
-        rows = [[0] * self.ncols for _ in range(self.ncols)]
-        for i, col in enumerate(self.columns):
-            for t, x in col.items():
-                rows[t][i] = x
-        return tuple(map(tuple, rows))
+        return dense_rows(self.columns, self.ncols)
 
 
 def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,

@@ -37,15 +37,17 @@ enumeration is ever needed:
   ambient word induces on the free part of the abelianized kernel, for
   the crystallographic checks, as sparse ``{row: value}`` columns, one
   per free basis vector, summed sparse so that no rank x rank array is
-  ever made.  It reads the Smith transform of the cell rows sparse:
-  each column's free coordinates are listed once from V's free columns,
-  and free basis vector i is the combination ``free_rows[i]`` of
-  columns, each column the class of the generator ``schreier_word(t)``
-  that names it, so the action costs one scan per column of each lift
-  and V^-1 is never formed.  Abelianized, the conjugate w g w^-1 is the
-  kernel word g scanned from the coset of w, since the scans of w and
-  of w^-1 cancel.  ``conjugation_matrix`` is the same action made
-  dense, for the cross-check of ``crystallo.theta_cross_check``.
+  ever made.  It reads the Smith transform of the cell rows sparse,
+  with the sparse-column operations of ``matrices``: each column's free
+  coordinates are the ``transpose`` of V's free columns, and free basis
+  vector i is the combination ``free_rows[i]`` of columns, each column
+  the class of the generator ``schreier_word(t)`` that names it, so the
+  action is two ``mul_columns`` products after one scan per column of
+  the lifts, and V^-1 is never formed.  Abelianized, the conjugate
+  w g w^-1 is the kernel word g scanned from the coset of w, since the
+  scans of w and of w^-1 cancel.  ``conjugation_matrix`` is the same
+  action made dense (``dense_rows``), for the cross-check of
+  ``crystallo.theta_cross_check``.
   Torsion never raises here, and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
@@ -77,7 +79,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .congruence import (DEFAULT_CAP, FiniteQuotientMap, RelationCheckError,
                          orbit, quotient_map)
 from .coxeter import Word, relators
-from .matrices import Matrix, SmithForm, smith_normal_form
+from .matrices import (Matrix, SmithForm, dense_rows, mul_columns,
+                       smith_normal_form, transpose)
 
 SignedWord = tuple[int, ...]
 
@@ -344,30 +347,19 @@ class KernelRewriter:
         return self.smith.torsion
 
     @cached_property
-    def _coordinates(self) -> list[list[tuple[int, int]]]:
-        """Each column's free coordinates as sparse ``(free index,
-        value)`` pairs, read off V's free columns."""
+    def _coordinates(self) -> list[dict[int, int]]:
+        """Each column's free coordinates as a sparse ``{free index:
+        value}`` dict: the rows of V's free columns."""
         sm = self.smith
-        coords: list[list[tuple[int, int]]] = [[] for _ in self.columns]
-        for i, col in enumerate(sm.columns[len(sm.divisors):]):
-            for t, x in col.items():
-                coords[t].append((i, x))
-        return coords
+        return transpose(sm.columns[len(sm.divisors):], len(self.columns))
 
     def free_coordinates(self, word: Sequence[int],
                          start: int = 0) -> tuple[int, ...]:
         """Coordinates of a kernel word rewritten from coset ``start``
         in the free part of the abelianized kernel (the Smith basis)."""
-        return self._free(self._abelian_row(self.system.check_word(word),
-                                            start))
-
-    def _free(self, row: dict[int, int]) -> tuple[int, ...]:
-        coords = self._coordinates
-        out = [0] * self.rank
-        for t, x in row.items():
-            for i, y in coords[t]:
-                out[i] += x * y
-        return tuple(out)
+        row = self._abelian_row(self.system.check_word(word), start)
+        col = mul_columns(self._coordinates, [row])[0]
+        return tuple(col.get(i, 0) for i in range(self.rank))
 
     def conjugation_columns(self, word: Sequence[int]) -> list[dict[int, int]]:
         """Columns of x -> w x w^-1 on the free abelianized kernel, sparse.
@@ -381,31 +373,18 @@ class KernelRewriter:
         # the coset d of w cross the same edges with opposite signs, so
         # a conjugate w g w^-1 is the kernel word g scanned from d
         d = self._scan(self.system.check_word(word), closed=False)[1]
-        coords = self._coordinates
         # basis vector i is the combination free_rows[i] of columns, and
         # column t is the class of the generator schreier_word(t), so its
         # image is that combination of the images of their conjugates
-        cols = []
-        for lift in self.smith.free_rows:
-            col: dict[int, int] = {}
-            for t, x in lift.items():
-                row = self._abelian_row(self.schreier_word(t), d)
-                for s, e in row.items():
-                    for i, y in coords[s]:
-                        col[i] = col.get(i, 0) + x * e * y
-            if 0 in col.values():  # a sum cancelled
-                col = {i: v for i, v in col.items() if v}
-            cols.append(col)
-        return cols
+        lifts = self.smith.free_rows
+        images = {t: self._abelian_row(self.schreier_word(t), d)
+                  for lift in lifts for t in lift}
+        return mul_columns(self._coordinates, mul_columns(images, lifts))
 
     def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
         """``conjugation_columns(word)`` as a dense matrix."""
         cols = self.conjugation_columns(word)
-        rows = [[0] * len(cols) for _ in cols]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return Matrix.canonical(tuple(map(tuple, rows)))
+        return Matrix.canonical(dense_rows(cols, len(cols)))
 
 
 def _exponent_row(word: Sequence[int]) -> dict[int, int]:

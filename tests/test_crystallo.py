@@ -260,23 +260,38 @@ class TestProbeWalk:
 
     def test_faithful_actions_form_no_full_product(self, monkeypatch):
         # a faithful action moves the probe at every coset but the first,
-        # so the walk multiplies the probe only
-        words = []
-        full = crystallo._acts_trivially
+        # so the walk multiplies the probe only and never calls for a
+        # column product; _holonomy is called directly, since
+        # theta_faithfulness checks its generators with column products
+        def conjugation(qmap):
+            rewriter = KernelRewriter(qmap)
+            gens = [rewriter.conjugation_columns((y,))
+                    for y in range(1, qmap.system.rank + 1)]
+            return qmap, rewriter.table, gens, rewriter.rank
 
-        def counted(word, *rest):
-            words.append(word)
-            return full(word, *rest)
+        theta_map = quotient_map(twin(8), "mod2_abelian")
+        theta = [[{i: x for i, x in enumerate(col) if x}
+                  for col in zip(*theta_generator_matrix(8, k).rows)]
+                 for k in range(1, 8)]
+        walks = [conjugation(quotient_map(twin(5), "symmetric")),
+                 (theta_map, coset_table(theta_map), theta, 11)]
+        control = conjugation(quotient_map(twin(3), "symmetric"))
+        calls = []
+        full = crystallo.mul_columns
 
-        monkeypatch.setattr(crystallo, "_acts_trivially", counted)
-        assert holonomy_via_conjugation(
-            quotient_map(twin(5), "symmetric")).faithful
-        assert theta_faithfulness(8).faithful
-        assert words == []
-        # the control: the rotation kernel of T_3 is multiplied out
-        assert not holonomy_via_conjugation(
-            quotient_map(twin(3), "symmetric")).faithful
-        assert words == [(1, 2), (2, 1)]
+        def counted(a, b):
+            calls.append((a, b))
+            return full(a, b)
+
+        monkeypatch.setattr(crystallo, "mul_columns", counted)
+        for walk in walks:
+            assert _holonomy(*walk).faithful
+        assert calls == []
+        # the control: the rotation kernel of T_3 is multiplied out, one
+        # product for each two-letter witness
+        report = _holonomy(*control)
+        assert report.kernel_witnesses == ((1, 2), (2, 1))
+        assert len(calls) == 2
 
     def test_only_the_frontier_of_probes_is_held(self):
         # the walk drops each probe once it is past that coset's last

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallcox.matrices import (Matrix, det_rows, format_matrix, mul_columns,
-                               mul_rows, parse_matrix, pow_rows,
-                               smith_normal_form)
+from smallcox.matrices import (Matrix, dense_rows, det_rows, format_matrix,
+                               mul_columns, mul_rows, parse_matrix, pow_rows,
+                               smith_normal_form, transpose)
 
 
 class TestIntMatrix:
@@ -122,6 +122,13 @@ class TestIntMatrix:
         a, b = draw(rows, inner), draw(inner, cols)
         assert mul_columns(columns(a), columns(b)) == \
             columns(mul_rows(a, b))
+        # the dense view and the transpose of the same columns
+        assert dense_rows(columns(a), rows) == a
+        assert transpose(columns(a), rows) == columns(tuple(zip(*a)))
+        assert transpose(transpose(columns(a), rows), inner) == columns(a)
+        # a as a dict that holds only the columns that b reads
+        needed = {i: columns(a)[i] for col in columns(b) for i in col}
+        assert mul_columns(needed, columns(b)) == columns(mul_rows(a, b))
 
     def test_column_product_of_involutions_is_the_identity(self):
         swap = [{1: 1}, {0: 1}]

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from smallcox import cli, rewriting
 from smallcox.congruence import (BudgetExceededError, FiniteQuotientMap,
                                  odd_bond_classes)
-from smallcox.coxeter import (CoxeterError, parse_coxeter_matrix,
-                              racg_system, relators, simple_graph,
-                              symmetric, triplet, twin, universal)
+from smallcox.coxeter import (CoxeterError, build_system,
+                              parse_coxeter_matrix, racg_system, relators,
+                              simple_graph, symmetric, triplet, twin,
+                              universal)
 from smallcox.crystallo import holonomy_via_conjugation
 from smallcox.matrices import Matrix, mul_columns, smith_normal_form
 from smallcox.perms import adjacent_transposition, identity, multiply
@@ -872,9 +873,12 @@ _COLUMN_MAPS = [
     quotient_map(triplet(4), "symmetric"),
     quotient_map(triplet(5), "symmetric"),
     quotient_map(twin(4), "modular", 3), quotient_map(twin(5), "mod2_abelian"),
-    _onto_z2_with_s3_trivial()]
+    _onto_z2_with_s3_trivial(),
+    # kernel Z + Z_3 + Z_3: the free coordinates skip V's torsion columns
+    quotient_map(build_system([[1, 3, None], [3, 1, None], [None, None, 1]]),
+                 "mod2_abelian")]
 _COLUMN_IDS = ["PT_4", "PT_5", "PL_4", "PL_5", "twin4-mod3", "twin5-mod2",
-               "onto-z2"]
+               "onto-z2", "torsion-and-free"]
 
 
 class TestConjugation:
