@@ -11,9 +11,8 @@ free rank of the pure triplet group.
 """
 
 from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,
-                      all_graphs, build_system, complete_graph, family_of,
-                      is_small, named_system, parse_coxeter_matrix,
-                      parse_word, racg_join_decomposition, racg_system,
+                      build_system, family_of, is_small, named_system,
+                      parse_coxeter_matrix, parse_word, racg_system,
                       simple_graph, symmetric, triplet, twin, universal)
 from .matrices import Matrix, SmithForm, parse_matrix, smith_normal_form
 from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,

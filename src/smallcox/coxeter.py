@@ -17,7 +17,6 @@ over the integers (see :mod:`smallcox.tits`).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple, Optional
 
 INF = None  # infinite exponent marker; text token "inf"
@@ -213,7 +212,7 @@ def require_small(system: CoxeterSystem) -> None:
 
 
 # ---------------------------------------------------------------------------
-# simple graphs and the right-angled virtually-abelian criterion
+# simple graphs and their right-angled systems
 
 
 class SimpleGraph(NamedTuple):
@@ -239,48 +238,12 @@ def simple_graph(vertices: int, edges: Iterable[tuple[int, int]] = ()) -> Simple
     return SimpleGraph(vertices, frozenset(out))
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return simple_graph(n, [(i, j) for i in range(1, n + 1)
-                            for j in range(i + 1, n + 1)])
-
-
 def racg_system(graph: SimpleGraph) -> CoxeterSystem:
     """Right-angled system of a graph: adjacent vertices commute."""
     r = graph.vertices
     rows = [[1 if i == j else (2 if graph.has_edge(i + 1, j + 1) else INF)
              for j in range(r)] for i in range(r)]
     return build_system(rows)
-
-
-def racg_join_decomposition(graph: SimpleGraph) -> Optional[tuple[int, int]]:
-    """Detect when a right-angled group is virtually abelian.
-
-    Returns (m, k) when the graph is the join of a complete graph on m
-    vertices with k pairs of non-adjacent vertices, equivalently when
-    the complement graph has maximum degree <= 1 (m = isolated
-    complement vertices, k = complement edges).  Returns None otherwise.
-    The group of such a graph is Z_2^m x D_inf^k, of free rank k.
-    """
-    n = graph.vertices
-    comp_degree = [0] * (n + 1)
-    comp_edges = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not graph.has_edge(i, j):
-                comp_degree[i] += 1
-                comp_degree[j] += 1
-                comp_edges += 1
-    if any(d > 1 for d in comp_degree[1:]):
-        return None
-    m = sum(1 for d in comp_degree[1:] if d == 0)
-    return (m, comp_edges)
-
-
-def all_graphs(n: int):
-    """Every simple graph on n labelled vertices (2^(n choose 2) of them)."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        yield simple_graph(n, [p for p, b in zip(pairs, bits) if b])
 
 
 # ---------------------------------------------------------------------------

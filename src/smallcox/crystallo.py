@@ -41,7 +41,8 @@ sparse column products, and compared with the identity; the witnesses
 are exactly the cosets whose full matrix is the identity.
 
 ``theta_cross_check`` verifies that the two routes agree after the
-change of basis that expresses the b-classes in Schreier coordinates.
+change of basis that expresses the b-classes in Schreier coordinates,
+on the same sparse columns.
 Faithfulness is always certified by enumerating the whole finite
 holonomy group, never from a single witness element.
 
@@ -57,7 +58,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
-from .matrices import Matrix, mul_columns, transpose
+from .matrices import dense_rows, det_rows, mul_columns, transpose
 from .rewriting import CosetTable, KernelRewriter, coset_table
 
 
@@ -89,13 +90,15 @@ def _basis(n: int) -> list[tuple[int, int]]:
     return [(1, 0)] + [(j, p) for j in range(2, n - 1) for p in (0, 1)]
 
 
-def theta_generator_matrix(n: int, k: int) -> Matrix:
-    """Action of the k-th generator class on the rank-(2n-5) lattice.
+def theta_generator_matrix(n: int, k: int) -> list[dict[int, int]]:
+    """Action of the k-th generator class on the rank-(2n-5) lattice,
+    as sparse ``{row: value}`` columns, one per basis class.
 
     On the basis classes the action is: fix b(j) for j outside
     {k-2, k-1, k, k+1}; negate b(j) for j = k-1 or k; swap b0(j) and
-    b1(j) for j = k+1; and for j = k-2 add b0(j+1) - b1(j+1) to b(j).
-    The result is an involution with entries in {-1, 0, 1}.
+    b1(j) for j = k+1; and for j = k-2 add b0(j+1) - b1(j+1) to b(j),
+    so a column has one entry, or three for j = k-2.  The result is an
+    involution with entries in {-1, 0, 1}.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -105,19 +108,16 @@ def theta_generator_matrix(n: int, k: int) -> Matrix:
     index = {b: i for i, b in enumerate(basis)}
     cols = []
     for j, p in basis:
-        col = [0] * len(basis)
         if j in (k - 1, k):
-            col[index[j, p]] = -1
+            cols.append({index[j, p]: -1})
         elif j == k + 1:
-            col[index[j, 1 - p]] = 1
+            cols.append({index[j, 1 - p]: 1})
         elif j == k - 2:
-            col[index[j, p]] = 1
-            col[index[j + 1, 0]] = 1
-            col[index[j + 1, 1]] = -1
+            cols.append({index[j, p]: 1, index[j + 1, 0]: 1,
+                         index[j + 1, 1]: -1})
         else:
-            col[index[j, p]] = 1
-        cols.append(col)
-    return Matrix(tuple(zip(*cols)))
+            cols.append({index[j, p]: 1})
+    return cols
 
 
 def theta_faithfulness(n: int) -> HolonomyReport:
@@ -132,9 +132,7 @@ def theta_faithfulness(n: int) -> HolonomyReport:
     """
     if not 3 <= n <= 12:
         raise ValueError(f"need 3 <= n <= 12, got {n}")
-    gens = [[{i: x for i, x in enumerate(col) if x}
-             for col in zip(*theta_generator_matrix(n, k).rows)]
-            for k in range(1, n)]
+    gens = [theta_generator_matrix(n, k) for k in range(1, n)]
     ident = [{j: 1} for j in range(len(gens[0]))]
     for i, a in enumerate(gens):
         if mul_columns(a, a) != ident:
@@ -257,9 +255,9 @@ def theta_cross_check(n: int) -> bool:
 
     Runs the Schreier route over the mod-2 abelianization of the twin
     group and expresses the b-class dictionary in the Schreier basis as
-    the columns of B.  B must be unimodular (determinant +-1), else
-    BasisSpanError; then each generator's conjugation matrix C matches
-    Theta_k in the b-basis exactly when C B = B Theta_k.  A kernel
+    the sparse columns of B.  B must be unimodular (determinant +-1),
+    else BasisSpanError; then each generator's conjugation columns C
+    match Theta_k in the b-basis exactly when C B = B Theta_k.  A kernel
     abelianization with torsion raises LatticeTorsionError.
     """
     if n < 4:
@@ -272,13 +270,9 @@ def theta_cross_check(n: int) -> bool:
     if rewriter.rank != dim:
         raise BasisSpanError(
             f"kernel abelianization has rank {rewriter.rank}, expected {dim}")
-    coords = [rewriter.free_coordinates(beta_word(n, j, p)) for j, p in basis]
-    b_mat = Matrix(tuple(zip(*coords)))
-    if b_mat.det() not in (1, -1):
+    b_cols = [rewriter.free_coordinates(beta_word(n, j, p)) for j, p in basis]
+    if det_rows(dense_rows(b_cols, dim)) not in (1, -1):
         raise BasisSpanError("b-class dictionary is not a lattice basis")
-    for k in range(1, n):
-        conj = rewriter.conjugation_matrix((k,))
-        if conj * b_mat != b_mat * theta_generator_matrix(n, k):
-            return False
-    return True
-
+    return all(mul_columns(rewriter.conjugation_columns((k,)), b_cols)
+               == mul_columns(b_cols, theta_generator_matrix(n, k))
+               for k in range(1, n))

@@ -112,11 +112,12 @@ def pow_rows(a: Rows, k: int, mod: Optional[int] = None) -> Rows:
 class Matrix:
     """A square matrix over Z, or over Z/m when ``modulus`` is m.
 
-    The matrix is immutable and hashable, so it can live in sets during
-    group enumeration; two matrices are equal when their rows and their
-    moduli are.  Only matrices with the same modulus multiply.  The
-    class is slotted: an image of many thousands of matrices keeps no
-    per-matrix attribute dict.
+    The matrix is immutable and hashable; two matrices are equal when
+    their rows and their moduli are.  Group enumeration does not hash
+    it: a finite image hashes tuples of row ids (see ``congruence``).
+    Only matrices with the same modulus multiply.  The class is
+    slotted: an image of many thousands of matrices keeps no per-matrix
+    attribute dict.
     """
 
     __slots__ = ("rows", "modulus")

@@ -46,8 +46,8 @@ enumeration is ever needed:
   the lifts, and V^-1 is never formed.  Abelianized, the conjugate
   w g w^-1 is the kernel word g scanned from the coset of w, since the
   scans of w and of w^-1 cancel.  ``conjugation_matrix`` is the same
-  action made dense (``dense_rows``), for the cross-check of
-  ``crystallo.theta_cross_check``.
+  action made dense (``dense_rows``); no command reads it, only the
+  perfbench tracer and the tests.
   Torsion never raises here, and ``crystallo`` reports it;
 * ``tietze_simplify`` repeatedly eliminates generators that occur
   exactly once in some relator, enough to expose freeness in the cases
@@ -214,8 +214,9 @@ class KernelRewriter:
     inverse, so this is a Tietze transform of the Reidemeister-Schreier
     presentation, one relator per (coset, ambient relator) pair: the
     2-skeleton of the Davis complex is simply connected, and these are
-    its cells modulo the kernel.  It is built on first read; only ``subgroup`` and the ``pl4-free-rank-5`` claim read
-    it, for its text or for ``tietze_simplify``.
+    its cells modulo the kernel.  It is built on first read; only
+    ``subgroup`` and the ``pl4-free-rank-5`` claim read it, for its
+    text or for ``tietze_simplify``.
 
     ``cell_rows`` are the exponent sums of the same words.
     ``invariants`` reads rank and torsion off a bare Smith form of these
@@ -354,12 +355,12 @@ class KernelRewriter:
         return transpose(sm.columns[len(sm.divisors):], len(self.columns))
 
     def free_coordinates(self, word: Sequence[int],
-                         start: int = 0) -> tuple[int, ...]:
+                         start: int = 0) -> dict[int, int]:
         """Coordinates of a kernel word rewritten from coset ``start``
-        in the free part of the abelianized kernel (the Smith basis)."""
+        in the free part of the abelianized kernel (the Smith basis), as
+        one sparse ``{free index: value}`` column, zeros left out."""
         row = self._abelian_row(self.system.check_word(word), start)
-        col = mul_columns(self._coordinates, [row])[0]
-        return tuple(col.get(i, 0) for i in range(self.rank))
+        return mul_columns(self._coordinates, [row])[0]
 
     def conjugation_columns(self, word: Sequence[int]) -> list[dict[int, int]]:
         """Columns of x -> w x w^-1 on the free abelianized kernel, sparse.
@@ -382,7 +383,8 @@ class KernelRewriter:
         return mul_columns(self._coordinates, mul_columns(images, lifts))
 
     def conjugation_matrix(self, word: Sequence[int]) -> Matrix:
-        """``conjugation_columns(word)`` as a dense matrix."""
+        """``conjugation_columns(word)`` as a dense matrix; no command
+        calls it, only the perfbench tracer and the tests read it."""
         cols = self.conjugation_columns(word)
         return Matrix.canonical(dense_rows(cols, len(cols)))
 

@@ -14,14 +14,14 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
 from smallcox.congruence import (FiniteMatrixGroup, FiniteQuotientMap,
                                  QuotientCheck, RelationCheckError,
                                  _kernel_map, _twin_pairs)
-from smallcox.coxeter import (all_graphs, build_system, racg_system,
-                              simple_graph, symmetric, triplet, twin,
-                              universal)
+from smallcox.coxeter import (build_system, racg_system, simple_graph,
+                              symmetric, triplet, twin, universal)
 from smallcox.matrices import Matrix, identity_rows, parse_matrix
 from smallcox.perms import adjacent_transposition, identity, is_even, multiply
 from smallcox.rewriting import coset_table
 from smallcox.tits import (_bonds, evaluate, evaluate_mod, generator_matrix,
                            generator_step)
+from test_coxeter import all_graphs
 
 
 def _decode(rows, ids):

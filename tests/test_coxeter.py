@@ -1,14 +1,50 @@
+import itertools
+
 import pytest
 
 from smallcox.coxeter import (INF, BadDiagonalError, BadOffDiagonalError,
                               CoxeterError, NonSymmetricMatrixError,
-                              all_graphs, build_system, complete_graph,
-                              family_of, format_word,
+                              build_system, family_of, format_word,
                               is_small, named_system,
-                              parse_coxeter_matrix, parse_word,
-                              racg_join_decomposition, racg_system, relators,
-                              simple_graph, symmetric, triplet, twin,
-                              universal)
+                              parse_coxeter_matrix, parse_word, racg_system,
+                              relators, simple_graph, symmetric, triplet,
+                              twin, universal)
+
+
+def complete_graph(n):
+    return simple_graph(n, [(i, j) for i in range(1, n + 1)
+                            for j in range(i + 1, n + 1)])
+
+
+def racg_join_decomposition(graph):
+    """Detect when a right-angled group is virtually abelian.
+
+    Returns (m, k) when the graph is the join of a complete graph on m
+    vertices with k pairs of non-adjacent vertices, equivalently when
+    the complement graph has maximum degree <= 1 (m = isolated
+    complement vertices, k = complement edges).  Returns None otherwise.
+    The group of such a graph is Z_2^m x D_inf^k, of free rank k.
+    """
+    n = graph.vertices
+    comp_degree = [0] * (n + 1)
+    comp_edges = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if not graph.has_edge(i, j):
+                comp_degree[i] += 1
+                comp_degree[j] += 1
+                comp_edges += 1
+    if any(d > 1 for d in comp_degree[1:]):
+        return None
+    m = sum(1 for d in comp_degree[1:] if d == 0)
+    return (m, comp_edges)
+
+
+def all_graphs(n):
+    """Every simple graph on n labelled vertices (2^(n choose 2) of them)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        yield simple_graph(n, [p for p, b in zip(pairs, bits) if b])
 
 
 class TestBuildSystem:

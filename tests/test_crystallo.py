@@ -10,7 +10,8 @@ from smallcox.crystallo import (BasisSpanError, HolonomyReport,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
 from smallcox.congruence import FiniteQuotientMap
-from smallcox.matrices import Matrix, SmithForm, smith_normal_form
+from smallcox.matrices import (Matrix, SmithForm, dense_rows, mul_columns,
+                               smith_normal_form)
 from smallcox.rewriting import (KernelRewriter, _exponent_row, _relator_rows,
                                 coset_table, quotient_map)
 from test_rewriting import _reidemeister_schreier
@@ -19,12 +20,23 @@ from test_rewriting import _reidemeister_schreier
 class TestThetaGeneratorMatrix:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_involutions_with_small_entries(self, n):
-        ident = Matrix.identity(2 * n - 5)
+        # sparse columns with one nonzero each, or three for the classes
+        # b(k-2), every nonzero +-1
+        dim = 2 * n - 5
+        ident = [{j: 1} for j in range(dim)]
         for k in range(1, n):
-            mat = theta_generator_matrix(n, k)
-            assert mat.dimension == 2 * n - 5
-            assert mat * mat == ident
-            assert {e for row in mat.rows for e in row} <= {-1, 0, 1}
+            cols = theta_generator_matrix(n, k)
+            assert len(cols) == dim
+            assert all(set(col) <= set(range(dim)) for col in cols)
+            assert all(len(col) in (1, 3) for col in cols)
+            assert all(set(col.values()) <= {-1, 1} for col in cols)
+            assert mul_columns(cols, cols) == ident
+
+    def test_the_k_minus_two_classes_gain_a_difference(self):
+        # n = 4, basis b0(1), b0(2), b1(2): class 3 negates b(2) and adds
+        # b0(2) - b1(2) to b0(1)
+        assert theta_generator_matrix(4, 3) == [{0: 1, 1: 1, 2: -1},
+                                                {1: -1}, {2: -1}]
 
     @pytest.mark.parametrize("k", [0, 5, -1])
     def test_generator_out_of_range(self, k):
@@ -51,8 +63,10 @@ class TestBetaWord:
 def _mask_products_report(n):
     """Brute-force oracle: multiply out the closed-form matrices over all
     2^(n-1) subsets by bit mask, and list the trivial ones by mask."""
-    ident = Matrix.identity(2 * n - 5)
-    mats = [theta_generator_matrix(n, k) for k in range(1, n)]
+    dim = 2 * n - 5
+    ident = Matrix.identity(dim)
+    mats = [Matrix(dense_rows(theta_generator_matrix(n, k), dim))
+            for k in range(1, n)]
     products = [ident]
     for mask in range(1, 2 ** (n - 1)):
         low = (mask & -mask).bit_length() - 1
@@ -222,10 +236,10 @@ def _holonomy_reference(qmap):
             coords[t].append((i, x))
 
     def free(word):
-        out = [0] * rank
+        out = {}
         for t, x in _exponent_row(rewrite(word)).items():
             for i, v in coords[t]:
-                out[i] += x * v
+                out[i] = out.get(i, 0) + x * v
         return out
 
     def schreier_word(t):
@@ -237,11 +251,11 @@ def _holonomy_reference(qmap):
     for y in range(1, qmap.system.rank + 1):
         cols = []
         for lift in sm.free_rows:
-            col = [0] * rank
+            col = {}
             for t, x in lift.items():
-                image = free((y,) + schreier_word(t) + (-y,))
-                col = [c + x * v for c, v in zip(col, image)]
-            cols.append({i: v for i, v in enumerate(col) if v})
+                for i, v in free((y,) + schreier_word(t) + (-y,)).items():
+                    col[i] = col.get(i, 0) + x * v
+            cols.append({i: v for i, v in col.items() if v})
         gens.append(cols)
     return _holonomy(qmap, table, gens, rank, sm.torsion)
 
@@ -270,9 +284,7 @@ class TestProbeWalk:
             return qmap, rewriter.table, gens, rewriter.rank
 
         theta_map = quotient_map(twin(8), "mod2_abelian")
-        theta = [[{i: x for i, x in enumerate(col) if x}
-                  for col in zip(*theta_generator_matrix(8, k).rows)]
-                 for k in range(1, 8)]
+        theta = [theta_generator_matrix(8, k) for k in range(1, 8)]
         walks = [conjugation(quotient_map(twin(5), "symmetric")),
                  (theta_map, coset_table(theta_map), theta, 11)]
         control = conjugation(quotient_map(twin(3), "symmetric"))
@@ -310,9 +322,21 @@ class TestProbeWalk:
         assert peak < rewriter.table.count * rewriter.rank * 8
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(4, 10))
 def test_theta_cross_check(n):
     assert theta_cross_check(n)
+
+
+def test_closed_form_route_builds_no_dense_conjugation_matrix(monkeypatch):
+    # the cross-check compares sparse columns, and the faithfulness walk
+    # reads the closed forms as columns, so neither asks for the dense
+    # view of a conjugation action
+    def dense(self, word):
+        raise AssertionError("dense conjugation matrix built")
+
+    monkeypatch.setattr(KernelRewriter, "conjugation_matrix", dense)
+    assert theta_cross_check(5)
+    assert theta_faithfulness(8).faithful
 
 
 class TestThetaFailures:
@@ -321,7 +345,7 @@ class TestThetaFailures:
 
     def test_cross_check_reports_a_mismatch(self, monkeypatch):
         monkeypatch.setattr(crystallo, "theta_generator_matrix",
-                            lambda n, k: Matrix.identity(2 * n - 5))
+                            lambda n, k: [{j: 1} for j in range(2 * n - 5)])
         assert theta_cross_check(4) is False
 
     def test_cross_check_rejects_a_basis_of_another_rank(self, monkeypatch):
@@ -346,14 +370,14 @@ class TestThetaFailures:
 
     def test_faithfulness_rejects_a_non_involution(self, monkeypatch):
         monkeypatch.setattr(crystallo, "theta_generator_matrix",
-                            lambda n, k: Matrix(((1, 1), (0, 1))))
+                            lambda n, k: [{0: 1}, {0: 1, 1: 1}])
         with pytest.raises(ArithmeticError,
                            match="class 1 is not an involution"):
             theta_faithfulness(4)
 
     def test_faithfulness_rejects_classes_that_do_not_commute(
             self, monkeypatch):
-        swap, flip = Matrix(((0, 1), (1, 0))), Matrix(((-1, 0), (0, 1)))
+        swap, flip = [{1: 1}, {0: 1}], [{0: -1}, {1: 1}]
         monkeypatch.setattr(crystallo, "theta_generator_matrix",
                             lambda n, k: swap if k == 1 else flip)
         with pytest.raises(ArithmeticError, match="fail to commute"):
@@ -362,9 +386,9 @@ class TestThetaFailures:
     def test_faithfulness_checks_every_pair(self, monkeypatch):
         # only classes 3 and 5 fail to commute, so a check that stopped
         # at the pairs of class 1 would let this through
-        mats = {3: Matrix(((0, 1), (1, 0))), 5: Matrix(((-1, 0), (0, 1)))}
+        mats = {3: [{1: 1}, {0: 1}], 5: [{0: -1}, {1: 1}]}
         monkeypatch.setattr(crystallo, "theta_generator_matrix",
-                            lambda n, k: mats.get(k, Matrix.identity(2)))
+                            lambda n, k: mats.get(k, [{0: 1}, {1: 1}]))
         with pytest.raises(ArithmeticError,
                            match="^generator classes fail to commute$"):
             theta_faithfulness(6)
