@@ -11,7 +11,22 @@ images:
   subquotient checks and the coset tables of :mod:`smallcox.rewriting`
   all run through it, and it alone checks the element budget; only
   ``rewriting.coset_table`` asks it for the action table as well, so
-  the other callers never hold one;
+  the other callers never hold one.  Without the action table it steps
+  an element only by the letters that ``coxeter.shortlex_moves`` allows
+  after the word that discovered it: never its last letter, and never
+  one that ends an alternating run in letters j, k of length m_jk that
+  starts with the larger letter.  Such a product equals a
+  shortlex-smaller word, so it is already listed, and the elements
+  come out in the order of stepping every generator.  The precondition
+  is that ``step`` is right multiplication in a group image where
+  (s_j s_k)^m_jk = 1, with m_jk the bond orders of
+  ``FiniteQuotientMap.bond_orders`` (W's exponents, each infinite bond
+  replaced by the order of s_j s_k in the image); every
+  ``quotient_map`` kind satisfies it, and so does every pair of them,
+  with the lcm of the two orders.  With the action table every
+  generator is stepped, because ``coset_table`` reads every entry to
+  check that each generator acts as an involution, so kernels compute
+  no bond orders;
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
   an identity image and ``step(x, k)`` = x times generator k+1, checked
   against every relator of ``coxeter.relators``, the one list of Coxeter
@@ -24,7 +39,7 @@ images:
   A ``mod2_abelian`` image is an int bit mask, bit c the coordinate of
   odd-bond class c, so the identity is 0 and a step is one XOR.  No
   element step is cached: a breadth-first orbit steps each (element,
-  generator) pair exactly once, so a cache would miss every time;
+  generator) pair at most once, so a cache would miss every time;
 * ``enumerate_image`` lists the image as the orbit of
   ``quotient_map(system, "modular", m)``: the identity under right
   multiplication by the generator matrices mod m;
@@ -62,7 +77,8 @@ import math
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from . import perms
-from .coxeter import INF, CoxeterSystem, Word, family_of, relators, twin
+from .coxeter import (INF, CoxeterSystem, Word, family_of, relators,
+                      shortlex_moves, twin)
 from .matrices import Rows, format_matrix, identity_rows
 from .tits import evaluate_mod, generator_step, twin_power_matrix
 
@@ -124,30 +140,46 @@ class FiniteMatrixGroup:
         return hash((self.modulus, self.dimension, self.rows))
 
 
-def orbit(start: Hashable, step: Callable, ngens: int,
+def orbit(start: Hashable, step: Callable, exponents: Sequence,
           cap: int = DEFAULT_CAP, *, with_action: bool = False):
-    """Breadth-first orbit of ``start`` under ``ngens`` generators.
+    """Breadth-first orbit of ``start`` under the generators of a group.
 
-    ``step(x, k)`` applies generator k (0-based) to the hashable
-    element x.  Returns the list of elements in discovery order (start
-    first, then by shortlex word in the generators).  With
-    ``with_action`` it returns the triple (elements, action, words)
-    instead, where ``action[i][k]`` is the index of step(elements[i], k)
-    and ``words[i]`` is that shortlex-least word, letters 1..ngens,
-    recorded when element i is discovered; only
-    ``rewriting.coset_table`` reads them, so only that call keeps each
-    element's position, action row and word; the others keep a set of
-    the elements seen.  Raises ``BudgetExceededError`` rather than grow
+    ``step(x, k)`` is the hashable element x times generator k
+    (0-based); ``exponents`` has one row per generator.  Returns the
+    list of elements in discovery order (start first, then by
+    shortlex-least word in the generators).
+
+    Without ``with_action``, x is stepped only by the letters that
+    ``coxeter.shortlex_moves(exponents)`` allows after the word that
+    discovered x, kept as one automaton state per element.  A skipped
+    product equals a shortlex-smaller word and is already seen, so the
+    elements and their order are those of stepping every generator,
+    provided ``step`` is right multiplication in a group image where
+    (s_j s_k)^m_jk = 1 for every finite entry m_jk: a ``quotient_map``
+    with its ``bond_orders``, or a pair of them with the lcm of their
+    orders.
+
+    With ``with_action`` every generator is stepped, since
+    ``rewriting.coset_table`` reads every entry of the action to check
+    that each generator acts as an involution, and only the length of
+    ``exponents`` is read.  It returns the triple (elements, action,
+    words), where ``action[i][k]`` is the index of step(elements[i], k)
+    and ``words[i]`` is that shortlex-least word, letters 1..rank,
+    recorded when element i is discovered; only that call keeps each
+    element's position, action row and word, the others a set of the
+    elements seen.  Raises ``BudgetExceededError`` rather than grow
     past ``cap`` elements, and ``ValueError`` for a ``cap`` below 1.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     elements = [start]
-    gens = range(ngens)
     if not with_action:
+        moves = shortlex_moves(exponents)
+        states = [0]
         seen = {start}
-        for x in elements:  # the list grows while it is scanned
-            for k in gens:
+        # both lists grow while they are scanned
+        for x, state in zip(elements, states):
+            for k, nxt in moves[state]:
                 y = step(x, k)
                 if y not in seen:
                     if len(elements) >= cap:
@@ -155,7 +187,9 @@ def orbit(start: Hashable, step: Callable, ngens: int,
                         raise BudgetExceededError(cap, elements.index(x))
                     seen.add(y)
                     elements.append(y)
+                    states.append(nxt)
         return elements
+    gens = range(len(exponents))
     index = {start: 0}
     action = []
     words = [()]
@@ -181,7 +215,8 @@ def enumerate_image(system: CoxeterSystem, m: int,
     the orbit of ``quotient_map(system, "modular", m)``, its row ids
     decoded when the group's rows are first read."""
     qmap = quotient_map(system, "modular", m)
-    elements = orbit(qmap.identity_image, qmap.step, system.rank, cap)
+    elements = orbit(qmap.identity_image, qmap.step, qmap.bond_orders(cap),
+                     cap)
     return FiniteMatrixGroup(m, system.rank, elements, qmap.rows)
 
 
@@ -208,6 +243,13 @@ class FiniteQuotientMap:
     ``RelationCheckError`` on the first that fails.  For the ``modular``
     kind ``modulus`` is m and ``rows`` is the row list that its images
     index into; it grows as steps meet new rows.
+
+    ``bond_orders`` gives ``orbit`` the orders of the pair products
+    s_i s_j in the image, so that it can skip the steps that no
+    shortlex-least word takes.  They are the orders of a group only when
+    ``step`` is right multiplication in a group, which every
+    ``quotient_map`` kind is; ``coset_table`` steps every generator and
+    reads none.
     """
 
     __slots__ = ("system", "kind", "identity_image", "step", "modulus",
@@ -238,6 +280,29 @@ class FiniteQuotientMap:
         for letter in self.system.check_word(word):
             out = self.step(out, letter - 1)
         return out
+
+    def bond_orders(self, limit: int = DEFAULT_CAP):
+        """The exponent matrix of the system with each infinite bond
+        m_ij replaced by the order of s_i s_j in the image, 1 included.
+
+        The order is found by stepping s_i s_j from the identity image
+        until it comes back.  A walk that meets an element other than
+        the identity twice, or passes ``limit`` elements, keeps ``INF``,
+        which is never wrong: W has no relation on that bond.
+        """
+        one, step = self.identity_image, self.step
+        orders = [list(row) for row in self.system.exponents]
+        for i, row in enumerate(orders):
+            for j in range(i + 1, len(row)):
+                if row[j] is not INF:
+                    continue
+                x, met = step(step(one, i), j), set()
+                while x != one and x not in met and len(met) < limit:
+                    met.add(x)
+                    x = step(step(x, i), j)
+                if x == one:
+                    row[j] = orders[j][i] = len(met) + 1
+        return tuple(map(tuple, orders))
 
 
 def odd_bond_classes(system: CoxeterSystem) -> list[int]:
@@ -324,13 +389,17 @@ def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
     matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``.
 
     Returns (first, second, pairs): the two quotient maps and the orbit
-    of the pair of identities, in discovery order.
+    of the pair of identities, in discovery order.  A pair product has
+    the lcm of its two orders, and ``INF`` stays ``INF``.
     """
     first = quotient_map(twin(n), "modular", modulus)
     second = quotient_map(twin(n), kind, m)
     f, g = first.step, second.step
+    orders = [[INF if a is INF or b is INF else math.lcm(a, b)
+               for a, b in zip(*rows)]
+              for rows in zip(first.bond_orders(cap), second.bond_orders(cap))]
     pairs = orbit((first.identity_image, second.identity_image),
-                  lambda x, k: (f(x[0], k), g(x[1], k)), n - 1, cap)
+                  lambda x, k: (f(x[0], k), g(x[1], k)), orders, cap)
     return first, second, pairs
 
 

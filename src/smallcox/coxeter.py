@@ -100,6 +100,53 @@ def relators(system: CoxeterSystem) -> tuple[Word, ...]:
         if i < j and system.exponent(i, j) is not INF)
 
 
+def shortlex_moves(exponents) -> list[tuple[tuple[int, int], ...]]:
+    """The moves of the local shortlex automaton of a bond-order matrix.
+
+    ``exponents`` is symmetric, with off-diagonal entries >= 1 or
+    ``INF``; the diagonal is not read.  A state remembers a word's last
+    letter a, the other letter b of its final alternating run in {a, b}
+    and that run's length; state 0 is the empty word.  ``moves[state]``
+    lists (k, next state) for each 0-based letter k whose append makes
+    none of these patterns: k = a; an alternating run of length m_ak
+    that starts with the larger letter, or any longer run; k equal
+    (m_jk = 1) to a smaller letter j.  If every finite m_jk is a
+    relation (s_j s_k)^m_jk = 1 of the group, each pattern turns the
+    word into a shortlex-smaller equal one, so every shortlex-least word
+    is accepted.  Some words that are not reduced pass too: these are
+    only the local braid rules of Brink and Howlett's automaton (Math.
+    Ann. 296, 1993), which accepts exactly the reduced words.
+    """
+    letters = [k for k in range(len(exponents))
+               if 1 not in exponents[k][:k]]
+    index = {None: 0}
+    states = [None]
+    moves = []
+    for state in states:  # the list grows while it is scanned
+        row = []
+        for k in letters:
+            if state is None:
+                nxt = (k, -1, 1)
+            else:
+                a, b, run = state
+                if k == a:
+                    continue
+                run = run + 1 if k == b else 2
+                m = exponents[a][k]
+                if m is INF:
+                    run = 2  # no rule reads it; keeps the states finite
+                elif run > m or (run == m and
+                                 (k if run % 2 else a) == max(a, k)):
+                    continue
+                nxt = (k, a, run)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append((k, index[nxt]))
+        moves.append(tuple(row))
+    return moves
+
+
 def build_system(exponents) -> CoxeterSystem:
     """Validate an exponent matrix and wrap it as a CoxeterSystem.
 

@@ -54,6 +54,8 @@ enumeration is ever needed:
   this package cares about; each generator lists the relators that may
   hold it (a superset that only grows), and a heap of (length,
   position) keys finds the next relator, its lone generator read then;
+  of the relators left it keeps the first of each class up to rotation
+  and inversion (``_cyclic_class``);
 * ``abelian_invariants`` reads free rank and torsion of any
   presentation off the Smith normal form of its relator exponent
   matrix, whose rows go in sparse, as ``(generator, exponent)`` pairs
@@ -141,7 +143,7 @@ class CosetTable(NamedTuple):
 
 def coset_table(qmap: FiniteQuotientMap, cap: int = DEFAULT_CAP) -> CosetTable:
     _, action, words = orbit(qmap.identity_image, qmap.step,
-                             qmap.system.rank, cap, with_action=True)
+                             qmap.system.exponents, cap, with_action=True)
     # a column of the action is an involution when, read at its own
     # entries, it gives back 0..N-1
     cosets = list(range(len(action)))
@@ -436,9 +438,10 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     live while the relator there keeps that length, and only then is
     its lone generator found.  Each changed relator takes one pass of
     substitution and free reduction, then a cyclic strip.  Terminates
-    because each elimination removes a generator.  This is deliberately
-    modest; it suffices to expose freeness for the kernels this package
-    computes, and it preserves abelian invariants exactly.
+    because each elimination removes a generator.  Last, of relators
+    equal up to rotation and inversion only the first stays.  This is
+    deliberately modest; it suffices to expose freeness for the kernels
+    this package computes, and it preserves abelian invariants exactly.
     """
     relators: dict[int, SignedWord] = {}  # by position, gaps for the dropped
     # generator -> the positions of the relators that may contain it;
@@ -498,9 +501,21 @@ def tietze_simplify(pres: Presentation) -> Presentation:
             else:
                 del relators[other]
     renumber = {g: i for i, g in enumerate(holders, 1)}
-    final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
-                        for letter in relators[ri]) for ri in sorted(relators))
-    return Presentation(len(renumber), final)
+    final = (tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
+                   for letter in relators[ri]) for ri in sorted(relators))
+    kept: dict[SignedWord, SignedWord] = {}
+    for rel in final:  # the first relator of each class
+        kept.setdefault(_cyclic_class(rel), rel)
+    return Presentation(len(renumber), tuple(kept.values()))
+
+
+def _cyclic_class(word: SignedWord) -> SignedWord:
+    """The least rotation of a cyclically reduced word or of its
+    inverse: equal exactly for relators that say the same up to
+    conjugation and inversion.  Only rotations that start at the least
+    letter are formed."""
+    return min(w[i:] + w[:i] for w in (word, invert_signed(word))
+               for least in (min(w),) for i, x in enumerate(w) if x == least)
 
 
 # ---------------------------------------------------------------------------

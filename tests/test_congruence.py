@@ -14,11 +14,12 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
 from smallcox.congruence import (FiniteMatrixGroup, FiniteQuotientMap,
                                  QuotientCheck, RelationCheckError,
                                  _kernel_map, _twin_pairs)
-from smallcox.coxeter import (build_system, racg_system, simple_graph,
-                              symmetric, triplet, twin, universal)
+from smallcox.coxeter import (INF, build_system, named_system, racg_system,
+                              simple_graph, symmetric, triplet, twin,
+                              universal)
 from smallcox.matrices import Matrix, identity_rows, parse_matrix
 from smallcox.perms import adjacent_transposition, identity, is_even, multiply
-from smallcox.rewriting import coset_table
+from smallcox.rewriting import KernelRewriter, coset_table
 from smallcox.tits import (_bonds, evaluate, evaluate_mod, generator_matrix,
                            generator_step)
 from test_coxeter import all_graphs
@@ -139,8 +140,9 @@ class TestOrbit:
                                         ("mod2_abelian", None)])
     def test_action_table_leaves_the_elements_alone(self, family, kind, m):
         qmap = quotient_map(family(5), kind, m)
-        bare = orbit(qmap.identity_image, qmap.step, 4)
-        elements, action, words = orbit(qmap.identity_image, qmap.step, 4,
+        bare = orbit(qmap.identity_image, qmap.step, qmap.bond_orders())
+        elements, action, words = orbit(qmap.identity_image, qmap.step,
+                                        qmap.system.exponents,
                                         with_action=True)
         assert elements == bare
         position = {x: i for i, x in enumerate(bare)}
@@ -152,20 +154,24 @@ class TestOrbit:
 
     @pytest.mark.parametrize("with_action", [False, True])
     def test_budget_error_names_the_elements_expanded(self, with_action):
-        # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6: the sixth element turns up
-        # while 2 is expanded, after 0 and 1 were
+        # S_4 as the image of T_4: e -> s1, s2, s3; s1 -> s1s2, s1s3;
+        # s2 -> s2s1, s2s3; s3 -> s3s1 = s1s3 (a step the pruned orbit
+        # skips), then s3s2 is the ninth element, after e, s1 and s2
+        # were expanded
+        qmap = quotient_map(twin(4), "symmetric")
         with pytest.raises(BudgetExceededError) as exc:
-            orbit(0, lambda x, k: 2 * x + k + 1, 2, 5,
+            orbit(qmap.identity_image, qmap.step, qmap.bond_orders(), 8,
                   with_action=with_action)
-        assert (exc.value.budget, exc.value.expanded) == (5, 2)
+        assert (exc.value.budget, exc.value.expanded) == (8, 3)
         assert str(exc.value) == \
-            "image exceeds element budget 5 (2 elements expanded)"
+            "image exceeds element budget 8 (3 elements expanded)"
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_non_positive_cap_is_rejected(self, cap):
         qmap = quotient_map(twin(4), "symmetric")
         with pytest.raises(ValueError, match="^cap must be positive$"):
-            orbit(qmap.identity_image, qmap.step, 3, cap)
+            orbit(qmap.identity_image, qmap.step, qmap.system.exponents,
+                  cap)
 
 
 class TestRecords:
@@ -256,7 +262,7 @@ class TestQuotientChecks:
         rows, step = generator_step(twin(n), 3 * m)
         pairs = orbit((tuple(range(n - 1)), identity(n)),
                       lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
-                      n - 1)
+                      twin(n).exponents)
         first = {_decode(rows, p[0]) for p in pairs}
         group = enumerate_image(twin(n), 3 * m)
         assert first == set(group.rows)
@@ -449,6 +455,190 @@ class TestAgainstRowTupleReference:
         assert check(n, m) == _reference_check(kind, n, m)
 
 
+class _Counted:
+    """A step that counts its calls."""
+
+    def __init__(self, step):
+        self.step, self.calls = step, 0
+
+    def __call__(self, x, k):
+        self.calls += 1
+        return self.step(x, k)
+
+
+def _seeded_small_system(rank, seed):
+    """A random symmetric exponent matrix with bonds in {2, 3, inf}."""
+    rng = random.Random(seed)
+    rows = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            rows[i][j] = rows[j][i] = rng.choice((2, 3, INF))
+    return build_system(rows)
+
+
+def _permutation_map(system, images):
+    """The quotient of ``system`` sending generator k+1 to ``images[k]``,
+    as right multiplication of permutations."""
+    return FiniteQuotientMap(system, "custom", identity(len(images[0])),
+                             lambda p, k: multiply(p, images[k]))
+
+
+def _dihedral(m):
+    """Two reflections of the m-gon, x -> -x and x -> 1 - x mod m, whose
+    product has order m."""
+    return (tuple(-x % m for x in range(m)),
+            tuple((1 - x) % m for x in range(m)))
+
+
+def _w_nm_maps():
+    """Finite images of the w_nm systems with bonds 4..6: the mod-2
+    abelianization, the dihedral group of order 2m (rank 2, and rank 3
+    with s_1 and s_3 sent to one reflection) and, for m = 6, S_n."""
+    out = []
+    for m in (4, 5, 6):
+        a, b = _dihedral(m)
+        out.append((f"w3{m}-dihedral",
+                    _permutation_map(named_system("w_nm", 3, m), (a, b))))
+        out.append((f"w4{m}-dihedral",
+                    _permutation_map(named_system("w_nm", 4, m), (a, b, a))))
+        for n in (3, 4, 5, 6):
+            out.append((f"w{n}{m}-mod2",
+                        quotient_map(named_system("w_nm", n, m),
+                                     "mod2_abelian")))
+    for n in (4, 5, 6):
+        out.append((f"w{n}6-symmetric",
+                    _permutation_map(named_system("w_nm", n, 6),
+                                     [adjacent_transposition(n, i)
+                                      for i in range(1, n)])))
+    return out
+
+
+_W_NM_MAPS = _w_nm_maps()
+
+
+class TestShortlexPruning:
+    """Without ``with_action`` the orbit skips the steps that no
+    shortlex-least word takes; it must list the same elements in the
+    same order as stepping every generator."""
+
+    @pytest.mark.parametrize("system,m,full,own,image", [
+        (twin(6), 12, 57_600, 23_195, 22_623),
+        (triplet(6), 3, 87_480, 66_251, 60_257),
+        (twin(7), 3, 30_240, 17_203, 13_037)],
+        ids=["twin6-12", "triplet6-3", "twin7-3"])
+    def test_step_counts(self, system, m, full, own, image):
+        # every generator, then W's own exponents, then the image's
+        # bond orders
+        qmap = quotient_map(system, "modular", m)
+        step = _Counted(qmap.step)
+        everything = orbit(qmap.identity_image, step, system.exponents,
+                           with_action=True)[0]
+        counts = [step.calls]
+        for exponents in (system.exponents, qmap.bond_orders()):
+            step.calls = 0
+            assert orbit(qmap.identity_image, step, exponents) == everything
+            counts.append(step.calls)
+        assert counts == [full, own, image]
+        assert full == len(everything) * system.rank
+
+    @pytest.mark.parametrize("rank,seed", [(rank, seed)
+                                           for rank in (2, 3, 4, 5)
+                                           for seed in range(20)])
+    def test_seeded_small_systems_match_the_reference(self, rank, seed):
+        system = _seeded_small_system(rank, seed)
+        for kind, m in [("modular", m) for m in range(2, 7)] + [
+                ("mod2_abelian", None)]:
+            qmap = quotient_map(system, kind, m)
+            start, step = qmap.identity_image, qmap.step
+            try:
+                elements = orbit(start, step, qmap.bond_orders(), 5000)
+            except BudgetExceededError as exc:
+                # too large to list twice: the full orbit must stop at
+                # the same element
+                with pytest.raises(BudgetExceededError) as full:
+                    orbit(start, step, system.exponents, 5000,
+                          with_action=True)
+                assert full.value.expanded == exc.expanded
+                continue
+            assert elements == _reference_orbit(start, step, rank)
+
+    @pytest.mark.parametrize("name,qmap", _W_NM_MAPS,
+                             ids=[name for name, _ in _W_NM_MAPS])
+    def test_w_nm_images_match_the_reference(self, name, qmap):
+        # finite bonds 4..6, so runs up to length 6 are read
+        elements = orbit(qmap.identity_image, qmap.step, qmap.bond_orders())
+        assert elements == _reference_orbit(qmap.identity_image, qmap.step,
+                                            qmap.system.rank)
+
+    @pytest.mark.parametrize("n,modulus,kind,m", [
+        (4, 15, "symmetric", None), (5, 12, "symmetric", None),
+        (4, 20, "mod2_abelian", None), (6, 12, "mod2_abelian", None),
+        (3, 12, "modular", 5), (4, 12, "modular", 5), (4, 12, "modular", 7)])
+    def test_pair_orbits_match_the_reference(self, n, modulus, kind, m):
+        # the three quotient checks' orbits: the pair steps by the lcm of
+        # the two maps' bond orders
+        first, second, pairs = _twin_pairs(n, modulus, kind, m, DEFAULT_CAP)
+        if kind == "modular":
+            reference = _reference_pairs(n, modulus, identity_rows(n - 1),
+                                         _reference_step(twin(n), m))
+            pairs = [(g, _decode(second.rows, s)) for g, s in pairs]
+        else:
+            reference = _reference_pairs(n, modulus, second.identity_image,
+                                         second.step)
+        assert [(_decode(first.rows, g), s) for g, s in pairs] == reference
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_image_bond_orders_have_a_closed_form(self, n):
+        # twin: consecutive s_i s_(i+1) has the least congruence power;
+        # triplet: distant s_i s_j has order m; finite bonds stay
+        r = n - 1
+        for m in range(3, 17):
+            power = minimal_congruence_power(m)
+            assert quotient_map(twin(n), "modular", m).bond_orders() == tuple(
+                tuple(1 if i == j else power if abs(i - j) == 1 else 2
+                      for j in range(r)) for i in range(r))
+            assert quotient_map(triplet(n), "modular", m).bond_orders() == \
+                tuple(tuple(1 if i == j else 3 if abs(i - j) == 1 else m
+                            for j in range(r)) for i in range(r))
+
+    def test_an_order_of_one_stays_exact(self):
+        # T_n mod 2 is trivial: s_i s_(i+1) is the identity
+        qmap = quotient_map(twin(5), "modular", 2)
+        assert qmap.bond_orders() == ((1, 1, 2, 2), (1, 1, 1, 2),
+                                      (2, 1, 1, 1), (2, 2, 1, 1))
+        # s_2, s_3 and s_4 equal s_1 there, so one step lists the image
+        step = _Counted(qmap.step)
+        assert orbit(qmap.identity_image, step, qmap.bond_orders()) == [
+            qmap.identity_image]
+        assert step.calls == 1
+        assert enumerate_image(twin(5), 2).order == 1
+
+    def test_a_walk_that_misses_the_identity_keeps_infinity(self):
+        # on points, not a group: s_1 s_2 sends 0 to 2 and 2 to 2, so the
+        # walk meets 2 twice; the relators hold at 0, so the map is built
+        T = [{0: 1, 1: 0, 2: 3, 3: 2}, {0: 0, 1: 2, 2: 1, 3: 2}]
+        qmap = FiniteQuotientMap(twin(3), "hand", 0, lambda x, k: T[k][x])
+        assert qmap.bond_orders() == ((1, INF), (INF, 1))
+
+    def test_a_walk_past_the_limit_keeps_infinity(self):
+        # the infinite dihedral group on the integers: s_1 s_2 is x -> x + 1
+        qmap = FiniteQuotientMap(twin(3), "hand", 0,
+                                 lambda x, k: (k - x) if k else -x)
+        assert qmap.bond_orders(limit=50) == ((1, INF), (INF, 1))
+        with pytest.raises(BudgetExceededError):
+            orbit(0, qmap.step, qmap.bond_orders(limit=50), 50)
+
+    def test_kernels_compute_no_bond_orders(self, monkeypatch):
+        # coset tables step every generator and read every entry
+        def refuse(self, limit=DEFAULT_CAP):
+            raise AssertionError("bond orders computed")
+        monkeypatch.setattr(FiniteQuotientMap, "bond_orders", refuse)
+        table = coset_table(quotient_map(twin(5), "modular", 3))
+        assert table.count == 120
+        rewriter = KernelRewriter(quotient_map(triplet(5), "symmetric"))
+        assert str(rewriter.invariants) == "Z^61"
+
+
 class TestBudgetAndLaziness:
     @pytest.mark.parametrize("system,m,order", [
         (twin(4), 3, 24), (triplet(5), 3, 648), (twin(5), 12, 960),
@@ -471,11 +661,12 @@ class TestBudgetAndLaziness:
     def test_row_table_grows_only_with_the_orbit(self):
         # the universal group of rank 9 has an enormous image mod 12; the
         # closure must stop at the cap having interned only the rows of
-        # the elements it met
+        # the elements it met (W's own exponents, so that no bond-order
+        # walk interns rows first)
         qmap = quotient_map(universal(10), "modular", 12)
         assert qmap.system.rank == 9
         with pytest.raises(BudgetExceededError):
-            orbit(qmap.identity_image, qmap.step, 9, 50)
+            orbit(qmap.identity_image, qmap.step, qmap.system.exponents, 50)
         assert len(qmap.rows) <= 9 * (50 + 1)
         with pytest.raises(BudgetExceededError):
             enumerate_image(universal(10), 12, cap=50)

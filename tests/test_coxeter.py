@@ -7,8 +7,9 @@ from smallcox.coxeter import (INF, BadDiagonalError, BadOffDiagonalError,
                               build_system, family_of, format_word,
                               is_small, named_system,
                               parse_coxeter_matrix, parse_word, racg_system,
-                              relators, simple_graph, symmetric, triplet,
-                              twin, universal)
+                              relators, shortlex_moves, simple_graph,
+                              symmetric, triplet, twin, universal)
+from smallcox.tits import evaluate
 
 
 def complete_graph(n):
@@ -170,6 +171,80 @@ class TestRelators:
         assert relators(system) == (
             (1, 1), (2, 2), (3, 3), (4, 4),
             (1, 2) * 3, (1, 3) * 2, (2, 4) * 2, (3, 4) * 3)
+
+
+def _accepts(moves, word):
+    """Does the automaton read the word (letters 1..rank) to its end?"""
+    state = 0
+    for letter in word:
+        state = dict(moves[state]).get(letter - 1)
+        if state is None:
+            return False
+    return True
+
+
+def _shortlex_least_words(system, length):
+    """The shortlex-least word of each element of W of length at most
+    ``length``, found by listing the words in shortlex order and keeping
+    the first of each exact Tits matrix."""
+    seen, out = set(), []
+    for n in range(length + 1):
+        for word in itertools.product(range(1, system.rank + 1), repeat=n):
+            g = evaluate(system, word)
+            if g not in seen:
+                seen.add(g)
+                out.append(word)
+    return out
+
+
+class TestShortlexMoves:
+    @pytest.mark.parametrize("system", [
+        twin(5), triplet(5), symmetric(5), universal(4), twin(6),
+        build_system([[1, 3, 2, INF], [3, 1, INF, 2],
+                      [2, INF, 1, 3], [INF, 2, 3, 1]]),
+        build_system([[1, 2, 3, INF, 2], [2, 1, 3, 2, INF],
+                      [3, 3, 1, INF, 3], [INF, 2, INF, 1, 2],
+                      [2, INF, 3, 2, 1]])],
+        ids=["twin5", "triplet5", "symmetric5", "universal4", "twin6",
+             "mixed4", "mixed5"])
+    def test_accepts_every_shortlex_least_word(self, system):
+        moves = shortlex_moves(system.exponents)
+        words = _shortlex_least_words(system, 4)
+        assert all(_accepts(moves, w) for w in words)
+        # the pruning is real: some words of length 2..4 that are no
+        # shortlex-least word are turned away
+        least = set(words)
+        assert any(not _accepts(moves, w)
+                   for w in itertools.product(range(1, system.rank + 1),
+                                              repeat=3)
+                   if w not in least)
+
+    def test_runs_stop_at_the_bond(self):
+        # rank 2 with m = 4: 1 2 1 2 is least, 2 1 2 1 equals it, and no
+        # alternating word of length 5 is reduced
+        moves = shortlex_moves(((1, 4), (4, 1)))
+        assert _accepts(moves, (1, 2, 1, 2))
+        assert _accepts(moves, (2, 1, 2))
+        assert not _accepts(moves, (2, 1, 2, 1))
+        assert not _accepts(moves, (1, 2, 1, 2, 1))
+        assert not _accepts(moves, (1, 1))
+
+    def test_commuting_letters_come_in_increasing_order(self):
+        moves = shortlex_moves(twin(4).exponents)
+        assert _accepts(moves, (1, 3))
+        assert not _accepts(moves, (3, 1))
+        assert _accepts(moves, (3, 2, 1, 2, 1, 2))  # infinite bonds
+
+    def test_a_letter_equal_to_a_smaller_one_is_never_read(self):
+        # an order of 1 says s_1 = s_2, so only s_1 is a letter: the
+        # states are the words (), 1, 3 and 1 3
+        assert shortlex_moves(((1, 1, 2), (1, 1, 2), (2, 2, 1))) == [
+            ((0, 1), (2, 2)), ((2, 3),), (), ()]
+        assert shortlex_moves(((1, 1), (1, 1))) == [((0, 1),), ()]
+
+    def test_infinite_bonds_keep_the_table_finite(self):
+        # the empty word, one state per last letter, one per ordered pair
+        assert len(shortlex_moves(universal(6).exponents)) == 1 + 5 + 5 * 4
 
 
 class TestIsSmall:

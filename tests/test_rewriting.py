@@ -592,7 +592,8 @@ class TestCellPresentation:
     def test_pure_twin_six_is_efficient(self):
         # 20 relators on 111 generators: PT_6 abelianizes to Z^111 and
         # H_2(PT_6) has rank 20, so no presentation of PT_6 has fewer
-        # relators; from the full presentation Tietze stops at 80
+        # relators; from the full presentation Tietze stops at 80, which
+        # are 20 classes up to rotation and inversion, and keeps one of each
         qmap = quotient_map(twin(6), "symmetric")
         cells = KernelRewriter(qmap).presentation
         assert (cells.generators, len(cells.relators)) == (1081, 1080)
@@ -600,7 +601,7 @@ class TestCellPresentation:
         assert (simp.generators, len(simp.relators)) == (111, 20)
         assert simp == _tietze_reference(cells)
         full = tietze_simplify(_reidemeister_schreier(qmap)[0])
-        assert (full.generators, len(full.relators)) == (111, 80)
+        assert (full.generators, len(full.relators)) == (111, 20)
 
 
 def invert(system, word):
@@ -616,6 +617,14 @@ class TestTietze:
     def test_torsion_relator_untouched(self):
         pres = Presentation(1, ((1, 1),))
         assert tietze_simplify(pres) == pres
+
+    def test_relators_equal_up_to_rotation_and_inversion_are_kept_once(self):
+        # a rotation and the inverse of the commutator, then (ab)^2 and
+        # its inverse: the first of each class stays, in place
+        commutator, square = (1, 2, -1, -2), (1, 2, 1, 2)
+        pres = Presentation(2, (commutator, (2, -1, -2, 1), square,
+                                (2, 1, -2, -1), (-2, -1, -2, -1)))
+        assert tietze_simplify(pres) == Presentation(2, (commutator, square))
 
     def test_matches_full_rescan(self):
         # the indexed elimination makes the choices of a full rescan of
@@ -766,7 +775,7 @@ def _tietze_reference(pres):
     renumber = {g: i + 1 for i, g in enumerate(alive)}
     final = tuple(tuple((1 if letter > 0 else -1) * renumber[abs(letter)]
                         for letter in relators[ri]) for ri in sorted(relators))
-    return Presentation(len(alive), final)
+    return _first_of_each_class(Presentation(len(alive), final))
 
 
 def _tietze_full_rescan(pres):
@@ -799,9 +808,20 @@ def _tietze_full_rescan(pres):
             for other in relators) if r]
         alive.remove(g)
     renumber = {g: i + 1 for i, g in enumerate(alive)}
-    return Presentation(len(alive), tuple(
+    return _first_of_each_class(Presentation(len(alive), tuple(
         tuple((1 if x > 0 else -1) * renumber[abs(x)] for x in rel)
-        for rel in relators))
+        for rel in relators)))
+
+
+def _first_of_each_class(pres):
+    """The first relator of each class up to rotation and inversion, a
+    class named by the set of all rotations of the word and its inverse."""
+    kept = {}
+    for rel in pres.relators:
+        rotations = frozenset(w[i:] + w[:i] for w in (rel, invert_signed(rel))
+                              for i in range(len(w)))
+        kept.setdefault(rotations, rel)
+    return Presentation(pres.generators, tuple(kept.values()))
 
 
 class TestAbelianInvariants:
