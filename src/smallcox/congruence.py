@@ -32,10 +32,12 @@ images:
   against every relator of ``coxeter.relators``, the one list of Coxeter
   relators, whose dihedral ones :mod:`smallcox.rewriting` also walks
   around the cells of a kernel's coset graph.  ``quotient_map`` builds
-  adjacent transpositions in S_n (``symmetric``), the reflection matrices mod m
-  as tuples of row ids (``modular``), vectors over Z_2 indexed by
-  odd-bond classes (``mod2_abelian``, the mod-2 abelianization) and
-  ``trivial``.
+  adjacent transpositions in S_n as ``bytes`` (``symmetric``, at most
+  256 points), the reflection matrices mod m as sequences of row ids
+  (``modular``), vectors over Z_2 indexed by odd-bond classes
+  (``mod2_abelian``, the mod-2 abelianization) and ``trivial``.
+  A ``symmetric`` step is one ``bytes.translate`` by the 256-byte table
+  of an adjacent swap.
   A ``mod2_abelian`` image is an int bit mask, bit c the coordinate of
   odd-bond class c, so the identity is 0 and a step is one XOR.  No
   element step is cached: a breadth-first orbit steps each (element,
@@ -53,14 +55,26 @@ images:
   listing the target: n!/2 distinct even permutations are all of A_n,
   and 2^(n-2) distinct even-weight vectors are all of them.
 
-A ``modular`` map interns its rows: ``rows`` lists every distinct
-canonical residue row (0..m-1) met so far, identity rows first, and an
-image is the tuple of its row ids, so the identity is
-``tuple(range(rank))`` and equal matrices have equal id tuples.  The
-closure hashes those tuples of small ints, and a step looks each id up
-in one lazily filled id -> id table per generator
-(``tits.generator_step``).  Rows are decoded once, and only when read:
-``enumerate_image`` hands the id tuples and the row list to a
+A ``modular`` map interns its rows: ``rows`` lists the distinct
+canonical residue rows (0..m-1), identity rows first, and an image is
+the sequence of its row ids, so the identity is ``range(rank)`` and
+equal matrices have equal ids.  ``tits.generator_step`` first closes
+the rows that the image can hold, the orbit of e_1..e_r under the
+generators, and the encoding follows from their number:
+
+* at most 256 rows: ``rows`` lists all of them, an image is the
+  ``bytes`` of its row ids, and a step is one ``bytes.translate`` by a
+  256-byte id -> id table per generator;
+* past 256 rows: ``rows`` starts again from the identity rows and only
+  grows as steps meet new rows, an image is the ``tuple`` of its row
+  ids, and a step looks each id up in one lazily filled id -> id table
+  per generator.
+
+``bytes`` iterate as ints, hash, and are equal exactly when their ids
+are, as tuples do, so ``orbit``, ``FiniteMatrixGroup``,
+``_twin_pairs``, ``_kernel_map`` and ``rewriting.coset_table`` read
+either encoding.  Rows are decoded once, and only when read:
+``enumerate_image`` hands the ids and the row list to a
 ``FiniteMatrixGroup``, which decodes them on the first read of its
 ``rows`` (``image`` without ``--dump`` prints only the order), and
 ``_kernel_map`` reduces each distinct row mod m once.
@@ -101,11 +115,12 @@ class FiniteMatrixGroup:
 
     ``rows`` holds the row tuples of the elements in discovery order
     (identity first, then by shortlex word in the generators).  With
-    ``row_list`` the elements come as tuples of ids into it, as
-    ``enumerate_image`` passes them, and the first read of ``rows``
-    decodes them, so a caller that reads only ``order`` decodes
-    nothing.  Two groups are equal when their modulus, dimension and
-    rows are.
+    ``row_list`` the elements come as ids into it, as
+    ``enumerate_image`` passes them: ``bytes`` when the image has at
+    most 256 distinct rows, tuples past that.  The first read of
+    ``rows`` decodes them, so a caller that reads only ``order``
+    decodes nothing.  Two groups are equal when their modulus,
+    dimension and rows are.
     """
 
     def __init__(self, modulus: int, dimension: int, rows: Sequence,
@@ -242,7 +257,8 @@ class FiniteQuotientMap:
     (the squares s_i^2, then each finite bond (s_i s_j)^m_ij) and raises
     ``RelationCheckError`` on the first that fails.  For the ``modular``
     kind ``modulus`` is m and ``rows`` is the row list that its images
-    index into; it grows as steps meet new rows.
+    index into: all of the image's rows when there are at most 256 of
+    them, else a list that grows as steps meet new rows.
 
     ``bond_orders`` gives ``orbit`` the orders of the pair products
     s_i s_j in the image, so that it can skip the steps that no
@@ -327,17 +343,22 @@ def _symmetric_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
         raise RelationCheckError(
             "symmetric quotient needs a twin, triplet or symmetric system")
     n = system.rank + 1
-    swaps = [perms.adjacent_transposition(n, i) for i in range(1, n)]
-    return FiniteQuotientMap(system, "symmetric", perms.identity(n),
-                             lambda p, k: perms.multiply(p, swaps[k]))
+    if n > 256:
+        raise ValueError("symmetric quotient needs at most 256 points, "
+                         f"got {n}")
+    # p times the swap is i -> swap[p[i]]: p translated by the swap
+    pad = bytes(range(n, 256))
+    swaps = [bytes(perms.adjacent_transposition(n, i)) + pad
+             for i in range(1, n)]
+    return FiniteQuotientMap(system, "symmetric", bytes(range(n)),
+                             lambda p, k: p.translate(swaps[k]))
 
 
 def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     if m is None or m < 2:
         raise ValueError(f"modular quotient needs m >= 2, got {m}")
-    rows, step = generator_step(system, m)
-    return FiniteQuotientMap(system, "modular", tuple(range(system.rank)),
-                             step, m, rows)
+    rows, one, step = generator_step(system, m)
+    return FiniteQuotientMap(system, "modular", one, step, m, rows)
 
 
 def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
@@ -406,7 +427,7 @@ def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
 def _kernel_map(pairs, rows: list, m: int):
     """Pairs whose matrix part is trivial mod m, as a matrix -> aux map.
 
-    The matrix parts are row-id tuples into ``rows``, whose residues are
+    The matrix parts are row ids into ``rows``, whose residues are
     taken mod a multiple of m.  Each distinct row is reduced mod m once,
     to the i with row = e_i mod m (or -1), and a matrix is trivial mod m
     exactly when that sends its ids to (0, 1, ..., rank-1).  Returns

@@ -1,20 +1,18 @@
-"""Tuple-encoded permutations of range(n).
+"""Permutations of range(n), as sequences of ints.
 
-``multiply(p, q)`` means "apply p, then q", which matches the
-left-to-right order used for matrix images of words: the image of a
-concatenated word is the fold of ``multiply`` over its letters.
-
-These are the images of the ``symmetric`` quotient map; no group is
-listed here, since ``congruence.orbit`` enumerates every finite group.
+A permutation p sends i to p[i].  The ``symmetric`` quotient map holds
+its images as ``bytes`` and builds its generators from
+``adjacent_transposition``: p times q is "apply p, then q", the
+permutation i -> q[p[i]], which is ``p.translate`` by q padded to a
+256-byte table, and that matches the left-to-right order used for
+matrix images of words.  ``is_even`` reads tuples and ``bytes`` alike.
+No group is listed here, since ``congruence.orbit`` enumerates every
+finite group.
 """
 
 from __future__ import annotations
 
 Perm = tuple[int, ...]
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def adjacent_transposition(n: int, i: int) -> Perm:
@@ -24,11 +22,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     p = list(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
-
-
-def multiply(p: Perm, q: Perm) -> Perm:
-    """The permutation i -> q[p[i]], looked up in C."""
-    return tuple(map(q.__getitem__, p))
 
 
 def is_even(p: Perm) -> bool:

@@ -21,9 +21,12 @@ of ``evaluate`` and ``evaluate_mod``, and the closure step
 operations for b bonds per generator: at most 2 for twin and symmetric
 systems, rank - 1 for triplet and universal ones.  The closure step
 never rebuilds a matrix: it interns each distinct residue row once in a
-row list, an element is the tuple of its row ids, and one lazily filled
-id -> id table per generator multiplies each row by that generator at
-most once.
+row list and an element is the sequence of its row ids.  When the image
+has at most 256 distinct rows, an element is the ``bytes`` of its ids
+and a step is one ``bytes.translate`` by a 256-byte id -> id table per
+generator; past 256 rows it is the tuple of its ids, and one lazily
+filled id -> id table per generator multiplies each row by that
+generator at most once.
 
 Closed forms implemented here and cross-checked against plain matrix
 multiplication in the test suite:
@@ -172,22 +175,53 @@ class _RowIdTable(dict):
 def generator_step(system: CoxeterSystem, m: int):
     """The closure step of the congruence images, over interned rows.
 
-    Returns ``(rows, step)``.  ``rows`` is the list of distinct residue
-    rows (0..m-1) met so far, starting with the identity rows, so row i
-    of the identity has id i; an element is the tuple of its row ids,
-    and ``step(ids, k)`` is the id tuple of that matrix times s_(k+1).
-    Rows are interned, so equal matrices have equal id tuples.  The list
-    only grows when a step meets a new row.  Long single words go
-    through the in-place loop of ``_word_rows`` instead.
+    Returns ``(rows, one, step)``.  ``rows`` is the list of distinct
+    residue rows (0..m-1), starting with the identity rows, so row i of
+    the identity has id i; an element is the sequence of its row ids,
+    ``one`` is the identity's, and ``step(ids, k)`` is that of the
+    matrix times s_(k+1).  Rows are interned, so equal matrices have
+    equal ids.  Row i of x * s is row i of x times s, so the rows of
+    the image are the orbit of e_1..e_r under the generators, and that
+    orbit is closed first, up to its 257th row:
+
+    * with at most 256 rows, ``rows`` lists them all, an element is the
+      ``bytes`` of its row ids and a step is one ``bytes.translate`` by
+      that generator's 256-byte id -> id table;
+    * past 256 rows, what the closure interned is discarded, an element
+      is the ``tuple`` of its row ids, and one lazily filled id -> id
+      table per generator multiplies each row by that generator at most
+      once, so the list only grows when a step meets a new row.
+
+    Long single words go through the in-place loop of ``_word_rows``
+    instead.
     """
     require_small(system)
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
-    rows = list(identity_rows(system.rank))
-    index = {row: i for i, row in enumerate(rows)}
-    tables = [_RowIdTable(bond, k0, m, rows, index).__getitem__
-              for k0, bond in enumerate(_bonds(system))]
-    return rows, lambda ids, k0: tuple(map(tables[k0], ids))
+    bonds = _bonds(system)
+
+    def lazy_tables():
+        rows = list(identity_rows(system.rank))
+        index = {row: i for i, row in enumerate(rows)}
+        return rows, [_RowIdTable(bond, k0, m, rows, index)
+                      for k0, bond in enumerate(bonds)]
+
+    rows, tables = lazy_tables()
+    i = 0
+    while i < len(rows) <= 256:
+        for table in tables:
+            table[i]  # interns row i times the generator
+        i += 1
+    if len(rows) <= 256:
+        pad = bytes(range(len(rows), 256))
+        shifts = [bytes(map(table.__getitem__, range(len(rows)))) + pad
+                  for table in tables]
+        return rows, bytes(range(system.rank)), \
+            lambda ids, k0: ids.translate(shifts[k0])
+    rows, tables = lazy_tables()
+    tables = [table.__getitem__ for table in tables]
+    return rows, tuple(range(system.rank)), \
+        lambda ids, k0: tuple(map(tables[k0], ids))
 
 
 def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:

@@ -464,6 +464,9 @@ PINNED_DUMPS = {
         "5c77e6923107db139ca0864aeec1941c4ed2c8e469ad76da21bc70ddd3084c43",
     "image -m 4 --matrix":
         "0b0efd8e37bd53a066d98be5fa2e800b83d998653f077d7a1be2d74dc669c662",
+    # 276 distinct rows, past the 256 of the bytes encoding
+    "image --family twin -n 4 -m 15":
+        "ba26e61be625c666369e7c613fbe701fee4af76018cf4aff4bce262d8b9ba81a",
 }
 
 

@@ -18,11 +18,12 @@ from smallcox.coxeter import (INF, build_system, named_system, racg_system,
                               simple_graph, symmetric, triplet, twin,
                               universal)
 from smallcox.matrices import Matrix, identity_rows, parse_matrix
-from smallcox.perms import adjacent_transposition, identity, is_even, multiply
+from smallcox.perms import adjacent_transposition, is_even
 from smallcox.rewriting import KernelRewriter, coset_table
 from smallcox.tits import (_bonds, evaluate, evaluate_mod, generator_matrix,
                            generator_step)
 from test_coxeter import all_graphs
+from test_perms import identity, multiply
 
 
 def _decode(rows, ids):
@@ -259,8 +260,8 @@ class TestQuotientChecks:
     def test_paired_projection_surjects(self):
         n, m = 4, 3
         aux = [adjacent_transposition(n, i) for i in range(1, n)]
-        rows, step = generator_step(twin(n), 3 * m)
-        pairs = orbit((tuple(range(n - 1)), identity(n)),
+        rows, one, step = generator_step(twin(n), 3 * m)
+        pairs = orbit((one, identity(n)),
                       lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
                       twin(n).exponents)
         first = {_decode(rows, p[0]) for p in pairs}
@@ -285,7 +286,7 @@ class TestOntoByCounting:
         mapping, _, _, _ = _kernel_map(pairs, first.rows, m)
         a_n = {p for p in itertools.permutations(range(n))
                if _inversions(p) % 2 == 0}
-        onto = set(mapping.values()) == a_n
+        onto = set(map(tuple, mapping.values())) == a_n
         assert f"onto={onto}" in result.detail
 
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 5), (5, 3), (6, 3)])
@@ -685,6 +686,53 @@ class TestBudgetAndLaziness:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# (name, system, m, distinct rows, encoding of an image)
+_ENCODINGS = [
+    ("twin8", twin(8), 3, 254, bytes), ("twin4", twin(4), 7, 66, bytes),
+    ("twin4", twin(4), 15, 276, tuple), ("twin5", twin(5), 5, 264, tuple),
+    ("rank0", build_system([]), 5, 0, bytes),
+    ("rank1", build_system([[1]]), 5, 2, bytes)]
+
+
+class TestTwoEncodings:
+    """An image with at most 256 distinct rows is the ``bytes`` of its
+    row ids, one past that the ``tuple``; both list the same elements
+    in the same order as the row-tuple closure."""
+
+    @pytest.mark.parametrize("name,system,m,count,encoding", _ENCODINGS,
+                             ids=[f"{name}-{m}" for name, _, m, _, _
+                                  in _ENCODINGS])
+    def test_image_matches_the_reference(self, name, system, m, count,
+                                         encoding):
+        assert type(quotient_map(system, "modular", m).identity_image) \
+            is encoding
+        group = enumerate_image(system, m)
+        assert all(type(ids) is encoding for ids in group._elements)
+        row_list = group._row_list
+        assert len(row_list) == count
+        reference = _modular_reference(system, m)
+        assert [_decode(row_list, ids) for ids in group._elements] == \
+            reference
+        assert group.rows == tuple(reference)
+
+    def test_the_256th_row_keeps_bytes(self):
+        # T_9 mod 3 has 255 distinct rows; its map is built without
+        # listing the 362,880 elements
+        qmap = quotient_map(twin(9), "modular", 3)
+        assert len(qmap.rows) == 255
+        assert qmap.identity_image == bytes(range(8))
+
+    @pytest.mark.parametrize("m,encoding", [(7, bytes), (15, tuple)])
+    def test_kernel_coset_table_matches_the_reference(self, m, encoding):
+        system = twin(4)
+        qmap = quotient_map(system, "modular", m)
+        assert type(qmap.identity_image) is encoding
+        reference = FiniteQuotientMap(system, "modular",
+                                      identity_rows(system.rank),
+                                      _reference_step(system, m))
+        assert coset_table(qmap) == coset_table(reference)
 
 
 class TestMinimalCongruencePower:

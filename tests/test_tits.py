@@ -187,12 +187,15 @@ class TestGeneratorStep:
         # the memoized row-id tables against plain products, on random
         # words: ids decode through the row list to the product's rows
         system = family(5)
-        rows, step = generator_step(system, m)
-        assert rows == list(identity_rows(4))
+        rows, one, step = generator_step(system, m)
+        assert rows[:4] == list(identity_rows(4))
+        # past 256 rows the list starts again from the identity rows
+        assert type(one) is bytes or rows == list(identity_rows(4))
+        assert tuple(one) == tuple(range(4))
         rng = random.Random(m)
         for _ in range(30):
             word = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(12)))
-            ids = tuple(range(4))
+            ids = one
             for letter in word:
                 ids = step(ids, letter - 1)
             assert tuple(rows[i] for i in ids) == \
