@@ -16,9 +16,9 @@ from .coxeter import (INF, CoxeterError, CoxeterSystem, SimpleGraph,
                       simple_graph, symmetric, triplet, twin, universal)
 from .matrices import Matrix, SmithForm, parse_matrix, smith_normal_form
 from .tits import (PolyCoeffs, alpha, evaluate, evaluate_mod,
-                   generator_matrix, generator_step, order_check_2m,
-                   pair_product_formula, pair_product_square_formula,
-                   pm_coefficients, twin_power_matrix)
+                   generator_matrix, order_check_2m, pair_product_formula,
+                   pair_product_square_formula, pm_coefficients, row_tables,
+                   twin_power_matrix)
 from .congruence import (BudgetExceededError, FiniteMatrixGroup,
                          FiniteQuotientMap, QuotientCheck,
                          RelationCheckError, alternating_quotient_check,

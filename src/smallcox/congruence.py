@@ -22,22 +22,18 @@ images:
   (s_j s_k)^m_jk = 1, with m_jk the bond orders of
   ``FiniteQuotientMap.bond_orders`` (W's exponents, each infinite bond
   replaced by the order of s_j s_k in the image); every
-  ``quotient_map`` kind satisfies it, and so does every pair of them,
-  with the lcm of the two orders.  With the action table every
-  generator is stepped, because ``coset_table`` reads every entry to
-  check that each generator acts as an involution, so kernels compute
-  no bond orders;
+  ``quotient_map`` kind and every ``pair`` map satisfies it.  With the
+  action table every generator is stepped, because ``coset_table``
+  reads every entry to check that each generator acts as an
+  involution, so kernels compute no bond orders;
 * ``FiniteQuotientMap`` is a finite quotient as ``orbit`` consumes it,
   an identity image and ``step(x, k)`` = x times generator k+1, checked
   against every relator of ``coxeter.relators``, the one list of Coxeter
   relators, whose dihedral ones :mod:`smallcox.rewriting` also walks
   around the cells of a kernel's coset graph.  ``quotient_map`` builds
-  adjacent transpositions in S_n as ``bytes`` (``symmetric``, at most
-  256 points), the reflection matrices mod m as sequences of row ids
-  (``modular``), vectors over Z_2 indexed by odd-bond classes
-  (``mod2_abelian``, the mod-2 abelianization) and ``trivial``.
-  A ``symmetric`` step is one ``bytes.translate`` by the 256-byte table
-  of an adjacent swap.
+  adjacent transpositions in S_n (``symmetric``), the reflection
+  matrices mod m (``modular``), vectors over Z_2 indexed by odd-bond
+  classes (``mod2_abelian``, the mod-2 abelianization) and ``trivial``.
   A ``mod2_abelian`` image is an int bit mask, bit c the coordinate of
   odd-bond class c, so the identity is 0 and a step is one XOR.  No
   element step is cached: a breadth-first orbit steps each (element,
@@ -48,27 +44,31 @@ images:
 * ``congruence_member`` decides level-m membership of a word;
 * the ``*_quotient_check`` functions identify the subquotients
   "level m over level 3m / 4m / 12m" with the alternating group, the
-  even-weight mod-2 vectors, and their direct product; their orbit
-  carries the image under a second quotient map (``symmetric``,
-  ``mod2_abelian`` or ``modular`` mod m) along the matrix and returns a
-  ``QuotientCheck`` record.  Onto-ness is decided by counting, never by
-  listing the target: n!/2 distinct even permutations are all of A_n,
-  and 2^(n-2) distinct even-weight vectors are all of them.
+  even-weight mod-2 vectors, and their direct product, and return a
+  ``QuotientCheck`` record.  Their orbit is that of a ``pair`` map,
+  whose image is the matrix paired with its image under a second
+  quotient map (``symmetric``, ``mod2_abelian`` or ``modular`` mod m).
+  Onto-ness is decided by counting, never by listing the target: n!/2
+  distinct even permutations are all of A_n, and 2^(n-2) distinct
+  even-weight vectors are all of them.
 
-A ``modular`` map interns its rows: ``rows`` lists the distinct
-canonical residue rows (0..m-1), identity rows first, and an image is
-the sequence of its row ids, so the identity is ``range(rank)`` and
-equal matrices have equal ids.  ``tits.generator_step`` first closes
-the rows that the image can hold, the orbit of e_1..e_r under the
-generators, and the encoding follows from their number:
+Every ``symmetric`` and ``modular`` image is encoded here, in one of
+two ways.  A ``modular`` map interns its rows with ``tits.row_tables``:
+``rows`` lists the distinct canonical residue rows (0..m-1), identity
+rows first, and an image is the sequence of its row ids, so the
+identity is ``range(rank)`` and equal matrices have equal ids.  The
+map first closes the rows that the image can hold, the orbit of
+e_1..e_r under the generators, up to the 257th row:
 
-* at most 256 rows: ``rows`` lists all of them, an image is the
-  ``bytes`` of its row ids, and a step is one ``bytes.translate`` by a
-  256-byte id -> id table per generator;
-* past 256 rows: ``rows`` starts again from the identity rows and only
-  grows as steps meet new rows, an image is the ``tuple`` of its row
-  ids, and a step looks each id up in one lazily filled id -> id table
-  per generator.
+* at most 256 points: ``_translate_map`` builds the map.  An image is
+  ``bytes``, each generator's point map is padded to a 256-byte table,
+  and a step is one ``bytes.translate`` by it.  The points are the row
+  ids of a ``modular`` image with at most 256 rows, or the n points
+  that a ``symmetric`` image permutes (n = rank + 1 <= 256);
+* past 256 rows: a ``modular`` image is the ``tuple`` of its row ids
+  over the same rows and tables, and a step looks each id up in its
+  generator's lazily filled table, so the list only grows when a step
+  meets a new row.
 
 ``bytes`` iterate as ints, hash, and are equal exactly when their ids
 are, as tuples do, so ``orbit``, ``FiniteMatrixGroup``,
@@ -94,7 +94,7 @@ from . import perms
 from .coxeter import (INF, CoxeterSystem, Word, family_of, relators,
                       shortlex_moves, twin)
 from .matrices import Rows, format_matrix, identity_rows
-from .tits import evaluate_mod, generator_step, twin_power_matrix
+from .tits import evaluate_mod, row_tables, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
 
@@ -115,9 +115,8 @@ class FiniteMatrixGroup:
 
     ``rows`` holds the row tuples of the elements in discovery order
     (identity first, then by shortlex word in the generators).  With
-    ``row_list`` the elements come as ids into it, as
-    ``enumerate_image`` passes them: ``bytes`` when the image has at
-    most 256 distinct rows, tuples past that.  The first read of
+    ``row_list`` the elements come as ids into it, in the encoding of
+    the ``modular`` map that ``enumerate_image`` ran.  The first read of
     ``rows`` decodes them, so a caller that reads only ``order``
     decodes nothing.  Two groups are equal when their modulus,
     dimension and rows are.
@@ -170,9 +169,8 @@ def orbit(start: Hashable, step: Callable, exponents: Sequence,
     product equals a shortlex-smaller word and is already seen, so the
     elements and their order are those of stepping every generator,
     provided ``step`` is right multiplication in a group image where
-    (s_j s_k)^m_jk = 1 for every finite entry m_jk: a ``quotient_map``
-    with its ``bond_orders``, or a pair of them with the lcm of their
-    orders.
+    (s_j s_k)^m_jk = 1 for every finite entry m_jk: a
+    ``FiniteQuotientMap`` with its ``bond_orders``.
 
     With ``with_action`` every generator is stepped, since
     ``rewriting.coset_table`` reads every entry of the action to check
@@ -257,15 +255,15 @@ class FiniteQuotientMap:
     (the squares s_i^2, then each finite bond (s_i s_j)^m_ij) and raises
     ``RelationCheckError`` on the first that fails.  For the ``modular``
     kind ``modulus`` is m and ``rows`` is the row list that its images
-    index into: all of the image's rows when there are at most 256 of
-    them, else a list that grows as steps meet new rows.
+    index into.  A ``pair`` map, which ``_twin_pairs`` builds from two
+    maps, has the pair of their images and steps both.
 
     ``bond_orders`` gives ``orbit`` the orders of the pair products
     s_i s_j in the image, so that it can skip the steps that no
     shortlex-least word takes.  They are the orders of a group only when
     ``step`` is right multiplication in a group, which every
-    ``quotient_map`` kind is; ``coset_table`` steps every generator and
-    reads none.
+    ``quotient_map`` kind and every ``pair`` map is; ``coset_table``
+    steps every generator and reads none.
     """
 
     __slots__ = ("system", "kind", "identity_image", "step", "modulus",
@@ -338,27 +336,52 @@ def odd_bond_classes(system: CoxeterSystem) -> list[int]:
     return [roots.index(x) for x in least]
 
 
+def _translate_map(system: CoxeterSystem, kind: str, moves, points: int,
+                   start: int, modulus: Optional[int] = None,
+                   rows: Optional[list] = None) -> FiniteQuotientMap:
+    """A map whose images are ``bytes`` of points: ``moves[k]`` lists
+    where generator k+1 sends each point, read only once the points are
+    known to fit in a byte, and the identity is ``bytes(range(start))``.
+    """
+    if points > 256:
+        raise ValueError(f"{kind} quotient needs at most 256 points, "
+                         f"got {points}")
+    pad = bytes(range(points, 256))
+    tables = [bytes(move) + pad for move in moves]
+    return FiniteQuotientMap(system, kind, bytes(range(start)),
+                             lambda x, k: x.translate(tables[k]), modulus,
+                             rows)
+
+
 def _symmetric_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     if family_of(system) in (None, "universal"):
         raise RelationCheckError(
             "symmetric quotient needs a twin, triplet or symmetric system")
     n = system.rank + 1
-    if n > 256:
-        raise ValueError("symmetric quotient needs at most 256 points, "
-                         f"got {n}")
     # p times the swap is i -> swap[p[i]]: p translated by the swap
-    pad = bytes(range(n, 256))
-    swaps = [bytes(perms.adjacent_transposition(n, i)) + pad
-             for i in range(1, n)]
-    return FiniteQuotientMap(system, "symmetric", bytes(range(n)),
-                             lambda p, k: p.translate(swaps[k]))
+    return _translate_map(system, "symmetric",
+                          (perms.adjacent_transposition(n, i)
+                           for i in range(1, n)), n, n)
 
 
 def _modular_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
     if m is None or m < 2:
         raise ValueError(f"modular quotient needs m >= 2, got {m}")
-    rows, one, step = generator_step(system, m)
-    return FiniteQuotientMap(system, "modular", one, step, m, rows)
+    rows, tables = row_tables(system, m)
+    i = 0
+    while i < len(rows) <= 256:
+        for table in tables:
+            table[i]  # interns row i times the generator
+        i += 1
+    if len(rows) <= 256:
+        return _translate_map(system, "modular",
+                              (map(table.__getitem__, range(len(rows)))
+                               for table in tables),
+                              len(rows), system.rank, m, rows)
+    steps = [table.__getitem__ for table in tables]
+    return FiniteQuotientMap(system, "modular", tuple(range(system.rank)),
+                             lambda ids, k: tuple(map(steps[k], ids)), m,
+                             rows)
 
 
 def _mod2_abelian_map(system: CoxeterSystem, m) -> FiniteQuotientMap:
@@ -404,23 +427,28 @@ class QuotientCheck(NamedTuple):
     detail: str = ""
 
 
+def _pair_map(first: FiniteQuotientMap,
+              second: FiniteQuotientMap) -> FiniteQuotientMap:
+    """The ``pair`` map of two maps of one system: the pair of their
+    images, stepped in both."""
+    f, g = first.step, second.step
+    return FiniteQuotientMap(first.system, "pair",
+                             (first.identity_image, second.identity_image),
+                             lambda x, k: (f(x[0], k), g(x[1], k)))
+
+
 def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
                 cap: int):
     """Image of the twin group on n strands in the product of its
     matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``.
 
     Returns (first, second, pairs): the two quotient maps and the orbit
-    of the pair of identities, in discovery order.  A pair product has
-    the lcm of its two orders, and ``INF`` stays ``INF``.
+    of their ``pair`` map, in discovery order.
     """
     first = quotient_map(twin(n), "modular", modulus)
     second = quotient_map(twin(n), kind, m)
-    f, g = first.step, second.step
-    orders = [[INF if a is INF or b is INF else math.lcm(a, b)
-               for a, b in zip(*rows)]
-              for rows in zip(first.bond_orders(cap), second.bond_orders(cap))]
-    pairs = orbit((first.identity_image, second.identity_image),
-                  lambda x, k: (f(x[0], k), g(x[1], k)), orders, cap)
+    pair = _pair_map(first, second)
+    pairs = orbit(pair.identity_image, pair.step, pair.bond_orders(cap), cap)
     return first, second, pairs
 
 

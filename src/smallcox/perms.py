@@ -1,13 +1,12 @@
 """Permutations of range(n), as sequences of ints.
 
-A permutation p sends i to p[i].  The ``symmetric`` quotient map holds
-its images as ``bytes`` and builds its generators from
+A permutation p sends i to p[i].  The ``symmetric`` quotient map of
+:mod:`smallcox.congruence` builds its generators from
 ``adjacent_transposition``: p times q is "apply p, then q", the
-permutation i -> q[p[i]], which is ``p.translate`` by q padded to a
-256-byte table, and that matches the left-to-right order used for
-matrix images of words.  ``is_even`` reads tuples and ``bytes`` alike.
-No group is listed here, since ``congruence.orbit`` enumerates every
-finite group.
+permutation i -> q[p[i]], which matches the left-to-right order used
+for matrix images of words.  ``is_even`` reads any sequence of ints,
+so it reads that map's images as they are.  No group is listed here,
+since ``congruence.orbit`` enumerates every finite group.
 """
 
 from __future__ import annotations

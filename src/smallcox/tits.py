@@ -16,17 +16,15 @@ Right-multiplying by s_k is one rule: column k is negated and each
 column j bonded to k (alpha(k, j) != 0) gains alpha(k, j) times it.
 ``_bonds`` lists those (j, alpha) pairs per generator, and every
 product by a generator runs on that list: ``_word_rows`` for the words
-of ``evaluate`` and ``evaluate_mod``, and the closure step
-``generator_step``.  A word of length L costs O(L * rank * (1 + b))
+of ``evaluate`` and ``evaluate_mod``, and the lazy tables of
+``row_tables``.  A word of length L costs O(L * rank * (1 + b))
 operations for b bonds per generator: at most 2 for twin and symmetric
-systems, rank - 1 for triplet and universal ones.  The closure step
-never rebuilds a matrix: it interns each distinct residue row once in a
-row list and an element is the sequence of its row ids.  When the image
-has at most 256 distinct rows, an element is the ``bytes`` of its ids
-and a step is one ``bytes.translate`` by a 256-byte id -> id table per
-generator; past 256 rows it is the tuple of its ids, and one lazily
-filled id -> id table per generator multiplies each row by that
-generator at most once.
+systems, rank - 1 for triplet and universal ones.  Row i of x * s_k is
+row i of x times s_k, so the rows of a congruence image are the orbit
+of e_1..e_r under the generators: ``row_tables`` interns each distinct
+residue row once in a row list, and one lazily filled id -> id table
+per generator multiplies each row by that generator at most once.
+How an image is built from those ids is :mod:`smallcox.congruence`'s.
 
 Closed forms implemented here and cross-checked against plain matrix
 multiplication in the test suite:
@@ -172,56 +170,25 @@ class _RowIdTable(dict):
         return out
 
 
-def generator_step(system: CoxeterSystem, m: int):
-    """The closure step of the congruence images, over interned rows.
+def row_tables(system: CoxeterSystem, m: int):
+    """The interned rows of the congruence image mod m, with their
+    generator tables.
 
-    Returns ``(rows, one, step)``.  ``rows`` is the list of distinct
+    Returns ``(rows, tables)``.  ``rows`` is the list of distinct
     residue rows (0..m-1), starting with the identity rows, so row i of
-    the identity has id i; an element is the sequence of its row ids,
-    ``one`` is the identity's, and ``step(ids, k)`` is that of the
-    matrix times s_(k+1).  Rows are interned, so equal matrices have
-    equal ids.  Row i of x * s is row i of x times s, so the rows of
-    the image are the orbit of e_1..e_r under the generators, and that
-    orbit is closed first, up to its 257th row:
-
-    * with at most 256 rows, ``rows`` lists them all, an element is the
-      ``bytes`` of its row ids and a step is one ``bytes.translate`` by
-      that generator's 256-byte id -> id table;
-    * past 256 rows, what the closure interned is discarded, an element
-      is the ``tuple`` of its row ids, and one lazily filled id -> id
-      table per generator multiplies each row by that generator at most
-      once, so the list only grows when a step meets a new row.
-
-    Long single words go through the in-place loop of ``_word_rows``
-    instead.
+    the identity has id i; ``tables[k]`` is a ``_RowIdTable`` that
+    sends a row id to the id of that row times s_(k+1), filled on first
+    lookup and appending any new row to ``rows``.  Rows are interned,
+    so equal matrices have equal ids.  Long single words go through the
+    in-place loop of ``_word_rows`` instead.
     """
     require_small(system)
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
-    bonds = _bonds(system)
-
-    def lazy_tables():
-        rows = list(identity_rows(system.rank))
-        index = {row: i for i, row in enumerate(rows)}
-        return rows, [_RowIdTable(bond, k0, m, rows, index)
-                      for k0, bond in enumerate(bonds)]
-
-    rows, tables = lazy_tables()
-    i = 0
-    while i < len(rows) <= 256:
-        for table in tables:
-            table[i]  # interns row i times the generator
-        i += 1
-    if len(rows) <= 256:
-        pad = bytes(range(len(rows), 256))
-        shifts = [bytes(map(table.__getitem__, range(len(rows)))) + pad
-                  for table in tables]
-        return rows, bytes(range(system.rank)), \
-            lambda ids, k0: ids.translate(shifts[k0])
-    rows, tables = lazy_tables()
-    tables = [table.__getitem__ for table in tables]
-    return rows, tuple(range(system.rank)), \
-        lambda ids, k0: tuple(map(tables[k0], ids))
+    rows = list(identity_rows(system.rank))
+    index = {row: i for i, row in enumerate(rows)}
+    return rows, [_RowIdTable(bond, k0, m, rows, index)
+                  for k0, bond in enumerate(_bonds(system))]
 
 
 def pair_product_formula(system: CoxeterSystem, k: int, l: int) -> Matrix:

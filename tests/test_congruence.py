@@ -13,15 +13,14 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
                                  product_quotient_check, quotient_map)
 from smallcox.congruence import (FiniteMatrixGroup, FiniteQuotientMap,
                                  QuotientCheck, RelationCheckError,
-                                 _kernel_map, _twin_pairs)
+                                 _kernel_map, _pair_map, _twin_pairs)
 from smallcox.coxeter import (INF, build_system, named_system, racg_system,
                               simple_graph, symmetric, triplet, twin,
                               universal)
 from smallcox.matrices import Matrix, identity_rows, parse_matrix
 from smallcox.perms import adjacent_transposition, is_even
 from smallcox.rewriting import KernelRewriter, coset_table
-from smallcox.tits import (_bonds, evaluate, evaluate_mod, generator_matrix,
-                           generator_step)
+from smallcox.tits import _bonds, evaluate, evaluate_mod, generator_matrix
 from test_coxeter import all_graphs
 from test_perms import identity, multiply
 
@@ -260,7 +259,8 @@ class TestQuotientChecks:
     def test_paired_projection_surjects(self):
         n, m = 4, 3
         aux = [adjacent_transposition(n, i) for i in range(1, n)]
-        rows, one, step = generator_step(twin(n), 3 * m)
+        qmap = quotient_map(twin(n), "modular", 3 * m)
+        rows, one, step = qmap.rows, qmap.identity_image, qmap.step
         pairs = orbit((one, identity(n)),
                       lambda x, k: (step(x[0], k), multiply(x[1], aux[k])),
                       twin(n).exponents)
@@ -576,9 +576,14 @@ class TestShortlexPruning:
         (4, 20, "mod2_abelian", None), (6, 12, "mod2_abelian", None),
         (3, 12, "modular", 5), (4, 12, "modular", 5), (4, 12, "modular", 7)])
     def test_pair_orbits_match_the_reference(self, n, modulus, kind, m):
-        # the three quotient checks' orbits: the pair steps by the lcm of
-        # the two maps' bond orders
+        # the three quotient checks' orbits: the pair map walks its own
+        # bond orders, which are the entrywise lcm of the two maps'
+        # orders (INF where either is INF)
         first, second, pairs = _twin_pairs(n, modulus, kind, m, DEFAULT_CAP)
+        assert _pair_map(first, second).bond_orders() == tuple(
+            tuple(INF if a is INF or b is INF else math.lcm(a, b)
+                  for a, b in zip(*rows))
+            for rows in zip(first.bond_orders(), second.bond_orders()))
         if kind == "modular":
             reference = _reference_pairs(n, modulus, identity_rows(n - 1),
                                          _reference_step(twin(n), m))
@@ -660,17 +665,21 @@ class TestBudgetAndLaziness:
         assert group.rows is rows and group.order == 648
 
     def test_row_table_grows_only_with_the_orbit(self):
-        # the universal group of rank 9 has an enormous image mod 12; the
-        # closure must stop at the cap having interned only the rows of
-        # the elements it met (W's own exponents, so that no bond-order
-        # walk interns rows first)
-        qmap = quotient_map(universal(10), "modular", 12)
+        # the universal group of rank 9 has an enormous image mod 60,
+        # past 256 rows: the map closes rows only up to the 257th, and
+        # a capped closure interns only the rows of the elements it
+        # meets, at most one per row of each (W's own exponents, so that
+        # no bond-order walk interns rows first)
+        qmap = quotient_map(universal(10), "modular", 60)
         assert qmap.system.rank == 9
+        assert type(qmap.identity_image) is tuple
+        built = len(qmap.rows)
+        assert 256 < built <= 256 + 9
         with pytest.raises(BudgetExceededError):
             orbit(qmap.identity_image, qmap.step, qmap.system.exponents, 50)
-        assert len(qmap.rows) <= 9 * (50 + 1)
+        assert len(qmap.rows) <= built + 9 * 50
         with pytest.raises(BudgetExceededError):
-            enumerate_image(universal(10), 12, cap=50)
+            enumerate_image(universal(10), 60, cap=50)
 
     def test_modular_maps_leave_no_reference_cycles(self):
         # the row tables share the row list without pointing back at

@@ -4,13 +4,14 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallcox.congruence import quotient_map
 from smallcox.coxeter import (INF, NonSmallSystemError, build_system,
                               symmetric, triplet, twin, universal)
 from smallcox.matrices import Matrix, identity_rows
 from smallcox.tits import (alpha, evaluate, evaluate_mod, generator_matrix,
-                           generator_step, order_check_2m, pair_product_formula,
+                           order_check_2m, pair_product_formula,
                            pair_product_square_formula, pm_coefficients,
-                           twin_power_matrix)
+                           row_tables, twin_power_matrix)
 
 SMALL_FAMILIES = (twin, triplet, symmetric, universal)
 
@@ -184,13 +185,13 @@ class TestGeneratorStep:
     @pytest.mark.parametrize("family", SMALL_FAMILIES)
     @pytest.mark.parametrize("m", (2, 3, 12))
     def test_matches_product_oracle(self, family, m):
-        # the memoized row-id tables against plain products, on random
-        # words: ids decode through the row list to the product's rows
+        # the modular map's step over the row tables against plain
+        # products, on random words, in both encodings: ids decode
+        # through the row list to the product's rows
         system = family(5)
-        rows, one, step = generator_step(system, m)
+        qmap = quotient_map(system, "modular", m)
+        rows, one, step = qmap.rows, qmap.identity_image, qmap.step
         assert rows[:4] == list(identity_rows(4))
-        # past 256 rows the list starts again from the identity rows
-        assert type(one) is bytes or rows == list(identity_rows(4))
         assert tuple(one) == tuple(range(4))
         rng = random.Random(m)
         for _ in range(30):
@@ -209,7 +210,18 @@ class TestGeneratorStep:
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
-            generator_step(twin(4), 1)
+            row_tables(twin(4), 1)
+
+    def test_row_tables_fill_lazily(self):
+        # the identity rows, and no product until a table is read
+        rows, tables = row_tables(twin(4), 5)
+        assert rows == list(identity_rows(3))
+        assert len(tables) == 3 and not any(tables)
+        # e_1 times s_1 is row 1 of s_1 mod 5, interned once
+        assert rows[tables[0][0]] == (4, 2, 0)
+        assert tables[0][0] == 3 and len(rows) == 4
+        # e_2 has a zero in column 1, so s_1 leaves it as it is
+        assert tables[0][1] == 1 and len(rows) == 4
 
 
 class TestPairProductFormulas:
