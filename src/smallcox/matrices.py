@@ -3,10 +3,8 @@
 One type, ``Matrix(rows, modulus=None)``, holds both: without a modulus
 the entries are arbitrary-precision Python integers, with a modulus m
 they are canonical residues 0..m-1 (the paper's reduction of the
-integral reflection representation mod m).  The constructor freezes or
-reduces its entries; ``Matrix.canonical(rows, m)`` takes rows that are
-already in that form, as products are, and renormalises nothing.
-``reduce(m)`` passes to Z/m.
+integral reflection representation mod m).  The constructor is the only
+way in: it freezes or reduces its entries.  ``reduce(m)`` passes to Z/m.
 
 The sparse-column form lists a matrix as its columns, each a
 ``{row: value}`` dict with the zero entries left out; the Smith
@@ -113,11 +111,8 @@ class Matrix:
     """A square matrix over Z, or over Z/m when ``modulus`` is m.
 
     The matrix is immutable and hashable; two matrices are equal when
-    their rows and their moduli are.  Group enumeration does not hash
-    it: a finite image hashes tuples of row ids (see ``congruence``).
-    Only matrices with the same modulus multiply.  The class is
-    slotted: an image of many thousands of matrices keeps no per-matrix
-    attribute dict.
+    their rows and their moduli are.  Only matrices with the same
+    modulus multiply.
     """
 
     __slots__ = ("rows", "modulus")
@@ -153,20 +148,8 @@ class Matrix:
         return len(self.rows)
 
     @classmethod
-    def canonical(cls, rows: Rows, m: Optional[int] = None) -> "Matrix":
-        """Wrap row tuples of ints that are already canonical (residues
-        0..m-1 when m is given), as products are, without renormalising
-        them."""
-        if m is not None and m < 2:
-            raise ValueError(f"modulus {m} < 2")
-        mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "modulus", m)
-        return mat
-
-    @classmethod
     def identity(cls, d: int, m: Optional[int] = None) -> "Matrix":
-        return cls.canonical(identity_rows(d), m)
+        return cls(identity_rows(d), m)
 
     def is_identity(self) -> bool:
         return self.rows == identity_rows(self.dimension)
@@ -174,12 +157,11 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if other.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        return Matrix.canonical(mul_rows(self.rows, other.rows, self.modulus),
-                                self.modulus)
+        return Matrix(mul_rows(self.rows, other.rows, self.modulus),
+                      self.modulus)
 
     def __pow__(self, k: int) -> "Matrix":
-        return Matrix.canonical(pow_rows(self.rows, k, self.modulus),
-                                self.modulus)
+        return Matrix(pow_rows(self.rows, k, self.modulus), self.modulus)
 
     def reduce(self, m: int) -> "Matrix":
         """The matrix mod m; with a modulus, m must divide it."""
@@ -187,8 +169,7 @@ class Matrix:
             raise ValueError(f"modulus {m} < 2")
         if self.modulus is not None and self.modulus % m:
             raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        return Matrix.canonical(
-            tuple(tuple(e % m for e in row) for row in self.rows), m)
+        return Matrix(self.rows, m)
 
     def det(self) -> int:
         d = det_rows(self.rows)

@@ -388,7 +388,7 @@ class KernelRewriter:
         """``conjugation_columns(word)`` as a dense matrix; no command
         calls it, only the perfbench tracer and the tests read it."""
         cols = self.conjugation_columns(word)
-        return Matrix.canonical(dense_rows(cols, len(cols)))
+        return Matrix(dense_rows(cols, len(cols)))
 
 
 def _exponent_row(word: Sequence[int]) -> dict[int, int]:

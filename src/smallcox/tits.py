@@ -123,7 +123,7 @@ def evaluate(system: CoxeterSystem, word: Word) -> Matrix:
     """Exact image of a word, the product of its generator matrices."""
     require_small(system)
     word = system.check_word(word)
-    return Matrix.canonical(_word_rows(system, word))
+    return Matrix(_word_rows(system, word))
 
 
 def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> Matrix:
@@ -132,7 +132,7 @@ def evaluate_mod(system: CoxeterSystem, word: Word, m: int) -> Matrix:
     if m < 2:
         raise ValueError(f"modulus {m} < 2")
     word = system.check_word(word)
-    return Matrix.canonical(_word_rows(system, word, m), m)
+    return Matrix(_word_rows(system, word, m), m)
 
 
 class _RowIdTable(dict):

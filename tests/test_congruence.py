@@ -58,7 +58,7 @@ class TestEnumerateImage:
     def test_closure_spot_check(self):
         group = enumerate_image(twin(4), 5)
         rng = random.Random(1)
-        els = [Matrix.canonical(r, 5) for r in group.rows]
+        els = [Matrix(r, 5) for r in group.rows]
         rows = set(group.rows)
         for _ in range(50):
             a = els[rng.randrange(len(els))]
@@ -92,7 +92,7 @@ class TestEnumerateImage:
             assert group.order == 2 ** vertices
             ident = Matrix.identity(vertices, 4)
             assert all(el * el == ident for el in
-                       (Matrix.canonical(r, 4) for r in group.rows))
+                       (Matrix(r, 4) for r in group.rows))
 
 
 class TestCongruenceMember:
@@ -200,7 +200,7 @@ class TestQuotientChecks:
         mapping, values, well_defined, injective = _kernel_map(
             pairs, first.rows, m)
         kernel = {g: s for g, s in pairs
-                  if Matrix.canonical(_decode(first.rows, g), factor * m)
+                  if Matrix(_decode(first.rows, g), factor * m)
                   .reduce(m).is_identity()}
         assert mapping == kernel
         assert values == set(kernel.values())
@@ -447,8 +447,9 @@ class TestAgainstRowTupleReference:
         ("even-vectors", 3, 3), ("even-vectors", 3, 5),
         ("even-vectors", 4, 3), ("even-vectors", 4, 5),
         ("even-vectors", 5, 3), ("even-vectors", 6, 3),
+        ("even-vectors", 4, 15),
         ("product", 3, 5), ("product", 3, 7), ("product", 4, 5),
-        ("product", 4, 7)])
+        ("product", 4, 7), ("product", 4, 13)])
     def test_quotient_check_matches_the_reference(self, kind, n, m):
         check = {"alternating": alternating_quotient_check,
                  "even-vectors": even_vector_quotient_check,

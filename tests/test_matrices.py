@@ -32,11 +32,11 @@ class TestIntMatrix:
 
     def test_equal_matrices_hash_alike_and_dedupe(self):
         built = Matrix([[1, 2], [3, 4]])
-        wrapped = Matrix.canonical(((1, 2), (3, 4)))
-        assert built == wrapped and hash(built) == hash(wrapped)
+        frozen = Matrix(((1, 2), (3, 4)))
+        assert built == frozen and hash(built) == hash(frozen)
         reduced = Matrix(((6, 2), (3, 4)), 5)
         assert reduced == Matrix(((1, 2), (3, 4)), 5) != built
-        assert len({built, wrapped, reduced,
+        assert len({built, frozen, reduced,
                     Matrix(((1, 2), (3, 4)), 5)}) == 2
         assert built != built.rows
 
@@ -201,12 +201,8 @@ class TestModMatrix:
         with pytest.raises(ValueError):
             Matrix(((4,),), 4).reduce(1)
 
-    def test_canonical_skips_only_the_reduction(self):
-        # the constructor still reduces; canonical takes residues as given
+    def test_constructor_reduces_the_entries(self):
         assert Matrix(((7,),), 5).rows == ((2,),)
-        assert Matrix.canonical(((2,),), 5) == Matrix(((7,),), 5)
-        with pytest.raises(ValueError):
-            Matrix.canonical(((0,),), 1)
 
 
 class TestSmithNormalForm:

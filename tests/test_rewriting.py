@@ -1026,9 +1026,10 @@ class TestConjugation:
 
     @pytest.mark.parametrize("qmap", _COLUMN_MAPS, ids=_COLUMN_IDS)
     def test_columns_are_the_columns_of_the_matrix(self, qmap):
-        # and each column is, independently, the free coordinates of the
+        # each column is, independently, the free coordinates of the
         # conjugates w g w^-1 of the generators that lift its basis
-        # vector, each rewritten whole from coset 0
+        # vector, each rewritten whole from coset 0; the dense matrix
+        # has those columns too
         rewriter = KernelRewriter(qmap)
         r, rng = qmap.system.rank, random.Random(23)
         words = [(y,) for y in range(1, r + 1)] + [
@@ -1037,12 +1038,14 @@ class TestConjugation:
             cols = rewriter.conjugation_columns(w)
             assert len(cols) == rewriter.rank
             assert all(0 not in col.values() for col in cols)
-            assert dense_rows(cols, rewriter.rank) == \
-                rewriter.conjugation_matrix(w).rows
-            for col, lift in zip(cols, rewriter.smith.free_rows):
+            whole = []
+            for lift in rewriter.smith.free_rows:
                 images = {t: rewriter.free_coordinates(
                     w + rewriter.schreier_word(t) + w[::-1]) for t in lift}
-                assert [col] == mul_columns(images, [lift])
+                whole += mul_columns(images, [lift])
+            assert cols == whole
+            assert rewriter.conjugation_matrix(w).rows == \
+                dense_rows(whole, rewriter.rank)
 
     @pytest.mark.parametrize("qmap", _COLUMN_MAPS, ids=_COLUMN_IDS)
     def test_columns_multiply_along_the_word(self, qmap):
