@@ -13,9 +13,10 @@ one interpreter parses each without rebuilding the tree.
 
 ``import smallcox.cli`` loads the package's modules and the standard
 modules they use, among them ``argparse``, ``json``, ``pathlib``,
-``random`` and ``typing``.  With warm bytecode, on Python 3.11 on a
-shared 2-vCPU VM where ``site`` had loaded the last three, that took
-12 ms: 5 ms for the package, 2 for ``argparse`` and 3 for ``json``.
+``random`` and ``typing``.  With warm bytecode, on Python 3.11.7 on a
+shared 2-vCPU Xeon VM where ``site`` had loaded the last three, that
+took about 8 ms: 4 ms for the package, 2 for ``argparse`` and 1.5 for
+``json``.
 Records are ``NamedTuple`` classes, and the types that validate, cache
 or are hashed in sets are plain classes; the package defines no
 ``@dataclass``, whose module pulls in ``inspect``, ``ast``, ``dis`` and

@@ -6,10 +6,12 @@ congruence subgroup of level m.  Everything here works with finite
 images:
 
 * ``orbit`` is the one breadth-first closure, and the only code that
-  lists the elements of a finite group: the orbit of a start element
-  under "apply generator k", in shortlex discovery order.  Images,
-  subquotient checks and the coset tables of :mod:`smallcox.rewriting`
-  all run through it, and it alone checks the element budget; only
+  lists the elements of a finite group given by a map: the orbit of a
+  start element under "apply generator k", in shortlex discovery
+  order.  (``crystallo._subset_tree`` writes down the 2^(n-1) subsets
+  of Z_2^(n-1) in that same order, with no map.)  Images, subquotient
+  checks and the coset tables of :mod:`smallcox.rewriting` all run
+  through it, and it alone checks the element budget; only
   ``rewriting.coset_table`` asks it for the action table as well, so
   the other callers never hold one.  Without the action table it steps
   an element only by the letters that ``coxeter.shortlex_moves`` allows

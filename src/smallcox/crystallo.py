@@ -13,8 +13,9 @@ quotient of the twin group (lattice of rank 2n-5):
   class down in closed form on the standard lattice basis
   b0(1), b0(2), b1(2), ..., b0(n-2), b1(n-2), where b0(j) is the class
   of s_{j+1} s_j s_{j+1} s_j and b1(j) its conjugate by s_{j-1};
-  ``theta_faithfulness`` runs these over the coset table of the mod-2
-  abelianization of the twin group, one coset per subset of classes;
+  ``theta_faithfulness`` runs these over the subsets of classes, one
+  coset each of the mod-2 abelianization of the twin group, with no
+  coset table built;
 * ``holonomy_via_conjugation(qmap)`` computes the action of each
   ambient generator on the kernel of the quotient map through its
   coset graph (``KernelRewriter(qmap)``; the system is ``qmap.system``),
@@ -30,13 +31,17 @@ Both routes hand their generator matrices to one walk, ``_holonomy``,
 as lists of sparse ``{row: value}`` columns; ``theta_faithfulness``
 checks its closed forms on those same columns, with sparse column
 products (``matrices.mul_columns``).  The walk carries one probe row
-along the breadth-first transversal tree of a coset table,
+along a tree of coset words, each a parent's word plus one letter y,
 v M(c) = (v M(parent)) M(s_y) (the action is a homomorphism,
-M(uv) = M(u) M(v)), and holds only the probes of the frontier: along a
-breadth-first table the parents never decrease, so a probe is dropped
-once the walk is past its coset's last child (S_8 holds at most 3897 of
-its 40,320 probes).  A coset in the kernel fixes every row, so only the
-cosets that fix the probe are multiplied out in full, with the same
+M(uv) = M(u) M(v)), and holds only the probes of the frontier: the
+cosets come in shortlex order of their words, so the parents never
+decrease and a probe is dropped once the walk is past its coset's last
+child (S_8 holds at most 3897 of its 40,320 probes).  The conjugation
+route reads its tree off the coset table it rewrites over; the
+closed-form route walks the subsets of classes directly
+(``_subset_tree``), since their shortlex order is that table's
+transversal and tree.  A coset in the kernel fixes every row, so only
+the cosets that fix the probe are multiplied out in full, with the same
 sparse column products, and compared with the identity; the witnesses
 are exactly the cosets whose full matrix is the identity.
 
@@ -54,12 +59,12 @@ is always reported on the ``HolonomyReport``, never raised; only
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .congruence import FiniteQuotientMap, quotient_map
 from .coxeter import Word, family_of, twin
 from .matrices import dense_rows, det_rows, mul_columns, transpose
-from .rewriting import CosetTable, KernelRewriter, coset_table
+from .rewriting import CosetTable, KernelRewriter
 
 
 class BasisSpanError(ValueError):
@@ -127,7 +132,8 @@ def theta_faithfulness(n: int) -> HolonomyReport:
     (so the formulas really define an action of the elementary abelian
     group), with products of their sparse columns, then walks the
     2^(n-1) cosets of the mod-2 abelianization of the twin group (no
-    odd bonds, so one coset per subset) with those same columns and
+    odd bonds, so one coset per subset) with those same columns, over
+    ``_subset_tree`` and with no quotient map or coset table, and
     reports every subset acting trivially.
     """
     if not 3 <= n <= 12:
@@ -140,8 +146,37 @@ def theta_faithfulness(n: int) -> HolonomyReport:
         for b in gens[i + 1:]:
             if mul_columns(a, b) != mul_columns(b, a):
                 raise ArithmeticError("generator classes fail to commute")
-    qmap = quotient_map(twin(n), "mod2_abelian")
-    return _holonomy(qmap, coset_table(qmap), gens, len(ident))
+    return _holonomy(f"T{n}/T{n}''", *_subset_tree(n), gens, len(ident))
+
+
+def _subset_tree(n: int) -> tuple[list[Word], list[int]]:
+    """The cosets of the mod-2 abelianization of the twin group T_n, as
+    the words of the subsets of the n-1 generator classes and the index
+    of each one's parent, in shortlex order (by size, then
+    lexicographically).
+
+    A subset's word lists its classes in increasing order, and its
+    parent drops the largest class, so the parents never decrease; the
+    empty subset is its own parent.  This is the transversal and tree
+    of ``coset_table(quotient_map(twin(n), "mod2_abelian"))``, built
+    without the quotient map's orbit.
+    """
+    words: list[Word] = [()]
+    parents = [0]
+    for p, word in enumerate(words):  # read as it grows: breadth first
+        for y in range(word[-1] + 1 if word else 1, n):
+            words.append(word + (y,))
+            parents.append(p)
+    return words, parents
+
+
+def _table_tree(table: CosetTable) -> tuple[tuple[Word, ...], list[int]]:
+    """The transversal of ``table`` and the index of each coset's tree
+    parent: coset c's word is its parent's word plus one letter y, and
+    generator actions are involutions, so the parent is c.y."""
+    words, action = table.transversal, table.action
+    return words, [0] + [action[c][words[c][-1] - 1]
+                         for c in range(1, table.count)]
 
 
 def _quotient_label(qmap: FiniteQuotientMap, family: Optional[str]) -> str:
@@ -161,41 +196,41 @@ def _quotient_label(qmap: FiniteQuotientMap, family: Optional[str]) -> str:
     return f"{stem}/{stem}'"
 
 
-def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
-              dim: int, torsion: tuple[int, ...] = (),
-              family: Optional[str] = None) -> HolonomyReport:
-    """The action of every coset of ``table``, from the sparse columns
-    of the generator matrices ``gens``, as a faithfulness report.
+def _holonomy(label: str, words: Sequence[Word], parents: Sequence[int],
+              gens: Iterable, dim: int,
+              torsion: tuple[int, ...] = ()) -> HolonomyReport:
+    """The action of every coset, from the sparse columns of the
+    generator matrices ``gens``, as a faithfulness report named
+    ``label``.
 
-    ``gens`` holds one list of ``{row: value}`` columns per generator,
-    and each is also listed by rows (``matrices.transpose``), as the
-    nonzero ``(column, value)`` pairs of each row, which is what a row
-    vector times the matrix sums over.  The walk carries one probe row,
-    (1, 2, ..., dim), times each coset's matrix: coset c's
-    representative is its tree parent's word plus one letter y, so its
-    row is the parent's row times M(s_y), and the parent is c.y, since
-    generator actions are involutions.  The table is breadth first, so
-    parents never decrease along it: a probe is dropped once the walk
-    is past its coset's last child, and only the frontier is held.  A
-    coset that acts trivially fixes every row, so only a coset that
-    fixes the probe can be in the kernel, and its action is multiplied
-    out along its word (``matrices.mul_columns``) and compared with the
-    identity.  Kernel witnesses come in table order.  ``family`` is
-    passed on to the quotient's label.
+    ``words[c]`` is coset c's word and ``parents[c]`` the index of the
+    coset whose word is ``words[c]`` without its last letter; coset 0
+    has the empty word, and the parents never decrease.  ``gens`` holds
+    one list of ``{row: value}`` columns per generator, and each is
+    also listed by rows (``matrices.transpose``), as the nonzero
+    ``(column, value)`` pairs of each row, which is what a row vector
+    times the matrix sums over.  The walk carries one probe row,
+    (1, 2, ..., dim), times each coset's matrix: coset c's row is its
+    parent's row times M(s_y), y the last letter of its word.  Since
+    parents never decrease, a probe is dropped once the walk is past
+    its coset's last child, and only the frontier is held.  A coset
+    that acts trivially fixes every row, so only a coset that fixes the
+    probe can be in the kernel, and its action is multiplied out along
+    its word (``matrices.mul_columns``) and compared with the identity.
+    Kernel witnesses come in the order of ``words``.
     """
     gens = list(gens)
     rows = [[list(r.items()) for r in transpose(cols, dim)] for cols in gens]
     ident = [{j: 1} for j in range(dim)]
-    action, words = table.action, table.transversal
     start = list(range(1, dim + 1))
-    probes: list = [None] * table.count
+    probes: list = [None] * len(words)
     probes[0] = start
     held = 0  # the probes of the cosets before this one are dropped
     witnesses = []
-    for c in range(1, table.count):
+    for c in range(1, len(words)):
         word = words[c]
         y = word[-1] - 1
-        parent = action[c][y]
+        parent = parents[c]
         while held < parent:
             probes[held] = None
             held += 1
@@ -208,9 +243,9 @@ def _holonomy(qmap: FiniteQuotientMap, table: CosetTable, gens: Iterable,
                 mul_columns, [gens[x - 1] for x in word]) == ident:
             witnesses.append(word)
     return HolonomyReport(
-        quotient=_quotient_label(qmap, family),
+        quotient=label,
         dimension=dim,
-        holonomy_order=table.count,
+        holonomy_order=len(words),
         faithful=not witnesses,
         kernel_witnesses=tuple(witnesses),
         lattice_torsion=torsion,
@@ -224,17 +259,19 @@ def holonomy_via_conjugation(qmap: FiniteQuotientMap,
 
     Only the generators' sparse columns come from Schreier rewriting
     (``KernelRewriter.conjugation_columns``), one generator at a time;
-    the walk over the cosets is ``_holonomy``.  Torsion of the
-    abelianization goes on the report as ``lattice_torsion``.
-    ``family`` names the family the system was built as, for the
-    report's label; without it the label follows ``coxeter.family_of``,
-    which cannot tell the rank-1 systems apart and names them all twin.
+    the walk over the cosets is ``_holonomy``, along the tree of the
+    rewriter's coset table.  Torsion of the abelianization goes on the
+    report as ``lattice_torsion``.  ``family`` names the family the
+    system was built as, for the report's label; without it the label
+    follows ``coxeter.family_of``, which cannot tell the rank-1 systems
+    apart and names them all twin.
     """
     rewriter = KernelRewriter(qmap)
     gens = (rewriter.conjugation_columns((y,))
             for y in range(1, qmap.system.rank + 1))
-    return _holonomy(qmap, rewriter.table, gens, rewriter.rank,
-                     rewriter.torsion, family)
+    return _holonomy(_quotient_label(qmap, family),
+                     *_table_tree(rewriter.table), gens, rewriter.rank,
+                     rewriter.torsion)
 
 
 def beta_word(n: int, j: int, p: int) -> Word:

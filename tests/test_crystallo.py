@@ -2,11 +2,12 @@ import tracemalloc
 
 import pytest
 
-from smallcox import crystallo, rewriting
+from smallcox import congruence, crystallo, rewriting
 from smallcox.coxeter import named_system, triplet, twin
 from smallcox.crystallo import (BasisSpanError, HolonomyReport,
-                                LatticeTorsionError, _holonomy, beta_word,
-                                holonomy_via_conjugation,
+                                LatticeTorsionError, _holonomy,
+                                _quotient_label, _subset_tree, _table_tree,
+                                beta_word, holonomy_via_conjugation,
                                 theta_cross_check, theta_faithfulness,
                                 theta_generator_matrix)
 from smallcox.congruence import FiniteQuotientMap
@@ -83,6 +84,37 @@ def test_theta_faithfulness_matches_the_mask_products(n):
     assert (report.kernel_witnesses, report.holonomy_order, report.dimension,
             report.quotient) == _mask_products_report(n)
     assert report.faithful == (not report.kernel_witnesses)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_subset_tree_is_the_tree_of_the_mod2_coset_table(n):
+    # the generic route stays the reference: the subsets in shortlex
+    # order are the transversal of the mod-2 coset table, and each
+    # subset's parent is the coset that its last letter acts on
+    table = coset_table(quotient_map(twin(n), "mod2_abelian"))
+    words, parents = _subset_tree(n)
+    assert tuple(words) == table.transversal
+    assert len(parents) == len(words) == 2 ** (n - 1)
+    assert parents[0] == 0
+    for c in range(1, table.count):
+        assert parents[c] == table.action[c][words[c][-1] - 1]
+
+
+def test_theta_faithfulness_builds_no_quotient_map(monkeypatch):
+    # the closed-form walk runs over the subsets of classes, so it needs
+    # no quotient map, no orbit and no coset table, wherever those names
+    # are bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient map, orbit or coset table built")
+
+    for module in (congruence, rewriting, crystallo):
+        for name in ("quotient_map", "orbit", "coset_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = theta_faithfulness(8)
+    assert report == HolonomyReport(quotient="T8/T8''", dimension=11,
+                                    holonomy_order=128, faithful=True,
+                                    kernel_witnesses=())
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -257,7 +289,8 @@ def _holonomy_reference(qmap):
                     col[i] = col.get(i, 0) + x * v
             cols.append({i: v for i, v in col.items() if v})
         gens.append(cols)
-    return _holonomy(qmap, table, gens, rank, sm.torsion)
+    return _holonomy(_quotient_label(qmap, None), *_table_tree(table), gens,
+                     rank, sm.torsion)
 
 
 class TestProbeWalk:
@@ -267,7 +300,7 @@ class TestProbeWalk:
         # (1,) and (1, 2) pass the probe and only their full products
         # reject them; generators go in as sparse columns
         qmap = quotient_map(twin(3), "mod2_abelian")
-        report = _holonomy(qmap, coset_table(qmap),
+        report = _holonomy("T3/T3''", *_table_tree(coset_table(qmap)),
                            [[{0: -1, 1: 1}, {1: 1}], [{0: 1}, {1: 1}]], 2)
         assert report.kernel_witnesses == ((2,),)
         assert not report.faithful
@@ -281,12 +314,12 @@ class TestProbeWalk:
             rewriter = KernelRewriter(qmap)
             gens = [rewriter.conjugation_columns((y,))
                     for y in range(1, qmap.system.rank + 1)]
-            return qmap, rewriter.table, gens, rewriter.rank
+            return (_quotient_label(qmap, None), *_table_tree(rewriter.table),
+                    gens, rewriter.rank)
 
-        theta_map = quotient_map(twin(8), "mod2_abelian")
         theta = [theta_generator_matrix(8, k) for k in range(1, 8)]
         walks = [conjugation(quotient_map(twin(5), "symmetric")),
-                 (theta_map, coset_table(theta_map), theta, 11)]
+                 ("T8/T8''", *_subset_tree(8), theta, 11)]
         control = conjugation(quotient_map(twin(3), "symmetric"))
         calls = []
         full = crystallo.mul_columns
@@ -314,7 +347,8 @@ class TestProbeWalk:
         gens = [rewriter.conjugation_columns((y,)) for y in range(1, 6)]
         tracemalloc.start()
         try:
-            report = _holonomy(qmap, rewriter.table, gens, rewriter.rank)
+            report = _holonomy("T6/PT6'", *_table_tree(rewriter.table), gens,
+                               rewriter.rank)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -178,6 +178,7 @@ class TestModMatrix:
     def test_entries_reduced(self):
         a = Matrix(((-1, 7), (3, 4)), 5)
         assert a.rows == ((4, 2), (3, 4))
+        assert Matrix(((7,),), 5).rows == ((2,),)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
@@ -200,9 +201,6 @@ class TestModMatrix:
     def test_reduce_to_modulus_one_rejected(self):
         with pytest.raises(ValueError):
             Matrix(((4,),), 4).reduce(1)
-
-    def test_constructor_reduces_the_entries(self):
-        assert Matrix(((7,),), 5).rows == ((2,),)
 
 
 class TestSmithNormalForm:
