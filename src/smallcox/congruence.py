@@ -24,7 +24,7 @@ images:
   (s_j s_k)^m_jk = 1, with m_jk the bond orders of
   ``FiniteQuotientMap.bond_orders`` (W's exponents, each infinite bond
   replaced by the order of s_j s_k in the image); every
-  ``quotient_map`` kind and every ``pair`` map satisfies it.  With the
+  ``quotient_map`` kind and the ``level`` map satisfy it.  With the
   action table every generator is stepped, because ``coset_table``
   reads every entry to check that each generator acts as an
   involution, so kernels compute no bond orders;
@@ -47,9 +47,9 @@ images:
 * the ``*_quotient_check`` functions identify the subquotients
   "level m over level 3m / 4m / 12m" with the alternating group, the
   even-weight mod-2 vectors, and their direct product, and return a
-  ``QuotientCheck`` record.  Their orbit is that of a ``pair`` map,
-  whose image is the matrix paired with its image under a second
-  quotient map (``symmetric``, ``mod2_abelian`` or ``modular`` mod m).
+  ``QuotientCheck`` record.  Each closes one ``_level_map``: the images
+  mod m and mod k = 3, 4 or 12 prime to m, which are the image mod km,
+  with a ``symmetric``, ``mod2_abelian`` or ``trivial`` image.
   Onto-ness is decided by counting, never by listing the target: n!/2
   distinct even permutations are all of A_n, and 2^(n-2) distinct
   even-weight vectors are all of them.
@@ -73,13 +73,13 @@ e_1..e_r under the generators, up to the 257th row:
   meets a new row.
 
 ``bytes`` iterate as ints, hash, and are equal exactly when their ids
-are, as tuples do, so ``orbit``, ``FiniteMatrixGroup``,
-``_twin_pairs``, ``_kernel_map`` and ``rewriting.coset_table`` read
-either encoding.  Rows are decoded once, and only when read:
-``enumerate_image`` hands the ids and the row list to a
-``FiniteMatrixGroup``, which decodes them on the first read of its
-``rows`` (``image`` without ``--dump`` prints only the order), and
-``_kernel_map`` reduces each distinct row mod m once.
+are, as tuples do, so ``orbit``, ``FiniteMatrixGroup``, ``_level_map``
+and ``rewriting.coset_table`` read either encoding.  Rows are decoded
+once, and only when read: ``enumerate_image`` hands the ids and the row
+list to a ``FiniteMatrixGroup``, which decodes them on the first read
+of its ``rows`` (``image`` without ``--dump`` prints only the order);
+``_level_map`` decodes none, since the identity mod m is its identity
+image.
 
 The default element budget is 10**7; exceeding it raises
 ``BudgetExceededError``, which names how many elements were expanded,
@@ -95,7 +95,7 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 from . import perms
 from .coxeter import (INF, CoxeterSystem, Word, family_of, relators,
                       shortlex_moves, twin)
-from .matrices import Rows, format_matrix, identity_rows
+from .matrices import Rows, format_matrix
 from .tits import evaluate_mod, row_tables, twin_power_matrix
 
 DEFAULT_CAP = 10_000_000
@@ -257,14 +257,14 @@ class FiniteQuotientMap:
     (the squares s_i^2, then each finite bond (s_i s_j)^m_ij) and raises
     ``RelationCheckError`` on the first that fails.  For the ``modular``
     kind ``modulus`` is m and ``rows`` is the row list that its images
-    index into.  A ``pair`` map, which ``_twin_pairs`` builds from two
-    maps, has the pair of their images and steps both.
+    index into.  A ``level`` map, which ``_level_map`` builds from three
+    maps, has the triple of their images and steps all three.
 
     ``bond_orders`` gives ``orbit`` the orders of the pair products
     s_i s_j in the image, so that it can skip the steps that no
     shortlex-least word takes.  They are the orders of a group only when
     ``step`` is right multiplication in a group, which every
-    ``quotient_map`` kind and every ``pair`` map is; ``coset_table``
+    ``quotient_map`` kind and the ``level`` map is; ``coset_table``
     steps every generator and reads none.
     """
 
@@ -413,7 +413,7 @@ def quotient_map(system: CoxeterSystem, kind: str,
 
 
 # ---------------------------------------------------------------------------
-# subquotients: the closure carries a second image along the matrix
+# subquotients: the closure carries a third image along the matrices
 
 
 class QuotientCheck(NamedTuple):
@@ -429,68 +429,46 @@ class QuotientCheck(NamedTuple):
     detail: str = ""
 
 
-def _pair_map(first: FiniteQuotientMap,
-              second: FiniteQuotientMap) -> FiniteQuotientMap:
-    """The ``pair`` map of two maps of one system: the pair of their
-    images, stepped in both."""
-    f, g = first.step, second.step
-    return FiniteQuotientMap(first.system, "pair",
-                             (first.identity_image, second.identity_image),
-                             lambda x, k: (f(x[0], k), g(x[1], k)))
-
-
-def _twin_pairs(n: int, modulus: int, kind: str, m: Optional[int],
-                cap: int):
-    """Image of the twin group on n strands in the product of its
-    matrices mod ``modulus`` and ``quotient_map(twin(n), kind, m)``.
-
-    Returns (first, second, pairs): the two quotient maps and the orbit
-    of their ``pair`` map, in discovery order.
+def _level_map(system: CoxeterSystem, m: int, k: int, aux: str, cap: int):
+    """Close the images mod m and mod k, k prime to m, with the image
+    under ``quotient_map(system, aux)``, as one ``level`` map that steps
+    all three and walks its own ``bond_orders``.  By the Chinese
+    remainder theorem the pair (mod m, mod k) is the image mod km, and
+    on the kernel of reduction mod m the image mod k stands for it.
+    Returns (order, mapping, well_defined, injective): the orbit's size,
+    the mod-k -> auxiliary map over the kernel, and whether no mod-k
+    image meets two auxiliaries and no auxiliary two mod-k images.
     """
-    first = quotient_map(twin(n), "modular", modulus)
-    second = quotient_map(twin(n), kind, m)
-    pair = _pair_map(first, second)
-    pairs = orbit(pair.identity_image, pair.step, pair.bond_orders(cap), cap)
-    return first, second, pairs
-
-
-def _kernel_map(pairs, rows: list, m: int):
-    """Pairs whose matrix part is trivial mod m, as a matrix -> aux map.
-
-    The matrix parts are row ids into ``rows``, whose residues are
-    taken mod a multiple of m.  Each distinct row is reduced mod m once,
-    to the i with row = e_i mod m (or -1), and a matrix is trivial mod m
-    exactly when that sends its ids to (0, 1, ..., rank-1).  Returns
-    (mapping, values, well_defined, injective), values the set of the
-    mapping's auxiliaries: well-defined means no matrix appears with two
-    distinct auxiliaries, injective means no auxiliary appears for two
-    distinct matrices.
-    """
-    ident = identity_rows(len(pairs[0][0]))
-    unit = {row: i for i, row in enumerate(ident)}
-    reduced = [unit.get(tuple(e % m for e in row), -1) for row in rows]
-    reduce_ids = reduced.__getitem__
-    trivial = tuple(range(len(ident)))
+    maps = (quotient_map(system, "modular", m),
+            quotient_map(system, "modular", k), quotient_map(system, aux))
+    f, g, h = (qmap.step for qmap in maps)
+    level = FiniteQuotientMap(system, "level",
+                              tuple(qmap.identity_image for qmap in maps),
+                              lambda x, i: (f(x[0], i), g(x[1], i),
+                                            h(x[2], i)))
+    triples = orbit(level.identity_image, level.step,
+                    level.bond_orders(cap), cap)
+    one = maps[0].identity_image
     mapping: dict = {}
     well_defined = True
-    for g, s in pairs:
-        if tuple(map(reduce_ids, g)) == trivial:
-            if g in mapping and mapping[g] != s:
+    for a, b, s in triples:
+        if a == one:
+            if b in mapping and mapping[b] != s:
                 well_defined = False
-            mapping[g] = s
-    values = set(mapping.values())
-    return mapping, values, well_defined, len(values) == len(mapping)
+            mapping[b] = s
+    injective = len(set(mapping.values())) == len(mapping)
+    return len(triples), mapping, well_defined, injective
 
 
 def alternating_quotient_check(n: int, m: int,
                                cap: int = DEFAULT_CAP) -> QuotientCheck:
     """Compare level m over level 3m with the alternating group A_n.
 
-    Builds the closure of (X_i mod 3m, transposition (i, i+1)) pairs in
-    the twin group on n strands (the second coordinate is the
-    ``symmetric`` quotient map), restricts to pairs whose matrix is
-    trivial mod m, and tests that the induced matrix -> permutation map
-    is well-defined, injective, lands in A_n, and hits all of A_n.
+    Closes the images of X_i mod m and mod 3 with the transposition
+    (i, i+1) in the twin group on n strands (the ``symmetric`` quotient
+    map), restricts to those trivial mod m, and tests that the induced
+    matrix -> permutation map is well-defined, injective, lands in A_n,
+    and hits all of A_n.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -498,16 +476,16 @@ def alternating_quotient_check(n: int, m: int,
         raise ValueError(f"need m >= 2, got {m}")
     if m % 3 == 0:
         raise ValueError(f"need 3 not dividing m, got {m}")
-    first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None, cap)
-    mapping, values, well_defined, injective = _kernel_map(pairs, first.rows,
-                                                           m)
+    order, mapping, well_defined, injective = _level_map(
+        twin(n), m, 3, "symmetric", cap)
+    values = set(mapping.values())
     all_even = all(perms.is_even(s) for s in values)
     # a set of n!/2 even permutations is A_n
     onto = all_even and len(values) == math.factorial(n) // 2
     ok = well_defined and injective and all_even and onto
     detail = (f"well_defined={well_defined} injective={injective} "
               f"even={all_even} onto={onto}")
-    return QuotientCheck("alternating", n, m, len(pairs), len(mapping),
+    return QuotientCheck("alternating", n, m, order, len(mapping),
                          math.factorial(n) // 2, ok, detail)
 
 
@@ -515,25 +493,25 @@ def even_vector_quotient_check(n: int, m: int,
                                cap: int = DEFAULT_CAP) -> QuotientCheck:
     """Compare level m over level 4m with the even-weight mod-2 vectors.
 
-    Same construction with the second coordinate the mod-2 exponent
-    vector of the word (the ``mod2_abelian`` quotient map, a bit mask
-    with bit k-1 for s_k: the twin group has no odd bonds); the kernel
-    of reduction mod odd m must biject onto the 2^(n-2) vectors of even
-    weight in Z_2^(n-1).
+    Same construction, mod m and mod 4, with the auxiliary the mod-2
+    exponent vector of the word (the ``mod2_abelian`` quotient map, a
+    bit mask with bit i-1 for s_i: the twin group has no odd bonds); the
+    kernel of reduction mod odd m must biject onto the 2^(n-2) vectors
+    of even weight in Z_2^(n-1).
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if m < 2 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got {m}")
-    first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None, cap)
-    mapping, values, well_defined, injective = _kernel_map(pairs, first.rows,
-                                                           m)
+    order, mapping, well_defined, injective = _level_map(
+        twin(n), m, 4, "mod2_abelian", cap)
+    values = set(mapping.values())
     # a set of 2^(n-2) even-weight vectors in Z_2^(n-1) is all of them
     onto = (all(v.bit_count() % 2 == 0 for v in values)
             and len(values) == 2 ** (n - 2))
     ok = well_defined and injective and onto
     detail = f"well_defined={well_defined} injective={injective} onto={onto}"
-    return QuotientCheck("even-vectors", n, m, len(pairs), len(mapping),
+    return QuotientCheck("even-vectors", n, m, order, len(mapping),
                          2 ** (n - 2), ok, detail)
 
 
@@ -541,11 +519,10 @@ def product_quotient_check(n: int, m: int,
                            cap: int = DEFAULT_CAP) -> QuotientCheck:
     """Compare level m over level 12m with A_n x (even vectors).
 
-    Since gcd(12, m) = 1 for odd m prime to 3, an element mod 12m is a
-    pair (mod 12, mod m); the closure runs over those pairs instead of
-    one huge modulus.  The check passes when both component checks pass
-    and the 12m-kernel order is exactly the product of the component
-    kernel orders.
+    The closure runs mod m and mod 12 with the ``trivial`` auxiliary;
+    the 12m-kernel order counts the mod-12 images over the kernel.  The
+    check passes when both component checks pass and that order is
+    exactly the product of the component kernel orders.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -553,14 +530,13 @@ def product_quotient_check(n: int, m: int,
         raise ValueError(f"need m odd and prime to 3, got {m}")
     alt = alternating_quotient_check(n, m, cap)
     vec = even_vector_quotient_check(n, m, cap)
-    _, second, pairs = _twin_pairs(n, 12, "modular", m, cap)
-    ident = second.identity_image
-    kernel_order = sum(1 for _, s in pairs if s == ident)
+    order, mapping, _, _ = _level_map(twin(n), m, 12, "trivial", cap)
+    kernel_order = len(mapping)
     expected = alt.expected_kernel_order * vec.expected_kernel_order
     ok = alt.ok and vec.ok and kernel_order == alt.kernel_order * vec.kernel_order
     detail = (f"alt={alt.kernel_order} vec={vec.kernel_order} "
               f"combined={kernel_order}")
-    return QuotientCheck("product", n, m, len(pairs), kernel_order,
+    return QuotientCheck("product", n, m, order, kernel_order,
                          expected, ok, detail)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from smallcox import congruence
 from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
                                  alternating_quotient_check,
                                  congruence_member, enumerate_image,
@@ -13,7 +14,7 @@ from smallcox.congruence import (DEFAULT_CAP, BudgetExceededError,
                                  product_quotient_check, quotient_map)
 from smallcox.congruence import (FiniteMatrixGroup, FiniteQuotientMap,
                                  QuotientCheck, RelationCheckError,
-                                 _kernel_map, _pair_map, _twin_pairs)
+                                 _level_map)
 from smallcox.coxeter import (INF, build_system, named_system, racg_system,
                               simple_graph, symmetric, triplet, twin,
                               universal)
@@ -190,30 +191,56 @@ class TestRecords:
 
 
 class TestQuotientChecks:
-    @pytest.mark.parametrize("n,factor,kind,m", [
+    @pytest.mark.parametrize("n,k,kind,m", [
         (4, 3, "symmetric", 7), (5, 3, "symmetric", 4),
         (5, 4, "mod2_abelian", 3)])
-    def test_kernel_map_keeps_the_pairs_trivial_mod_m(self, n, factor, kind,
-                                                       m):
-        # oracle: decode each matrix and reduce it as a Matrix
-        first, _, pairs = _twin_pairs(n, factor * m, kind, None, 10 ** 6)
-        mapping, values, well_defined, injective = _kernel_map(
-            pairs, first.rows, m)
-        kernel = {g: s for g, s in pairs
-                  if Matrix(_decode(first.rows, g), factor * m)
-                  .reduce(m).is_identity()}
-        assert mapping == kernel
-        assert values == set(kernel.values())
+    def test_level_map_is_the_kernel_map_mod_km(self, n, k, kind, m):
+        # oracle: the row-tuple closure mod km, restricted to the
+        # matrices trivial mod m, each reduced mod k
+        order, mapping, well_defined, injective = _level_map(
+            twin(n), m, k, kind, 10 ** 6)
+        # at most 256 rows are all interned when a map is built, so a
+        # fresh map's rows are those the level map's ids index
+        rows = quotient_map(twin(n), "modular", k).rows
+        assert len(rows) <= 256
+        aux = quotient_map(twin(n), kind)
+        pairs = _reference_pairs(n, k * m, aux.identity_image, aux.step)
+        kernel, _, _ = _reference_kernel_map(pairs, m)
+        assert {_decode(rows, b): s for b, s in mapping.items()} == {
+            _reduce(g, k): s for g, s in kernel.items()}
+        assert order == len(pairs)
         assert well_defined and injective
 
-    def test_kernel_map_flags_a_matrix_with_two_auxiliaries(self):
-        # the identity (row ids 0, 1) paired with two auxiliaries is no
-        # map; its one auxiliary left stays injective
-        pairs = [((0, 1), "a"), ((0, 1), "b")]
-        _, values, well_defined, injective = _kernel_map(
-            pairs, list(identity_rows(2)), 5)
-        assert values == {"b"}
+    def test_level_map_flags_a_matrix_with_two_auxiliaries(self,
+                                                           monkeypatch):
+        # the identity mod m with one mod-k image and two auxiliaries is
+        # no map; its one auxiliary left stays injective
+        one = quotient_map(twin(3), "modular", 5).identity_image
+        image = quotient_map(twin(3), "modular", 3).identity_image
+        monkeypatch.setattr(congruence, "orbit", lambda *args: [
+            (one, image, "a"), (one, image, "b")])
+        _, mapping, well_defined, injective = _level_map(
+            twin(3), 5, 3, "symmetric", DEFAULT_CAP)
+        assert set(mapping.values()) == {"b"}
         assert not well_defined and injective
+
+    @pytest.mark.parametrize("check,moduli", [
+        (lambda: alternating_quotient_check(4, 5), {3, 5}),
+        (lambda: even_vector_quotient_check(4, 3), {3, 4}),
+        (lambda: product_quotient_check(4, 5), {3, 4, 5, 12})],
+        ids=["alternating", "even-vectors", "product"])
+    def test_checks_build_no_map_mod_km(self, check, moduli, monkeypatch):
+        # CRT: the images mod m and mod k are the image mod km
+        asked = set()
+
+        def build(system, kind, m=None):
+            if kind == "modular":
+                asked.add(m)
+            return quotient_map(system, kind, m)
+
+        monkeypatch.setattr(congruence, "quotient_map", build)
+        assert check().ok
+        assert asked == moduli
 
     @pytest.mark.parametrize("n,m,kernel", [(4, 4, 12), (4, 5, 12), (5, 4, 60)])
     def test_alternating_above_level_two(self, n, m, kernel):
@@ -281,9 +308,8 @@ class TestOntoByCounting:
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 5), (5, 2), (5, 4)])
     def test_alternating_onto_is_set_equality(self, n, m):
         result = alternating_quotient_check(n, m)
-        first, _, pairs = _twin_pairs(n, 3 * m, "symmetric", None,
+        _, mapping, _, _ = _level_map(twin(n), m, 3, "symmetric",
                                       DEFAULT_CAP)
-        mapping, _, _, _ = _kernel_map(pairs, first.rows, m)
         a_n = {p for p in itertools.permutations(range(n))
                if _inversions(p) % 2 == 0}
         onto = set(map(tuple, mapping.values())) == a_n
@@ -292,9 +318,8 @@ class TestOntoByCounting:
     @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 5), (5, 3), (6, 3)])
     def test_even_vectors_onto_is_set_equality(self, n, m):
         result = even_vector_quotient_check(n, m)
-        first, _, pairs = _twin_pairs(n, 4 * m, "mod2_abelian", None,
+        _, mapping, _, _ = _level_map(twin(n), m, 4, "mod2_abelian",
                                       DEFAULT_CAP)
-        mapping, _, _, _ = _kernel_map(pairs, first.rows, m)
         # images are bit masks over the n-1 generators of the twin group
         even = {v for v in range(2 ** (n - 1)) if bin(v).count("1") % 2 == 0}
         onto = set(mapping.values()) == even
@@ -356,6 +381,11 @@ def _reference_pairs(n, modulus, aux_start, aux_step):
     return _reference_orbit((identity_rows(n - 1), aux_start),
                             lambda x, k: (step(x[0], k), aux_step(x[1], k)),
                             n - 1)
+
+
+def _reduce(rows, m):
+    """Row tuples with every entry reduced mod m."""
+    return tuple(tuple(e % m for e in row) for row in rows)
 
 
 def _reference_kernel_map(pairs, m):
@@ -572,27 +602,40 @@ class TestShortlexPruning:
         assert elements == _reference_orbit(qmap.identity_image, qmap.step,
                                             qmap.system.rank)
 
-    @pytest.mark.parametrize("n,modulus,kind,m", [
-        (4, 15, "symmetric", None), (5, 12, "symmetric", None),
-        (4, 20, "mod2_abelian", None), (6, 12, "mod2_abelian", None),
-        (3, 12, "modular", 5), (4, 12, "modular", 5), (4, 12, "modular", 7)])
-    def test_pair_orbits_match_the_reference(self, n, modulus, kind, m):
-        # the three quotient checks' orbits: the pair map walks its own
-        # bond orders, which are the entrywise lcm of the two maps'
-        # orders (INF where either is INF)
-        first, second, pairs = _twin_pairs(n, modulus, kind, m, DEFAULT_CAP)
-        assert _pair_map(first, second).bond_orders() == tuple(
-            tuple(INF if a is INF or b is INF else math.lcm(a, b)
-                  for a, b in zip(*rows))
-            for rows in zip(first.bond_orders(), second.bond_orders()))
-        if kind == "modular":
-            reference = _reference_pairs(n, modulus, identity_rows(n - 1),
-                                         _reference_step(twin(n), m))
-            pairs = [(g, _decode(second.rows, s)) for g, s in pairs]
-        else:
-            reference = _reference_pairs(n, modulus, second.identity_image,
-                                         second.step)
-        assert [(_decode(first.rows, g), s) for g, s in pairs] == reference
+    @pytest.mark.parametrize("n,m,k,kind", [
+        (4, 5, 3, "symmetric"), (5, 4, 3, "symmetric"),
+        (4, 5, 4, "mod2_abelian"), (6, 3, 4, "mod2_abelian"),
+        (3, 5, 12, "trivial"), (4, 5, 12, "trivial"), (4, 7, 12, "trivial")])
+    def test_level_orbits_match_the_reference(self, n, m, k, kind,
+                                              monkeypatch):
+        # the three quotient checks' orbits: the level map walks its own
+        # bond orders, which are the entrywise lcm of the three maps'
+        # orders (INF where any is INF), and lists the image mod km in
+        # the order of the row-tuple closure mod km
+        built, orbits = [], []
+
+        def build(*args):
+            built.append(quotient_map(*args))
+            return built[-1]
+
+        def close(start, step, exponents, cap):
+            orbits.append((exponents, orbit(start, step, exponents, cap)))
+            return orbits[-1][1]
+
+        monkeypatch.setattr(congruence, "quotient_map", build)
+        monkeypatch.setattr(congruence, "orbit", close)
+        order, _, _, _ = _level_map(twin(n), m, k, kind, DEFAULT_CAP)
+        (exponents, triples), = orbits
+        mod_m, mod_k, aux = built
+        assert exponents == tuple(
+            tuple(INF if INF in orders else math.lcm(*orders)
+                  for orders in zip(*rows))
+            for rows in zip(*(qmap.bond_orders() for qmap in built)))
+        reference = _reference_pairs(n, k * m, aux.identity_image, aux.step)
+        assert [(_decode(mod_m.rows, a), _decode(mod_k.rows, b), s)
+                for a, b, s in triples] == [
+            (_reduce(g, m), _reduce(g, k), s) for g, s in reference]
+        assert order == len(reference)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_image_bond_orders_have_a_closed_form(self, n):
