@@ -381,6 +381,12 @@ def _suite_crystallo() -> list[Claim]:
            "of dimension 351",
            f"faithful=True dim={_pure_twin_betti(7)}",
            lambda: via_conj(twin(7), "symmetric"))
+    _claim(claims, "holonomy-pure-triplet-7",
+           "S_7 acts faithfully on the rank-5881 lattice of the pure triplet "
+           "group, 5881 = 1 + n!(2n-7)/6, so L_7/PL_7' is crystallographic "
+           "of dimension 5881",
+           f"faithful=True dim={1 + math.factorial(7) * 7 // 6}",
+           lambda: via_conj(triplet(7), "symmetric"))
     return claims
 
 

@@ -30,7 +30,7 @@ SUITE_RECORD_SHA256 = {
     "rewriting":
         "fdaf5a19fe7c018b72f581a0f88a24eaf0605baa80d33ad5c8b624a631ea1ebf",
     "crystallo":
-        "bd3f10473af1b23495d09ccf550e9773469f56b62312762627388c8384f6d71a",
+        "b39558b6be1ce2c6d0e7685063b594986f570581036dbad595530c64c9047621",
     "complexes":
         "30f06d50955ed42b80bac278be4cb0b334e670034ddf09ab568ba723f6674cce",
 }
@@ -208,7 +208,7 @@ def test_raising_claim_is_a_fail_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "Traceback" in captured.err
     lines = captured.out.splitlines()
-    assert lines[-1] == "FAIL suite crystallo: 8/9 claims"
+    assert lines[-1] == "FAIL suite crystallo: 9/10 claims"
     failed = [line for line in lines[:-1] if not line.startswith("PASS ")]
     assert failed == [
         "FAIL theta-cross-check: closed-form holonomy matches the "

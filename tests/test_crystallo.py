@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import pytest
 
@@ -293,34 +294,87 @@ def _holonomy_reference(qmap):
                      rank, sm.torsion)
 
 
-class TestProbeWalk:
-    def test_a_probe_fixer_outside_the_kernel_is_multiplied_out(self):
-        # generator 1, with rows (-1, 0) and (1, 1), is an involution
-        # that fixes the probe (1, 2) but is not the identity, so cosets
-        # (1,) and (1, 2) pass the probe and only their full products
-        # reject them; generators go in as sparse columns
+def _conjugation_walk(qmap):
+    """The arguments that ``holonomy_via_conjugation`` hands ``_holonomy``,
+    with the generators' columns listed."""
+    rewriter = KernelRewriter(qmap)
+    gens = [rewriter.conjugation_columns((y,))
+            for y in range(1, qmap.system.rank + 1)]
+    return (_quotient_label(qmap, None), *_table_tree(rewriter.table), gens,
+            rewriter.rank)
+
+
+def _product_witnesses(words, gens, dim):
+    """Brute-force reference: every coset but the first whose matrix,
+    multiplied out along its word, is the identity."""
+    ident = [{j: 1} for j in range(dim)]
+    return tuple(word for word in words[1:]
+                 if reduce(mul_columns, [gens[x - 1] for x in word]) == ident)
+
+
+def _walks():
+    for system, kind, *modulus in [(twin(3), "symmetric"),
+                                   (twin(4), "symmetric"),
+                                   (triplet(4), "symmetric"),
+                                   (twin(4), "modular", 3),
+                                   (triplet(4), "mod2_abelian")]:
+        yield _conjugation_walk(quotient_map(system, kind, *modulus))
+    for n in range(3, 9):
+        yield (f"T{n}/T{n}''", *_subset_tree(n),
+               [theta_generator_matrix(n, k) for k in range(1, n)], 2 * n - 5)
+    # the trivial action on Z^2, so every coset of S_3 is a witness
+    yield ("S3", *_table_tree(coset_table(quotient_map(twin(3), "symmetric"))),
+           [[{0: 1}, {1: 1}]] * 2, 2)
+
+
+@pytest.mark.parametrize("walk", list(_walks()), ids=lambda walk: walk[0])
+def test_kernel_witnesses_match_the_full_products(walk):
+    label, words, parents, gens, dim = walk
+    report = _holonomy(*walk)
+    assert report.kernel_witnesses == _product_witnesses(words, gens, dim)
+    assert report.holonomy_order == len(words)
+    assert report.faithful == (not report.kernel_witnesses)
+
+
+def test_the_reference_walks_cover_every_kind_of_kernel():
+    # some walks are faithful, T_3's kernel is its rotations, L_4 over
+    # L_4'' has no free part, so every coset is a witness, and so is
+    # every coset of the trivial action
+    reports = {walk[0]: _holonomy(*walk) for walk in _walks()}
+    assert reports["T4/PT4'"].faithful
+    assert reports["T3/PT3'"].kernel_witnesses == ((1, 2), (2, 1))
+    assert reports["L4/L4''"].dimension == 0
+    assert len(reports["L4/L4''"].kernel_witnesses) == \
+        reports["L4/L4''"].holonomy_order - 1
+    assert len(reports["S3"].kernel_witnesses) == 5
+
+
+class TestRowWalk:
+    @pytest.mark.parametrize("flip", [[{0: -1}, {0: 1, 1: 1}],
+                                      [{0: 1, 1: 1}, {1: -1}]])
+    def test_a_later_row_rejects_a_coset_that_fixes_an_earlier_one(
+            self, flip):
+        # generator 1 is an involution that fixes one basis row and
+        # moves the other: rows (-1, 1) and (0, 1), or (1, 0) and
+        # (1, -1); in whichever order the walk takes the rows, one of
+        # the two keeps cosets (1,) and (1, 2) as candidates past the
+        # first row and rejects them only at the second; generators go
+        # in as sparse columns
         qmap = quotient_map(twin(3), "mod2_abelian")
         report = _holonomy("T3/T3''", *_table_tree(coset_table(qmap)),
-                           [[{0: -1, 1: 1}, {1: 1}], [{0: 1}, {1: 1}]], 2)
+                           [flip, [{0: 1}, {1: 1}]], 2)
         assert report.kernel_witnesses == ((2,),)
         assert not report.faithful
 
-    def test_faithful_actions_form_no_full_product(self, monkeypatch):
-        # a faithful action moves the probe at every coset but the first,
-        # so the walk multiplies the probe only and never calls for a
-        # column product; _holonomy is called directly, since
-        # theta_faithfulness checks its generators with column products
-        def conjugation(qmap):
-            rewriter = KernelRewriter(qmap)
-            gens = [rewriter.conjugation_columns((y,))
-                    for y in range(1, qmap.system.rank + 1)]
-            return (_quotient_label(qmap, None), *_table_tree(rewriter.table),
-                    gens, rewriter.rank)
-
+    def test_the_walk_forms_no_matrix_product(self, monkeypatch):
+        # the walk carries sparse rows only, so neither a faithful action
+        # nor a kernel calls for a column product; _holonomy is called
+        # directly, since theta_faithfulness checks its generators with
+        # column products
         theta = [theta_generator_matrix(8, k) for k in range(1, 8)]
-        walks = [conjugation(quotient_map(twin(5), "symmetric")),
+        walks = [_conjugation_walk(quotient_map(twin(5), "symmetric")),
                  ("T8/T8''", *_subset_tree(8), theta, 11)]
-        control = conjugation(quotient_map(twin(3), "symmetric"))
+        control = _conjugation_walk(quotient_map(twin(3), "symmetric"))
         calls = []
         full = crystallo.mul_columns
 
@@ -332,28 +386,27 @@ class TestProbeWalk:
         for walk in walks:
             assert _holonomy(*walk).faithful
         assert calls == []
-        # the control: the rotation kernel of T_3 is multiplied out, one
-        # product for each two-letter witness
+        # the control: the rotation kernel of T_3 is found row by row,
+        # with no product either
         report = _holonomy(*control)
         assert report.kernel_witnesses == ((1, 2), (2, 1))
-        assert len(calls) == 2
+        assert calls == []
 
-    def test_only_the_frontier_of_probes_is_held(self):
-        # the walk drops each probe once it is past that coset's last
-        # child, so its peak stays below the count x dim slots that one
-        # probe row per coset of PT_6 would take (720 x 111 x 8 bytes)
-        qmap = quotient_map(twin(6), "symmetric")
-        rewriter = KernelRewriter(qmap)
-        gens = [rewriter.conjugation_columns((y,)) for y in range(1, 6)]
+    def test_the_walk_holds_less_than_a_dense_row_per_coset(self):
+        # the walk holds one sparse row per coset it walks, a few
+        # nonzeros each, so its peak stays below the count x dim slots
+        # that one dense row per coset of PT_6 would take (720 x 111 x 8
+        # bytes)
+        walk = _conjugation_walk(quotient_map(twin(6), "symmetric"))
+        label, words, parents, gens, dim = walk
         tracemalloc.start()
         try:
-            report = _holonomy("T6/PT6'", *_table_tree(rewriter.table), gens,
-                               rewriter.rank)
+            report = _holonomy(*walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.faithful
-        assert peak < rewriter.table.count * rewriter.rank * 8
+        assert peak < len(words) * dim * 8
 
 
 @pytest.mark.parametrize("n", range(4, 10))

@@ -223,8 +223,9 @@ class TestCosetTable:
                                         ("mod2_abelian", None),
                                         ("modular", 4)])
     def test_parents_never_decrease(self, family, kind, m):
-        # coset c's parent is c.y for its last letter y; the holonomy
-        # walk drops each probe past its coset's last child on this
+        # coset c's parent is c.y for its last letter y, and comes
+        # before c; the holonomy walk computes a coset's row from its
+        # parent's on this
         table = coset_table(quotient_map(family(5), kind, m))
         parents = [table.action[c][word[-1] - 1]
                    for c, word in enumerate(table.transversal) if word]
