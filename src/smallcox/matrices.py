@@ -19,7 +19,9 @@ A modular matrix carries an extra first line ``mod m``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from collections import deque
+from typing import (Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence,
+                    Union)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -233,7 +235,9 @@ class SmithForm(NamedTuple):
     it, and only with ``want_transform``:
 
     * ``columns[i]`` is column i of V as a sparse ``{row: value}`` dict,
-      pivots first, so A V is zero on ``free_columns``;
+      pivots first, in the order they were taken (the unit relations of
+      the reduction phase, then the elimination), so A V is zero on
+      ``free_columns``;
     * ``order[i]`` is the column of A that position i started from;
     * ``free_rows`` holds, for each free position i in turn, row i of
       V^-1 as a sparse dict: the combination of A's columns that V
@@ -242,7 +246,10 @@ class SmithForm(NamedTuple):
     V^-1 itself is never formed.  A column move rewrites only the row
     of V^-1 that belongs to the pivot column, so a free column that
     never held the pivot keeps the unit row ``{order[i]: 1}``; then row
-    ``order[i]`` of V is e_i as well.  Only a column that a Euclid step
+    ``order[i]`` of V is e_i as well.  That holds for the root of a
+    merged class too: a merge adds the pivot's column of V, signed, to
+    the surviving root's, which so holds the signed class, and leaves
+    the root's row of V^-1 alone.  Only a column that a Euclid step
     demoted from pivot, and that ends free, has a longer row.
 
     ``v`` is V as dense row tuples (None without the transform), built
@@ -278,45 +285,63 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
 
     Each row is given as its ``(column, value)`` pairs, zero values
     allowed and skipped: ``d.items()`` of a sparse ``{col: value}`` row,
-    or ``enumerate(row)`` of a dense one.  The matrix is held sparse:
-    ``{col: value}`` rows plus, for each column, the set of rows that
-    use it.  The caller's rows are only read.
+    or ``enumerate(row)`` of a dense one.  A column outside
+    0..ncols-1 raises ValueError, whatever its value.  The matrix is
+    held sparse: ``{col: value}`` rows plus, for each column, the set of
+    rows that use it.  The caller's rows are only read.
 
-    Pivot rule: the next pivot is a +-1 entry in a shortest live row,
-    taking among that row's unit entries the column with the fewest
-    rows (the Markowitz cost, which keeps fill low).  Rows wait in
-    buckets by length; a row without a unit entry leaves its bucket
-    until a row operation changes it.  Row operations clear the pivot
-    column, then column operations clear the pivot row.  When no unit
-    entry is left, the pivot is an entry of least absolute value and
-    Euclid steps run: a remainder in the pivot column or row becomes
-    the new, smaller pivot.  The pivots found this way give a diagonal
-    form but need not divide one another; ``_divisor_chain`` turns them
-    into the divisor chain.
+    Reduction phase: the unit relations go first, each a pivot of
+    divisor 1 that fills nothing.  A row +-x_c makes column c zero; a
+    row +-x_a +- x_b merges the two columns, with a sign, in a
+    union-find whose smaller class pivots (``_contract_units``).  Then
+    a column that only one row uses, with a unit entry there, leaves
+    together with that row, breadth first (``_collapse``).  The cell
+    rows of the pure twin kernels go entirely this way.
+
+    Pivot rule, on what is left: the next pivot is a +-1 entry in a
+    shortest live row, taking among that row's unit entries the column
+    with the fewest rows (the Markowitz cost, which keeps fill low).
+    Rows wait in buckets by length; a row without a unit entry leaves
+    its bucket until a row operation changes it.  Row operations clear
+    the pivot column, then column operations clear the pivot row.  When
+    no unit entry is left, the pivot is an entry of least absolute
+    value and Euclid steps run: a remainder in the pivot column or row
+    becomes the new, smaller pivot.  The pivots found this way give a
+    diagonal form but need not divide one another; ``_divisor_chain``
+    turns them into the divisor chain.
 
     Transform: with ``want_transform`` every column operation is also
     applied to the sparse columns of V; row operations never touch V.
     Column j -= q * column c is, on V^-1, row c += q * row j, so only
     the row of the pivot column moves.  That row is kept while its
     column may still end free, and dropped once the column is a pivot
-    for good.  On return V's columns are ordered pivots first, still
+    for good; the reduction phase pivots for good at once, so it keeps
+    none.  On return V's columns are ordered pivots first, still
     sparse; see ``SmithForm`` for what comes back.
     """
     a: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
-        entries = {j: e for j, e in row if e}
+        entries = {j: e for j, e in row
+                   if (0 <= j < ncols or _outside(j, ncols)) and e}
         if entries:
             a[i] = entries
-    col_rows: list[set[int]] = [set() for _ in range(ncols)]
+    v_cols = [{j: 1} for j in range(ncols)] if want_transform else None
+    # the rows of V^-1 that moved, while their column may end free
+    v_inv_rows: dict[int, dict[int, int]] = {}
+    pivots = _contract_units(a, ncols, v_cols)
+    pivots += _collapse(a, ncols, v_cols)
+    divisors = [1] * len(pivots)
+    # only the columns that rows still use; a row operation brings in no
+    # other column, so no row outgrows len(col_rows)
+    col_rows: dict[int, set[int]] = {}
     for i, entries in a.items():
         for j in entries:
-            col_rows[j].add(i)
-    if want_transform:
-        v_cols = [{j: 1} for j in range(ncols)]
-        # the rows of V^-1 that moved, while their column may end free
-        v_inv_rows: dict[int, dict[int, int]] = {}
+            if j in col_rows:
+                col_rows[j].add(i)
+            else:
+                col_rows[j] = {i}
 
-    buckets: list[set[int]] = [set() for _ in range(ncols + 1)]
+    buckets: list[set[int]] = [set() for _ in range(len(col_rows) + 1)]
     bucket_of = dict.fromkeys(a, 0)  # 0: waiting for a change
     shortest = 0
 
@@ -338,7 +363,7 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
 
     def unit_pivot():
         nonlocal shortest
-        while shortest <= ncols:
+        while shortest < len(buckets):
             bucket = buckets[shortest]
             while bucket:
                 i = bucket.pop()
@@ -362,8 +387,6 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
                 del row[j]
                 col_rows[j].discard(i)
 
-    pivots: list[int] = []
-    divisors: list[int] = []
     while a:
         piv = unit_pivot()
         if piv is None:
@@ -424,6 +447,159 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
                      tuple(v_inv_rows.get(j) or {j: 1} for j in free))
 
 
+def _outside(j: int, ncols: int) -> NoReturn:
+    raise ValueError(f"column {j} is outside 0..{ncols - 1}")
+
+
+def _contract_units(a: dict[int, dict[int, int]], ncols: int,
+                    v_cols: Optional[list[dict[int, int]]]) -> list[int]:
+    """Take the unit rows out of ``a``, in place, and return their pivot
+    columns, each of divisor 1.
+
+    A row that reads e x_c, e = +-1, makes column c zero: row moves
+    clear the column and no column moves.  A row that reads
+    e x_a + f x_b merges the two columns, x_a = s x_b with s = -e f:
+    column b -= e f column a clears the row but for a, so a pivots, and
+    row moves clear column a.  Columns form signed classes in a
+    union-find, and the root of the smaller class pivots (union by
+    size).  A row is rewritten onto the live roots, dead columns
+    dropped, only when it is read; passes read the rows left until one
+    takes nothing out, each skipping the rows that no pivot has touched
+    since it was last read.
+    """
+    # x_j = sign[j] x_up[j] below a root; up[j] is j on a live root and
+    # None on a dead one
+    up: list[Optional[int]] = list(range(ncols))
+    sign = [1] * ncols
+    size = [1] * ncols
+    pivots: list[int] = []
+    pending = list(a)
+    fresh = True  # the first pass reads the short rows as they are
+    while pending:
+        count = len(a)
+        for i in pending:
+            row = a[i]
+            for j in row:
+                if up[j] != j:
+                    break
+            else:
+                if not fresh or len(row) > 2:
+                    continue  # no unit row, and none since last read
+            if up[j] != j:
+                out: dict[int, int] = {}
+                for j, e in row.items():
+                    r = up[j]
+                    if r != j:
+                        if r is None:
+                            continue
+                        if up[r] == r:
+                            s = sign[j]
+                        else:
+                            r, s = _find(up, sign, j)
+                            if not s:
+                                continue
+                        j, e = r, s * e
+                    out[j] = out.get(j, 0) + e
+                if 0 in out.values():  # two columns of one class cancelled
+                    out = {j: e for j, e in out.items() if e}
+                a[i] = row = out
+            if len(row) == 1:
+                ((c, e),) = row.items()
+                if e == 1 or e == -1:
+                    up[c] = None
+                    pivots.append(c)
+                    del a[i]
+            elif len(row) == 2:
+                (p, e), (c, f) = row.items()
+                if (e == 1 or e == -1) and (f == 1 or f == -1):
+                    if size[p] > size[c]:
+                        p, c = c, p
+                    s = -e * f
+                    up[p], sign[p] = c, s
+                    size[c] += size[p]
+                    pivots.append(p)
+                    if v_cols is not None:
+                        # column c += s column p; V's columns of two
+                        # roots hold disjoint classes, so the sum is a
+                        # union
+                        col = v_cols[p]
+                        v_cols[c].update(col if s == 1 else
+                                         {t: -x for t, x in col.items()})
+                    del a[i]
+            elif not row:
+                del a[i]
+        pending = list(a) if len(a) < count else []
+        fresh = False
+    return pivots
+
+
+def _find(up: list[Optional[int]], sign: list[int],
+          j: int) -> tuple[int, int]:
+    """The root of column j and the sign of x_j on it, 0 when the root
+    is dead; the path from j is compressed onto the root, or marked
+    dead."""
+    path = []
+    while True:
+        r = up[j]
+        if r == j or r is None:
+            break
+        path.append(j)
+        j = r
+    if r is None:
+        for k in path:
+            up[k] = None
+        return j, 0
+    s = 1
+    for k in reversed(path):
+        s *= sign[k]
+        sign[k], up[k] = s, j
+    return j, s
+
+
+def _collapse(a: dict[int, dict[int, int]], ncols: int,
+              v_cols: Optional[list[dict[int, int]]]) -> list[int]:
+    """Take out, breadth first, each column that only one row uses with
+    a unit entry, together with that row, and return those columns,
+    each a pivot of divisor 1.
+
+    Column c is zero off its row r, so the column moves that clear the
+    rest of row r change no other row: the collapse fills nothing and
+    makes no new unit row.  Taking row r out may leave another column
+    with one row; it joins the end of the queue, since depth first
+    makes V far denser (PL_7: 1.40 M nonzeros against 30,755).
+    Each column keeps only the count of its rows and the sum of their
+    indices, which is the row itself once the count is 1.
+    """
+    count = [0] * ncols
+    index_sum = [0] * ncols
+    for i, row in a.items():
+        for j in row:
+            count[j] += 1
+            index_sum[j] += i
+    pivots: list[int] = []
+    lone = deque([j for j, k in enumerate(count) if k == 1])
+    while lone:
+        c = lone.popleft()
+        if count[c] != 1:
+            continue
+        r = index_sum[c]
+        row = a[r]
+        e = row[c]
+        if e != 1 and e != -1:
+            continue
+        del a[r]
+        pivots.append(c)
+        for j, x in row.items():
+            count[j] -= 1
+            index_sum[j] -= r
+            if count[j] == 1:
+                lone.append(j)
+            if v_cols is not None and j != c:
+                # column j -= x e column c clears entry j of row r
+                _axpy(v_cols[j], v_cols[c], -x * e)
+    return pivots
+
+
 def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
     """dst += q * src on sparse vectors."""
     for t, e in src.items():
@@ -447,7 +623,8 @@ def _divisor_chain(ds: list[int]) -> list[int]:
     on how many divisors there are, so the free/torsion split of the
     transform is insensitive to this reshuffle of the nonzero divisors.
     """
-    ds = list(ds)
+    ones = ds.count(1)  # a 1 divides every divisor, so all go first
+    ds = [d for d in ds if d != 1]
     changed = True
     while changed:
         changed = False
@@ -457,4 +634,4 @@ def _divisor_chain(ds: list[int]) -> list[int]:
                 lcm = ds[i] * ds[i + 1] // g
                 ds[i], ds[i + 1] = g, lcm
                 changed = True
-    return ds
+    return [1] * ones + ds

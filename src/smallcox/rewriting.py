@@ -32,7 +32,12 @@ enumeration is ever needed:
   ``tietze_simplify``;
 * the abelianized kernel comes from the exponent sums of the same cell
   words (``KernelRewriter.cell_rows``): ``KernelRewriter.invariants``
-  reads free rank and torsion off a bare Smith form of these rows;
+  reads free rank and torsion off a bare Smith form of these rows.
+  Most of them are unit relations, +-x or +-x +- y (714 and 7,284 of
+  PT_7's 12,600 rows), which the Smith form contracts, with a signed
+  union-find and then collapses of columns that one row uses, before
+  it eliminates; for the pure twin kernels nothing is left to
+  eliminate;
 * ``KernelRewriter.conjugation_columns`` computes the action that an
   ambient word induces on the free part of the abelianized kernel, for
   the crystallographic checks, as sparse ``{row: value}`` columns, one

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallcox.coxeter import triplet, twin
 from smallcox.matrices import (Matrix, dense_rows, det_rows, format_matrix,
                                mul_columns, mul_rows, parse_matrix, pow_rows,
                                smith_normal_form, transpose)
+from smallcox.rewriting import KernelRewriter, quotient_map
 
 
 class TestIntMatrix:
@@ -302,6 +304,141 @@ class TestSmithNormalForm:
                       for row in rows]
             assert smith_normal_form(sparse, 8, want_transform=True) == \
                 smith_normal_form(_pairs(rows), 8, want_transform=True)
+
+    @pytest.mark.parametrize("pairs", [[(-1, 1)], [(3, 1)], [(2, -1)],
+                                       [(0, 1), (5, 0)]],
+                             ids=["negative", "past-the-end", "at-ncols",
+                                  "zero-value"])
+    @pytest.mark.parametrize("want_transform", [False, True])
+    def test_column_outside_the_matrix_is_rejected(self, pairs,
+                                                   want_transform):
+        # -1 once read as column 1 by negative indexing, and 3 raised a
+        # bare IndexError
+        with pytest.raises(ValueError, match="outside 0..1"):
+            smith_normal_form([[(0, 1)], pairs], 2, want_transform)
+
+
+class TestUnitRelations:
+    """The unit relations that the Smith form takes out before its
+    Markowitz elimination: rows +-x_c, rows +-x_a +- x_b and columns
+    that one row uses with a unit entry."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_unit_rich_matrices(self, seed):
+        # few columns, so two-unit rows often meet again with the other
+        # sign and merges chain; checked against determinantal divisors
+        rng = random.Random(seed)
+        nc = rng.randint(2, 6)
+        rows = _unit_rich_rows(rng, rng.randint(1, 7), nc)
+        sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
+        _check_transform(rows, sm)
+        assert sm.divisors == _determinantal_divisors(rows)
+        assert smith_normal_form(_pairs(rows), nc).divisors == sm.divisors
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_larger_unit_rich_matrices(self, seed):
+        # more columns than rows, so many columns have one row (lone
+        # columns); A and its transpose share their invariant factors,
+        # and the transpose's unit relations are other ones
+        rng = random.Random(100 + seed)
+        nr, nc = rng.randint(20, 40), rng.randint(25, 45)
+        rows = _unit_rich_rows(rng, nr, nc)
+        sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
+        _check_transform(rows, sm)
+        transposed = smith_normal_form(_pairs(list(zip(*rows))), nr)
+        assert sm.divisors == transposed.divisors
+        assert len(sm.divisors) == _rank(rows)
+
+    @pytest.mark.parametrize("rows, divisors", [
+        ([[1, 1], [1, -1]], (1, 2)),
+        ([[1, -1, 0], [0, 1, 1], [1, 0, -1]], (1, 1, 2)),
+        ([[1, -1, 0], [0, 1, -1], [1, 0, -1]], (1, 1)),
+    ], ids=["x0+x1,x0-x1", "odd-sign-cycle", "even-sign-cycle"])
+    def test_sign_conflicts(self, rows, divisors):
+        # x_a = x_b and x_a = -x_b leave 2 x_a = 0; a cycle of merges
+        # with an odd number of minus signs does the same
+        sm = smith_normal_form(_pairs(rows), len(rows[0]),
+                               want_transform=True)
+        assert sm.divisors == divisors == _determinantal_divisors(rows)
+        _check_transform(rows, sm)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_merge_chain(self, sign):
+        # x_k = -sign x_(k+1) for k < 11: one class of twelve columns, so
+        # Z^1, whose generator is one unit row of V^-1
+        nc = 12
+        rows = [[1 if j == k else sign if j == k + 1 else 0
+                 for j in range(nc)] for k in range(nc - 1)]
+        sm = smith_normal_form(_pairs(rows), nc, want_transform=True)
+        assert sm.divisors == (1,) * (nc - 1)
+        (lift,) = sm.free_rows
+        assert lift == {sm.order[-1]: 1}
+        assert _check_transform(rows, sm) == 0
+        # the class's column of V: each column times its sign on the root
+        assert sorted(map(abs, sm.columns[-1].values())) == [1] * nc
+
+    def test_unit_rows_mixed_with_non_unit_rows(self):
+        # the unit rows merge x0, x1, x3 and kill x5; what is left,
+        # 2 x1 + 3 x2 and 4 x1 - 6 x4 once x0 = x1, goes to the
+        # elimination, whose 2 x 2 minors -12, -12, -18 give Z_6
+        rows = [[1, -1, 0, 0, 0, 0],
+                [0, 2, 3, 0, 0, 0],
+                [0, 1, 0, 1, 0, 0],
+                [4, 0, 0, 0, -6, 0],
+                [0, 0, 0, 0, 0, -1],
+                [0, 0, 0, 0, 0, 0]]
+        sm = smith_normal_form(_pairs(rows), 6, want_transform=True)
+        assert sm.divisors == _determinantal_divisors(rows) == (1, 1, 1, 1, 6)
+        _check_transform(rows, sm)
+
+    @pytest.mark.parametrize("system, n, rank, bound", [
+        (triplet, 6, 601, 3908), (triplet, 7, 5881, 44558),
+        (twin, 6, 111, 2345), (twin, 7, 351, 27183)],
+        ids=["PL_6", "PL_7", "PT_6", "PT_7"])
+    def test_cell_transform_stays_sparse(self, system, n, rank, bound):
+        # V's nonzeros on the cell rows of the pure kernel stay at or
+        # below what the elimination alone gave before the unit
+        # relations were taken out first; the pure twin bounds hold only
+        # when the smaller class pivots at each merge (PT_7: 30,741
+        # nonzeros otherwise)
+        sm = KernelRewriter(quotient_map(system(n), "symmetric")).smith
+        assert len(sm.free_rows) == rank
+        assert sum(map(len, sm.columns)) <= bound
+
+
+def _unit_rich_rows(rng, nrows, ncols):
+    """Rows that are mostly +-x_c or +-x_a +- x_b, the rest up to four
+    entries from {+-1, +-2, 3}."""
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        kind = rng.random()
+        if kind < 0.3:
+            row[rng.randrange(ncols)] = rng.choice((1, -1))
+        elif kind < 0.75:
+            for j in rng.sample(range(ncols), 2):
+                row[j] = rng.choice((1, -1))
+        else:
+            for j in rng.sample(range(ncols), rng.randint(2, min(4, ncols))):
+                row[j] = rng.choice((1, -1, 2, -2, 3))
+        rows.append(row)
+    return rows
+
+
+def _rank(rows):
+    """Rank over Q, by elimination over fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            factor = a[i][col] / a[rank][col]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def _check_transform(rows, sm):
