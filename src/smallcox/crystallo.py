@@ -27,21 +27,22 @@ quotient of the twin group (lattice of rank 2n-5):
   matrix: each generator's action comes as sparse columns
   (``KernelRewriter.conjugation_columns``).
 
-Both routes hand their generator matrices to one walk, ``_holonomy``,
-as lists of sparse ``{row: value}`` columns; ``theta_faithfulness``
-checks its closed forms on those same columns, with sparse column
-products (``matrices.mul_columns``).  The walk follows a tree of coset
-words, each a parent's word plus one letter y, and carries one sparse
-basis row at a time, e_i M(c) = (e_i M(parent)) M(s_y) (the action is a
-homomorphism, M(uv) = M(u) M(v)), as a dict of its few nonzeros.  The
-first row is carried through every coset, and each later one only
-through the cosets that every row so far has left fixed, and their
-ancestors; a coset is in the kernel exactly when it fixes every row, so
-the witnesses are exactly the cosets whose full matrix is the identity,
-and no matrix product is formed.  The conjugation route reads its tree
-off the coset table it rewrites over; the closed-form route walks the
-subsets of classes directly (``_subset_tree``), since their shortlex
-order is that table's transversal and tree.
+Both routes hand their generator matrices to one walk, ``_holonomy``, as
+lists of sparse ``{row: value}`` columns; ``theta_faithfulness`` checks
+its closed forms on those same columns, with sparse column products
+(``matrices.mul_columns``).  The walk follows a tree of coset words, each
+a parent's word plus one letter y, and carries one sparse basis row at a
+time, e_i M(c) = (e_i M(parent)) M(s_y) (the action is a homomorphism,
+M(uv) = M(u) M(v)), as a dict of its few nonzeros, multiplied by M(s_y)
+with ``mul_columns``.  The first row is carried through every coset, and
+each later one only through the cosets that every row so far has left
+fixed, and their ancestors; a coset is in the kernel exactly when it
+fixes every row, so the witnesses are exactly the cosets whose full
+matrix is the identity, and no product of two whole matrices is formed.
+The conjugation route reads its tree off the coset table it rewrites
+over; the closed-form route walks the subsets of classes directly
+(``_subset_tree``), since their shortlex order is that table's
+transversal and tree.
 
 ``theta_cross_check`` verifies that the two routes agree after the
 change of basis that expresses the b-classes in Schreier coordinates,
@@ -203,18 +204,20 @@ def _holonomy(label: str, words: Sequence[Word], parents: Sequence[int],
 
     ``words[c]`` is coset c's word and ``parents[c]`` the index of the
     coset whose word is ``words[c]`` without its last letter; coset 0
-    has the empty word, and a parent comes before its children.
-    ``gens`` holds one list of ``{row: value}`` columns per generator,
-    and each is also listed by rows (``matrices.transpose``), which is
-    what a row vector times the matrix sums over.  The walk goes one basis row e_i at a time and
-    keeps the candidates, the cosets that every row so far has left
-    fixed, starting from every coset but 0: each stage computes the
-    sparse row e_i M(c) = (e_i M(parent)) M(s_y), y the last letter of
-    c's word, for the candidates and their ancestors in increasing
-    order, and keeps the candidates whose row is still exactly e_i.
-    M(c) is the identity exactly when it fixes every e_i, so the cosets
-    left when the rows run out are the kernel, and the walk stops as
-    soon as none is left; no matrix product is formed.  The first stage
+    has the empty word, and a parent comes before its children.  ``gens``
+    holds one list of ``{row: value}`` columns per generator, and each
+    is also listed by rows (``matrices.transpose``), which is what a row
+    vector times the matrix sums over.  The walk goes one basis row e_i
+    at a time and keeps the candidates, the cosets that every row so far
+    has left fixed, starting from every coset but 0: each stage computes
+    the sparse row e_i M(c) = (e_i M(parent)) M(s_y), y the last letter
+    of c's word, for the candidates and their ancestors in increasing
+    order, and keeps the candidates whose row is still exactly e_i.  A
+    row with several entries is multiplied by ``mul_columns``, as the
+    only column of its product with the rows of M(s_y).  M(c) is the
+    identity exactly when it fixes every e_i, so the cosets left when
+    the rows run out are the kernel, and the walk stops as soon as none
+    is left; no product of two whole matrices is formed.  The first stage
     walks every coset, so the whole group is enumerated.  Kernel
     witnesses come in the order of ``words``.
     """
@@ -242,11 +245,7 @@ def _holonomy(label: str, words: Sequence[Word], parents: Sequence[int],
                 images[c] = gen[k] if a == 1 else {
                     j: a * v for j, v in gen[k].items()}
                 continue
-            image: dict[int, int] = {}
-            for k, a in row.items():
-                for j, v in gen[k].items():
-                    image[j] = image.get(j, 0) + a * v
-            images[c] = {j: v for j, v in image.items() if v}
+            images[c] = mul_columns(gen, (row,))[0]
         candidates = [c for c in candidates if images[c] == unit]
         marked = bytearray(count)  # the candidates and their ancestors
         for c in candidates:

@@ -191,8 +191,10 @@ def parse_matrix(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     mod = None
     if lines and lines[0].startswith("mod "):
-        mod = int(lines[0].split()[1])
-        lines = lines[1:]
+        head = lines.pop(0).split()
+        if len(head) != 2:
+            raise ValueError(f"expected 'mod m', got {' '.join(head)!r}")
+        mod = int(head[1])
     rows = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
@@ -285,10 +287,11 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
 
     Each row is given as its ``(column, value)`` pairs, zero values
     allowed and skipped: ``d.items()`` of a sparse ``{col: value}`` row,
-    or ``enumerate(row)`` of a dense one.  A column outside
-    0..ncols-1 raises ValueError, whatever its value.  The matrix is
-    held sparse: ``{col: value}`` rows plus, for each column, the set of
-    rows that use it.  The caller's rows are only read.
+    or ``enumerate(row)`` of a dense one.  Pairs that repeat a column add
+    up, as in a ``{col: value}`` row, and a sum of zero is left out.  A
+    column outside 0..ncols-1 raises ValueError, whatever its value.  The
+    matrix is held sparse: ``{col: value}`` rows plus, for each column,
+    the set of rows that use it.  The caller's rows are only read.
 
     Reduction phase: the unit relations go first, each a pivot of
     divisor 1 that fills nothing.  A row +-x_c makes column c zero; a
@@ -321,8 +324,12 @@ def smith_normal_form(rows: Iterable[Iterable[tuple[int, int]]], ncols: int,
     """
     a: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
-        entries = {j: e for j, e in row
-                   if (0 <= j < ncols or _outside(j, ncols)) and e}
+        entries: dict[int, int] = {}
+        for j, e in row:
+            if (0 <= j < ncols or _outside(j, ncols)) and e:
+                entries[j] = entries.get(j, 0) + e
+        if 0 in entries.values():  # repeated pairs cancelled
+            entries = {j: e for j, e in entries.items() if e}
         if entries:
             a[i] = entries
     v_cols = [{j: 1} for j in range(ncols)] if want_transform else None
@@ -457,15 +464,15 @@ def _contract_units(a: dict[int, dict[int, int]], ncols: int,
     columns, each of divisor 1.
 
     A row that reads e x_c, e = +-1, makes column c zero: row moves
-    clear the column and no column moves.  A row that reads
-    e x_a + f x_b merges the two columns, x_a = s x_b with s = -e f:
-    column b -= e f column a clears the row but for a, so a pivots, and
-    row moves clear column a.  Columns form signed classes in a
-    union-find, and the root of the smaller class pivots (union by
-    size).  A row is rewritten onto the live roots, dead columns
-    dropped, only when it is read; passes read the rows left until one
-    takes nothing out, each skipping the rows that no pivot has touched
-    since it was last read.
+    clear the column and no column moves.  A row that reads e x_a + f x_b
+    merges the two columns, x_a = s x_b with s = -e f: column b -= e f
+    column a clears the row but for a, so a pivots, and row moves clear
+    column a.  Columns form signed classes in a union-find, and the root
+    of the smaller class pivots (union by size).  A row is rewritten onto
+    the live roots, dead columns dropped, when it is read and uses a
+    column that is no longer a live root.  Passes read every row left
+    until one takes nothing out; the cell rows of PT_6, PT_7 and PL_7
+    take two.
     """
     # x_j = sign[j] x_up[j] below a root; up[j] is j on a live root and
     # None on a dead one
@@ -474,7 +481,6 @@ def _contract_units(a: dict[int, dict[int, int]], ncols: int,
     size = [1] * ncols
     pivots: list[int] = []
     pending = list(a)
-    fresh = True  # the first pass reads the short rows as they are
     while pending:
         count = len(a)
         for i in pending:
@@ -482,10 +488,7 @@ def _contract_units(a: dict[int, dict[int, int]], ncols: int,
             for j in row:
                 if up[j] != j:
                     break
-            else:
-                if not fresh or len(row) > 2:
-                    continue  # no unit row, and none since last read
-            if up[j] != j:
+            if up[j] != j:  # the loop broke: the row reads a non-root
                 out: dict[int, int] = {}
                 for j, e in row.items():
                     r = up[j]
@@ -529,7 +532,6 @@ def _contract_units(a: dict[int, dict[int, int]], ncols: int,
             elif not row:
                 del a[i]
         pending = list(a) if len(a) < count else []
-        fresh = False
     return pivots
 
 

@@ -59,6 +59,7 @@ enumeration is ever needed:
   this package cares about; each generator lists the relators that may
   hold it (a superset that only grows), and a heap of (length,
   position) keys finds the next relator, its lone generator read then;
+  each relator it reads or rewrites goes through ``cyclically_reduce``;
   of the relators left it keeps the first of each class up to rotation
   and inversion (``_cyclic_class``);
 * ``abelian_invariants`` reads free rank and torsion of any
@@ -173,10 +174,11 @@ def free_reduce_signed(word: Sequence[int]) -> SignedWord:
 
 
 def cyclically_reduce(word: Sequence[int]) -> SignedWord:
-    w = list(free_reduce_signed(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce_signed(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def invert_signed(word: Sequence[int]) -> SignedWord:
@@ -435,18 +437,17 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     Each round picks the shortest relator containing a generator exactly
     once (the earliest on ties, and its first such generator), solves
     for that generator and substitutes through; relators are kept freely
-    and cyclically reduced, empty ones dropped.  ``holders[g]`` lists
-    the relators that may hold g, a superset that only grows: a
-    rewritten relator joins the lists of the replacement's generators,
-    and an elimination skips the relators that went or lost g.  The
-    heap holds (length, position) keys, pushed on every change; a pop is
-    live while the relator there keeps that length, and only then is
-    its lone generator found.  Each changed relator takes one pass of
-    substitution and free reduction, then a cyclic strip.  Terminates
-    because each elimination removes a generator.  Last, of relators
-    equal up to rotation and inversion only the first stays.  This is
-    deliberately modest; it suffices to expose freeness for the kernels
-    this package computes, and it preserves abelian invariants exactly.
+    and cyclically reduced (``cyclically_reduce``), empty ones dropped.
+    ``holders[g]`` lists the relators that may hold g, a superset that
+    only grows: a rewritten relator joins the lists of the replacement's
+    generators, and an elimination skips the relators that went or lost
+    g.  The heap holds (length, position) keys, pushed on every change; a
+    pop is live while the relator there keeps that length, and only then
+    is its lone generator found.  Terminates because each elimination
+    removes a generator.  Last, of relators equal up to rotation and
+    inversion only the first stays.  This is deliberately modest; it
+    suffices to expose freeness for the kernels this package computes,
+    and it preserves abelian invariants exactly.
     """
     relators: dict[int, SignedWord] = {}  # by position, gaps for the dropped
     # generator -> the positions of the relators that may contain it;
@@ -474,33 +475,22 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         spun = rel[at:] + rel[:at]
         # spun = g^e * w, so g = w^-1 when e = +1 and g = w when e = -1
         replacement = invert_signed(spun[1:]) if spun[0] == g else spun[1:]
-        inverse = invert_signed(replacement)
+        pieces = {g: replacement, -g: invert_signed(replacement)}
         gained = set(map(abs, replacement))
         for other in holders.pop(g):
             word = relators.get(other)
             if word is None or (g not in word and -g not in word):
                 continue
-            # out is freely reduced as it grows; the reduction step is
-            # written out for a substituted piece and again for a plain
-            # letter, since this loop is the simplifier's hot path
-            out: list[int] = []
+            spliced: list[int] = []
             for letter in word:
                 if letter == g or letter == -g:
-                    for x in replacement if letter == g else inverse:
-                        if out and out[-1] == -x:
-                            out.pop()
-                        else:
-                            out.append(x)
-                elif out and out[-1] == -letter:
-                    out.pop()
+                    spliced += pieces[letter]
                 else:
-                    out.append(letter)
-            i, j = 0, len(out) - 1
-            while i < j and out[i] == -out[j]:
-                i, j = i + 1, j - 1
+                    spliced.append(letter)
+            out = cyclically_reduce(spliced)
             if out:
-                relators[other] = tuple(out[i:j + 1])
-                heapq.heappush(heap, (j + 1 - i, other))
+                relators[other] = out
+                heapq.heappush(heap, (len(out), other))
                 for h in gained:
                     holders[h].append(other)
             else:

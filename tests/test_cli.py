@@ -131,6 +131,16 @@ def test_stray_flags_exit_one(line, message, capsys, tmp_path):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("line", ["abelianize --map mod2",
+                                  "abelianize --family twin --map mod2",
+                                  "abelianize -n 4 --map mod2"])
+def test_a_system_is_required(line, capsys):
+    assert dispatch(line.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give --family with -n, or --matrix FILE\n"
+
+
 def test_modular_map_needs_its_modulus(capsys):
     assert dispatch("abelianize --family twin -n 4 --map modular".split()) == 1
     captured = capsys.readouterr()

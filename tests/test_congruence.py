@@ -283,6 +283,12 @@ class TestQuotientChecks:
         with pytest.raises(ValueError):
             even_vector_quotient_check(4, 4)
 
+    @pytest.mark.parametrize("check, m", [
+        (alternating_quotient_check, 5), (even_vector_quotient_check, 3)])
+    def test_checks_need_three_strands(self, check, m):
+        with pytest.raises(ValueError, match="need n >= 3, got 2"):
+            check(2, m)
+
     def test_paired_projection_surjects(self):
         n, m = 4, 3
         aux = [adjacent_transposition(n, i) for i in range(1, n)]

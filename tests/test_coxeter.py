@@ -79,6 +79,12 @@ class TestBuildSystem:
         with pytest.raises(CoxeterError):
             build_system([[1, 2, 2], [2, 1, 2]])
 
+    @pytest.mark.parametrize("e", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_exponent_rejected(self, e):
+        # True == 1 would otherwise pass as an integer
+        with pytest.raises(CoxeterError, match=r"^bad exponent "):
+            build_system([[1, e], [e, 1]])
+
     def test_equal_systems_hash_alike_and_dedupe(self):
         a, b = twin(4), build_system(twin(4).exponents)
         assert a is not b and a == b and hash(a) == hash(b)
@@ -294,6 +300,15 @@ class TestJoinDecomposition:
         with pytest.raises(CoxeterError):
             simple_graph(2, [(1, 1)])
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (-1, [], "negative vertex count"),
+        (3, [(1, 4)], r"edge \(1,4\) outside 1\.\.3"),
+        (3, [(0, 2)], r"edge \(0,2\) outside 1\.\.3")])
+    def test_vertex_count_and_edge_range_checked(self, vertices, edges,
+                                                 message):
+        with pytest.raises(CoxeterError, match=message):
+            simple_graph(vertices, edges)
+
 
 def _format_coxeter_matrix(system):
     """The text ``parse_coxeter_matrix`` reads: first line the rank, then
@@ -330,6 +345,18 @@ class TestTextFormats:
     def test_bad_rank_line(self):
         with pytest.raises(CoxeterError):
             parse_coxeter_matrix("x\n1 2\n2 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix file"),
+        ("\n  \n", "empty matrix file"),
+        ("2\n1 2\n", "expected 2 rows, found 1"),
+        ("1\n1\n1\n", "expected 1 rows, found 2"),
+        ("2\n1 x\nx 1\n", "bad entry 'x'"),
+        ("2\n1 2.0\n2.0 1\n", "bad entry '2.0'")])
+    def test_malformed_matrix_file(self, text, message):
+        # the text that --matrix FILE reads
+        with pytest.raises(CoxeterError, match=f"^{message}$"):
+            parse_coxeter_matrix(text)
 
     def test_letter_out_of_range(self):
         with pytest.raises(CoxeterError):

@@ -149,6 +149,17 @@ class TestIntMatrix:
         a = Matrix(((1, 2), (0, 1)), 5)
         assert parse_matrix(str(a)) == a
 
+    @pytest.mark.parametrize("text", ["mod \n1 0\n0 1", "mod x\n1 0\n0 1",
+                                      "mod 3 4\n1 0\n0 1", "1 2\n3 4\n5 6",
+                                      "mod 5\n1 2\n3"],
+                             ids=["no-modulus", "non-integer-modulus",
+                                  "two-moduli", "not-square",
+                                  "mod-not-square"])
+    def test_malformed_text_is_rejected(self, text):
+        # "mod " with no modulus once raised a bare IndexError
+        with pytest.raises(ValueError):
+            parse_matrix(text)
+
     def test_every_row_ends_in_a_newline(self):
         assert format_matrix(((1, -2), (0, 3))) == "1 -2\n0 3\n"
         assert format_matrix(()) == ""
@@ -304,6 +315,21 @@ class TestSmithNormalForm:
                       for row in rows]
             assert smith_normal_form(sparse, 8, want_transform=True) == \
                 smith_normal_form(_pairs(rows), 8, want_transform=True)
+
+    @pytest.mark.parametrize("want_transform", [False, True])
+    def test_pairs_that_repeat_a_column_add_up(self, want_transform):
+        # the row (0, 1), (0, 1) is 2 x_0, as the row {0: 2} is; only the
+        # last pair was once kept, which gave divisor 1
+        assert smith_normal_form([[(0, 1), (0, 1)]], 1,
+                                 want_transform).divisors == (2,)
+        # (0, 1), (0, -1) is the zero row: column 0 stays free
+        cancelled = smith_normal_form([[(0, 1), (0, -1)]], 1, want_transform)
+        assert cancelled.divisors == ()
+        assert cancelled.free_columns == (0,)
+        # the sums, not the last pairs, meet the rest of the matrix
+        repeated = [[(0, 2), (1, 1), (0, 1)], [(1, 3), (0, 1), (1, -1)]]
+        assert smith_normal_form(repeated, 2, want_transform) == \
+            smith_normal_form(_pairs([[3, 1], [1, 2]]), 2, want_transform)
 
     @pytest.mark.parametrize("pairs", [[(-1, 1)], [(3, 1)], [(2, -1)],
                                        [(0, 1), (5, 0)]],

@@ -44,6 +44,13 @@ def test_symmetric_map_folds_multiply():
             assert qmap.image_of_word(word) == bytes(expected)
 
 
+@pytest.mark.parametrize("i", [0, 4])
+def test_adjacent_transposition_index_out_of_range(i):
+    with pytest.raises(ValueError, match=rf"^transposition index {i} "
+                                         r"outside 1\.\.3$"):
+        adjacent_transposition(4, i)
+
+
 def test_symmetric_map_has_at_most_256_points():
     qmap = quotient_map(twin(256), "symmetric")
     assert tuple(qmap.image_of_word((255,)))[-3:] == (253, 255, 254)

@@ -47,6 +47,12 @@ class TestAlpha:
         with pytest.raises(NonSmallSystemError):
             alpha(build_system([[1, 4], [4, 1]]), 1, 2)
 
+    @pytest.mark.parametrize("k, j", [(0, 1), (1, 4), (4, 4)])
+    def test_indices_out_of_range(self, k, j):
+        with pytest.raises(ValueError, match=rf"^indices \({k},{j}\) "
+                                             r"outside 1\.\.3$"):
+            alpha(twin(4), k, j)
+
 
 def twin_block_matrix(n, i):
     """The twin generator matrices transcribed from their block form:
@@ -121,6 +127,12 @@ class TestGeneratorMatrix:
     def test_non_small_rejected(self):
         with pytest.raises(NonSmallSystemError):
             generator_matrix(build_system([[1, 5], [5, 1]]), 1)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_index_out_of_range(self, k):
+        with pytest.raises(ValueError, match=rf"^generator index {k} "
+                                             r"outside 1\.\.3$"):
+            generator_matrix(twin(4), k)
 
 
 class TestEvaluate:
@@ -326,6 +338,10 @@ class TestOrderCheck:
         with pytest.raises(ValueError):
             order_check_2m(4, 3, 3)
 
+    def test_bad_m(self):
+        with pytest.raises(ValueError, match="^need m >= 2, got 1$"):
+            order_check_2m(4, 1, 1)
+
 
 class TestTwinPowerMatrix:
     def test_zeroth_power(self):
@@ -336,6 +352,10 @@ class TestTwinPowerMatrix:
 
     def test_second_power(self):
         assert twin_power_matrix(2).rows == ((5, -4), (4, -3))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="^negative power$"):
+            twin_power_matrix(-1)
 
     def test_closed_form_up_to_200(self):
         system = twin(3)
